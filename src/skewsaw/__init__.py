@@ -15,7 +15,6 @@ from .geometry import (
     Rhombus,
     Step,
     step_candidates,
-    winding_increment,
 )
 from .walks import (
     HONEYCOMB_RULE,

@@ -326,8 +326,9 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=_default_workers(),
                         help="worker count for prefix-parallel enumeration "
                              "(default from SKEWSAW_WORKERS)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="verification tolerance")
+    parser.add_argument("--tol", type=float,
+                        help="verification tolerance (default 1e-12 for "
+                             "honeycomb, 1e-10 otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     columns_doc = {
@@ -412,8 +413,8 @@ def main(argv=None) -> int:
     p.add_argument("--L", type=int, default=0)
 
     args = parser.parse_args(argv)
-    if args.command == "honeycomb" and args.tol == 1e-10:
-        args.tol = 1e-12
+    if args.tol is None:
+        args.tol = 1e-12 if args.command == "honeycomb" else 1e-10
     try:
         rows, cols, meta, ok = args.fn(args)
     except (ValueError, OverflowError) as exc:

@@ -18,6 +18,9 @@ Conventions fixed here and relied on everywhere else:
   turns by +-theta, around a (pi-theta)-corner by +-(pi-theta), and a
   straight passage turns by 0.  Turn totals are tracked exactly as
   integer multiples (n_theta, n_pi_minus_theta).
+* ``PLAQUETTE_STATES`` lists the nine states a rhombus can hold; the
+  passage table here, the walk search's transitions and the loop
+  model's cell states are all derived from it.
 """
 
 from __future__ import annotations
@@ -100,25 +103,6 @@ class MidEdge:
         return sign * cmath.exp(1j * (theta - math.pi / 2))
 
 
-def nearest_midedge(point: complex, theta: float) -> MidEdge:
-    """Invert the embedding: closest mid-edge to an arbitrary point."""
-    e1, e2 = basis(theta)
-    # Solve point = a*e1 + b*e2 for real a, b.
-    det = e1.real * e2.imag - e1.imag * e2.real
-    a = (point.real * e2.imag - point.imag * e2.real) / det
-    b = (e1.real * point.imag - e1.imag * point.real) / det
-    best = None
-    best_d2 = math.inf
-    for i in range(math.floor(a) - 1, math.floor(a) + 3):
-        for j in range(math.floor(b) - 1, math.floor(b) + 3):
-            for orient in ("H", "V"):
-                m = MidEdge(i, j, orient)
-                d = abs(m.embed(theta) - point)
-                if d < best_d2:
-                    best, best_d2 = m, d
-    return best
-
-
 @dataclass(frozen=True, order=True)
 class Rhombus:
     """Face with corners (i,j), (i+1,j), (i+1,j+1), (i,j+1)."""
@@ -144,52 +128,67 @@ class Rhombus:
             (self.i, self.j + 1),
         )
 
-    def theta_corners(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """The two corners carrying the angle theta (SW and NE)."""
-        return (self.i, self.j), (self.i + 1, self.j + 1)
-
-    def contains_midedge(self, m: MidEdge) -> bool:
-        return m in self.mid_edges()
-
     def center(self, theta: float) -> complex:
         e1, e2 = basis(theta)
         return (self.i + 0.5) * e1 + (self.j + 0.5) * e2
 
 
-def _side_position(r: Rhombus, m: MidEdge) -> str:
-    b, rt, t, lf = r.mid_edges()
-    if m == b:
-        return "B"
-    if m == rt:
-        return "R"
-    if m == t:
-        return "T"
-    if m == lf:
-        return "L"
-    raise ValueError(f"{m} is not a mid-edge of {r}")
+# The nine plaquette states, indexed by state code.  A rhombus has
+# corners c0..c3 = (SW, SE, NE, NW) counter-clockwise, with the angle
+# theta at c0 and c2, and sides 0..3 = (B, R, T, L), side k running from
+# c_k to c_{k+1}.  An arc around corner c_k joins sides k-1 and k; a
+# straight joins opposite sides; a double state is two arcs around
+# opposite corners.  Each row is (name, side pairs, weight slot), the
+# slot indexing the weights (u1, u2, v, w1, w2) of WeightSet.as_tuple()
+# (None for the empty state).  Every other table of states, passages and
+# transitions is derived from this one.
+PLAQUETTE_STATES = (
+    ("empty", (), None),
+    ("arc_sw", ((3, 0),), 0),
+    ("arc_se", ((0, 1),), 1),
+    ("arc_ne", ((1, 2),), 0),
+    ("arc_nw", ((2, 3),), 1),
+    ("straight_bt", ((0, 2),), 2),
+    ("straight_lr", ((1, 3),), 2),
+    ("double_theta", ((3, 0), (1, 2)), 3),
+    ("double_pi_minus_theta", ((0, 1), (2, 3)), 4),
+)
+
+# Step.kind by the weight slot of a single state
+_KINDS = ("arc_theta", "arc_pi_minus_theta", "straight")
 
 
-# For each (src-side, dst-side) pair: the traversed component and the
-# exact turn in units of (theta, pi - theta), CCW positive.  Components
-# name the corner an arc surrounds; 'bt'/'lr' are the two straights.
-_PASSAGE = {
-    ("B", "L"): ("sw", 1, 0),
-    ("L", "B"): ("sw", -1, 0),
-    ("T", "R"): ("ne", 1, 0),
-    ("R", "T"): ("ne", -1, 0),
-    ("L", "T"): ("nw", 0, 1),
-    ("T", "L"): ("nw", 0, -1),
-    ("R", "B"): ("se", 0, 1),
-    ("B", "R"): ("se", 0, -1),
-    ("B", "T"): ("bt", 0, 0),
-    ("T", "B"): ("bt", 0, 0),
-    ("L", "R"): ("lr", 0, 0),
-    ("R", "L"): ("lr", 0, 0),
-}
+def _passages() -> dict:
+    """(src side, dst side) -> (state code, dtheta, dpmt) per single state.
 
-ARC_THETA_COMPONENTS = ("sw", "ne")
-ARC_PMT_COMPONENTS = ("se", "nw")
-STRAIGHT_COMPONENTS = ("bt", "lr")
+    Passing from side k to side k-1 keeps corner c_k on the left: a
+    counter-clockwise turn by the corner's angle, theta at c0 and c2,
+    pi - theta at c1 and c3.  The reverse passage turns back by as much.
+    """
+    out = {}
+    for code, (_, pairs, _) in enumerate(PLAQUETTE_STATES):
+        if len(pairs) != 1:
+            continue
+        (a, b), = pairs
+        if (b - a) % 4 == 2:     # straight
+            dt, dp = 0, 0
+        elif b % 2 == 0:         # arc around c_b = c0 or c2
+            dt, dp = 1, 0
+        else:
+            dt, dp = 0, 1
+        out[(b, a)] = (code, dt, dp)
+        out[(a, b)] = (code, -dt, -dp)
+    return out
+
+
+PASSAGE = _passages()
+
+
+def _side_position(r: Rhombus, m: MidEdge) -> int:
+    sides = r.mid_edges()
+    if m not in sides:
+        raise ValueError(f"{m} is not a mid-edge of {r}")
+    return sides.index(m)
 
 
 @dataclass(frozen=True, order=True)
@@ -207,26 +206,27 @@ class Step:
         _side_position(self.rhombus, self.src)
         _side_position(self.rhombus, self.dst)
 
+    def _passage(self) -> tuple[int, int, int]:
+        return PASSAGE[(_side_position(self.rhombus, self.src),
+                        _side_position(self.rhombus, self.dst))]
+
+    @property
+    def state_code(self) -> int:
+        """Code of the single plaquette state this passage leaves."""
+        return self._passage()[0]
+
     @property
     def component(self) -> str:
-        a = _side_position(self.rhombus, self.src)
-        b = _side_position(self.rhombus, self.dst)
-        return _PASSAGE[(a, b)][0]
+        """The corner an arc surrounds ('sw', ...) or the straight ('bt', 'lr')."""
+        return PLAQUETTE_STATES[self.state_code][0].partition("_")[2]
 
     @property
     def kind(self) -> str:
-        c = self.component
-        if c in ARC_THETA_COMPONENTS:
-            return "arc_theta"
-        if c in ARC_PMT_COMPONENTS:
-            return "arc_pi_minus_theta"
-        return "straight"
+        return _KINDS[PLAQUETTE_STATES[self.state_code][2]]
 
     @property
     def turn_units(self) -> tuple[int, int]:
-        a = _side_position(self.rhombus, self.src)
-        b = _side_position(self.rhombus, self.dst)
-        _, dt, dp = _PASSAGE[(a, b)]
+        _, dt, dp = self._passage()
         return dt, dp
 
     def turn(self, theta: float) -> float:
@@ -263,38 +263,6 @@ def step_candidates(src: MidEdge, domain: "ParallelogramDomain | None" = None,
                 out.append(Step(r, src, dst))
     out.sort(key=lambda st: (st.rhombus, st.dst))
     return out
-
-
-def winding_increment(prev_direction: complex, step: Step, theta: float) -> float:
-    """Signed turn contributed by one step, given the crossing direction
-    at its source edge.
-
-    ``prev_direction`` must equal the inward normal of the step's
-    rhombus at ``step.src`` (the walk has to enter the face it passes);
-    anything else signals a bookkeeping bug upstream.
-    """
-    entry = step.src.normal(theta, step.entry_sign)
-    if abs(prev_direction - entry) > 1e-9:
-        raise ValueError(
-            f"direction {prev_direction} does not enter {step.rhombus} "
-            f"through {step.src}"
-        )
-    turn = step.turn(theta)
-    # Cross-check against the embedded normals; a mismatch means the
-    # passage table and the embedding disagree.
-    exit_dir = step.dst.normal(theta, step.exit_sign)
-    expected = cmath.phase(exit_dir / entry)
-    if abs(_wrap_angle(turn) - expected) > 1e-9:
-        raise ValueError(f"inconsistent turn for step {step}")
-    return turn
-
-
-def _wrap_angle(x: float) -> float:
-    while x <= -math.pi:
-        x += 2 * math.pi
-    while x > math.pi:
-        x -= 2 * math.pi
-    return x
 
 
 @dataclass(frozen=True)

@@ -24,80 +24,50 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import MidEdge, Rhombus, basis
+from .geometry import PASSAGE, PLAQUETTE_STATES, MidEdge, Rhombus
+from .walks import power_tables, profile_weight
 from .weights import WeightSet, loop_parameter, on_weights
 
-# The nine states, described relative to a cell with corners c0..c3 in
-# counter-clockwise order (c0 and c2 carry the cell angle).  Sides are
-# s_k = (c_k, c_{k+1}); mid k is the midpoint of s_k.  An arc around
-# corner c_k joins mids k-1 and k.
-_CELL_STATES = (
-    ("empty", (), "one"),
-    ("arc_c0", ((3, 0),), "u1"),
-    ("arc_c1", ((0, 1),), "u2"),
-    ("arc_c2", ((1, 2),), "u1"),
-    ("arc_c3", ((2, 3),), "u2"),
-    ("straight_02", ((0, 2),), "v"),
-    ("straight_13", ((1, 3),), "v"),
-    ("double_c0c2", ((3, 0), (1, 2)), "w1"),
-    ("double_c1c3", ((0, 1), (2, 3)), "w2"),
-)
+def _cell_state_name(pairs) -> str:
+    """Loop-model name of a state of geometry.PLAQUETTE_STATES: arcs by
+    the corners they surround (an arc around c_k joins sides k-1 and k),
+    straights by the sides they join."""
+    if not pairs:
+        return "empty"
+    if len(pairs) == 1 and (pairs[0][1] - pairs[0][0]) % 4 == 2:
+        return "straight_%d%d" % pairs[0]
+    corners = "".join(f"c{k}" for _, k in pairs)
+    return ("arc_" if len(pairs) == 1 else "double_") + corners
 
-STATE_NAMES = tuple(name for name, _, _ in _CELL_STATES)
+
+# name -> (side pairs, weight slot), in state-code order
+_CELL_STATES = {_cell_state_name(pairs): (pairs, slot)
+                for _, pairs, slot in PLAQUETTE_STATES}
+
+STATE_NAMES = tuple(_CELL_STATES)
 
 
 def state_pairs(name: str):
-    for n, pairs, _ in _CELL_STATES:
-        if n == name:
-            return pairs
-    raise KeyError(name)
-
-
-def state_weight_field(name: str) -> str:
-    for n, _, field in _CELL_STATES:
-        if n == name:
-            return field
-    raise KeyError(name)
+    return _CELL_STATES[name][0]
 
 
 def cell_state_weight(name: str, w: WeightSet) -> float:
-    field = state_weight_field(name)
-    return 1.0 if field == "one" else getattr(w, field)
+    slot = _CELL_STATES[name][1]
+    return 1.0 if slot is None else w.as_tuple()[slot]
 
 
 @dataclass(frozen=True)
 class Cell:
     """A rhombus cell with hashable mid-edge keys.
 
-    ``corners`` run counter-clockwise and the angle sits at corners 0
-    and 2, so arc_c0/arc_c2 are the u1 arcs of this cell.
+    ``mids`` are the midpoints of sides 0..3, counter-clockwise, and the
+    angle sits at corners 0 and 2, so arc_c0/arc_c2 are the u1 arcs of
+    this cell.
     """
 
     key: object
-    corners: tuple[complex, complex, complex, complex]
     angle: float
     mids: tuple[object, object, object, object]
-    mid_points: tuple[complex, complex, complex, complex]
-
-    def center(self) -> complex:
-        return sum(self.corners) / 4.0
-
-    def inward_normal(self, mid_index: int) -> complex:
-        a = self.corners[mid_index]
-        b = self.corners[(mid_index + 1) % 4]
-        n = 1j * (b - a)
-        n /= abs(n)
-        if ((self.center() - self.mid_points[mid_index]).real * n.real
-                + (self.center() - self.mid_points[mid_index]).imag * n.imag) < 0:
-            n = -n
-        return n
-
-    def turn(self, mid_in: int, mid_out: int) -> float:
-        """Signed turn for a strand entering at one mid and leaving at
-        another, CCW positive."""
-        enter = self.inward_normal(mid_in)
-        leave = -self.inward_normal(mid_out)
-        return cmath.phase(leave / enter)
 
 
 def _point_key(z: complex):
@@ -109,21 +79,14 @@ def make_cell(key, p0: complex, va: complex, vb: complex) -> Cell:
     if va.real * vb.imag - va.imag * vb.real < 0:
         va, vb = vb, va
     corners = (p0, p0 + va, p0 + va + vb, p0 + vb)
-    ang = cmath.phase(vb / va)
-    mid_points = tuple((corners[k] + corners[(k + 1) % 4]) / 2.0 for k in range(4))
-    return Cell(key=key, corners=corners, angle=ang,
-                mids=tuple(_point_key(m) for m in mid_points),
-                mid_points=mid_points)
+    mids = tuple(_point_key((corners[k] + corners[(k + 1) % 4]) / 2.0)
+                 for k in range(4))
+    return Cell(key=key, angle=cmath.phase(vb / va), mids=mids)
 
 
 def cell_from_rhombus(r: Rhombus, theta: float) -> Cell:
     """Lattice cell keyed by MidEdge objects, sides ordered B, R, T, L."""
-    e1, e2 = basis(theta)
-    p0 = r.i * e1 + r.j * e2
-    base = make_cell(("R", r.i, r.j), p0, e1, e2)
-    b, rt, t, lf = r.mid_edges()
-    return Cell(key=base.key, corners=base.corners, angle=base.angle,
-                mids=(b, rt, t, lf), mid_points=base.mid_points)
+    return Cell(key=("R", r.i, r.j), angle=theta, mids=r.mid_edges())
 
 
 def rect_cells(theta: float, cols: int, rows: int, j0: int = 0) -> list[Cell]:
@@ -456,20 +419,16 @@ def yang_baxter_residual(alpha: float, s: float) -> YangBaxterReport:
 
 @lru_cache(maxsize=32)
 def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
-    """counts[(z, quantized winding, state-profile, n_loops)] over all
+    """counts[(z, winding, state-profile, n_loops)] over all
     configurations that are loops plus one strand from the origin.
 
     The profile counts cells by weight class (u1, u2, v, w1, w2), which
     is enough to weight any family at this uniform angle.  Windings are
-    returned as exact multiples of (theta, pi-theta): the traced float
-    angle is snapped to the integer lattice it must lie on.
+    exact multiples of (theta, pi-theta), summed passage by passage.
     """
     cells = tuple(rect_cells(theta, cols, rows, j0))
     a = MidEdge(0, j0 + rows // 2, "V")
-    by_cell = {c.key: c for c in cells}
-    slot = {"u1": 0, "u2": 1, "v": 2, "w1": 3, "w2": 4}
 
-    pmt = math.pi - theta
     counts: dict = {}
     for states, loops, chains in iter_consistent_configs(
             cells, allow_open_interior=1):
@@ -484,16 +443,7 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
             else:
                 continue
             z = ch[-1]
-            wind = _chain_winding(cells, states, ch)
-            # snap onto k1*theta + k2*(pi-theta)
-            best = None
-            for k1 in range(-12, 13):
-                for k2 in range(-12, 13):
-                    err = abs(k1 * theta + k2 * pmt - wind)
-                    if best is None or err < best[0]:
-                        best = (err, k1, k2)
-            assert best[0] < 1e-6, "winding off the exact turn lattice"
-            key_wind = (best[1], best[2])
+            key_wind = _chain_turns(cells, states, ch)
         else:
             # loop-only configuration: stands in for the empty strand at
             # the origin, so nothing may cross the origin mid-edge
@@ -504,9 +454,9 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
             key_wind = (0, 0)
         profile = [0, 0, 0, 0, 0]
         for st in states:
-            f = state_weight_field(st)
-            if f != "one":
-                profile[slot[f]] += 1
+            slot = _CELL_STATES[st][1]
+            if slot is not None:
+                profile[slot] += 1
         key = (z, key_wind, tuple(profile), len(loops))
         counts[key] = counts.get(key, 0) + 1
     return counts, a
@@ -520,18 +470,22 @@ def _occupied_mids(cell: Cell, state: str):
     return occ
 
 
-def _chain_winding(cells, states, chain) -> float:
-    """Total turn along a chain of mids, traced cell by cell."""
-    # map (mid_a, mid_b) -> cell that carries that segment
-    seg_cell = {}
+def _chain_turns(cells, states, chain) -> tuple[int, int]:
+    """Total turn along a chain of mids in units of (theta, pi-theta).
+
+    Lattice cells only: their sides are numbered like geometry.PASSAGE.
+    """
+    turns = {}
     for cell, st in zip(cells, states):
-        for (x, y) in state_pairs(st):
-            seg_cell[frozenset((cell.mids[x], cell.mids[y]))] = cell
-    total = 0.0
-    for a, b in zip(chain, chain[1:]):
-        cell = seg_cell[frozenset((a, b))]
-        total += cell.turn(cell.mids.index(a), cell.mids.index(b))
-    return total
+        for pair in state_pairs(st):
+            for x, y in (pair, pair[::-1]):
+                turns[(cell.mids[x], cell.mids[y])] = PASSAGE[(x, y)][1:]
+    k1 = k2 = 0
+    for segment in zip(chain, chain[1:]):
+        dt, dp = turns[segment]
+        k1 += dt
+        k2 += dp
+    return k1, k2
 
 
 def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
@@ -546,12 +500,11 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     w, n = on_weights(theta, s)
     sigma = s + 1.0
     counts, a = _patch_aggregate(theta, cols, rows, j0)
+    tables = power_tables(w, cols * rows)
     pmt = math.pi - theta
     values: dict = {}
     for (z, (k1, k2), profile, nloops), cnt in counts.items():
-        wt = (w.u1 ** profile[0] * w.u2 ** profile[1] * w.v ** profile[2]
-              * w.w1 ** profile[3] * w.w2 ** profile[4])
-        amp = cnt * wt * float(n) ** nloops
+        amp = cnt * profile_weight(profile, tables) * float(n) ** nloops
         phase = cmath.exp(-1j * sigma * (k1 * theta + k2 * pmt))
         values[z] = values.get(z, 0.0 + 0.0j) + amp * phase
     return values

@@ -26,13 +26,12 @@ from functools import lru_cache
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
 from .walks import (
     UNIT_RULE,
+    _HV_NAME,
     run_walk_enumeration,
     power_tables,
     profile_weight,
 )
 from .weights import WeightSet, critical_weights
-
-_HV_NAME = ("H", "V")
 
 
 @dataclass(frozen=True)

@@ -27,40 +27,44 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
-from .geometry import MidEdge, ParallelogramDomain, Rhombus, Step
+from .geometry import (
+    PASSAGE,
+    PLAQUETTE_STATES,
+    MidEdge,
+    ParallelogramDomain,
+    Rhombus,
+    Step,
+    step_candidates,
+)
 from .weights import WeightSet
 
 DEFAULT_STEP_CAP = 40
 
+# Members in state-code order: EMPTY, ARC_SW, ..., DOUBLE_PI_MINUS_THETA.
+PlaquetteState = Enum(
+    "PlaquetteState",
+    [(name.upper(), name) for name, _, _ in PLAQUETTE_STATES],
+    module=__name__,
+)
 
-class PlaquetteState(Enum):
-    EMPTY = "empty"
-    ARC_SW = "arc_sw"
-    ARC_SE = "arc_se"
-    ARC_NE = "arc_ne"
-    ARC_NW = "arc_nw"
-    STRAIGHT_BT = "straight_bt"
-    STRAIGHT_LR = "straight_lr"
-    DOUBLE_THETA = "double_theta"
-    DOUBLE_PI_MINUS_THETA = "double_pi_minus_theta"
+_STATES = tuple(PlaquetteState)
+_CODE = {state: code for code, state in enumerate(_STATES)}
 
+# weight-profile slot per state code (a promotion moves a count from the
+# single slot to the double slot)
+_SLOT = tuple(slot for _, _, slot in PLAQUETTE_STATES)
 
-_STATE_WEIGHT_FIELD = {
-    PlaquetteState.EMPTY: None,
-    PlaquetteState.ARC_SW: "u1",
-    PlaquetteState.ARC_NE: "u1",
-    PlaquetteState.ARC_SE: "u2",
-    PlaquetteState.ARC_NW: "u2",
-    PlaquetteState.STRAIGHT_BT: "v",
-    PlaquetteState.STRAIGHT_LR: "v",
-    PlaquetteState.DOUBLE_THETA: "w1",
-    PlaquetteState.DOUBLE_PI_MINUS_THETA: "w2",
+# (previous state, arriving single state) -> double state
+_PROMOTE = {
+    (PASSAGE[p][0], PASSAGE[q][0]): code
+    for code, (_, pairs, _) in enumerate(PLAQUETTE_STATES) if len(pairs) == 2
+    for p, q in (pairs, pairs[::-1])
 }
 
 
 def state_weight(state: PlaquetteState, w: WeightSet) -> float:
-    field = _STATE_WEIGHT_FIELD[state]
-    return 1.0 if field is None else getattr(w, field)
+    slot = _SLOT[_CODE[state]]
+    return 1.0 if slot is None else w.as_tuple()[slot]
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,10 @@ HONEYCOMB_RULE = LengthRule(1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
-# Fast core.  Mid-edges and rhombi pack into single ints; transitions come
-# from a table mirroring geometry._PASSAGE (cross-checked by tests against
-# geometry.step_candidates through the naive oracle).
+# Fast core.  Mid-edges and rhombi pack into single ints; transitions are
+# read off geometry.step_candidates once, at import.
 
-_OFF = 1 << 9          # coordinate offset; walks stay well inside +-511
+_OFF = 1 << 9          # coordinate offset; walks stay inside +-511
 _COORD_BITS = 10
 
 def _pack_mid(i: int, j: int, hv: int) -> int:
@@ -101,57 +104,29 @@ def _pack_rho(i: int, j: int) -> int:
     return (i + _OFF) << _COORD_BITS | (j + _OFF)
 
 
-# component codes
-_SW, _SE, _NE, _NW, _BT, _LR, _W1, _W2 = 1, 2, 3, 4, 5, 6, 7, 8
-
-_COMPONENT_NAME = {_SW: "sw", _SE: "se", _NE: "ne", _NW: "nw",
-                   _BT: "bt", _LR: "lr"}
-
-# state-transition: (previous state, arriving component) -> new state
-_PROMOTE = {(_SW, _NE): _W1, (_NE, _SW): _W1,
-            (_SE, _NW): _W2, (_NW, _SE): _W2}
-
-# weight-profile slot per single component (promotions move a count from
-# the single slot to the double slot)
-_SINGLE_SLOT = {_SW: 0, _NE: 0, _SE: 1, _NW: 1, _BT: 2, _LR: 2}
-_DOUBLE_SLOT = {_W1: 3, _W2: 4}
-
-# arc-class per component: 0 theta-arc, 1 (pi-theta)-arc, 2 straight
-_ARC_CLASS = {_SW: 0, _NE: 0, _SE: 1, _NW: 1, _BT: 2, _LR: 2}
-
-# Transitions out of a crossing (hv, sign); entries are tuples
-#   (di, dj, nhv, nsign, component, dtheta, dpmt, rdi, rdj)
-# with (rdi, rdj) the rhombus passed, relative to the current mid-edge.
-# Ordering matches geometry.step_candidates (sorted by rhombus then exit).
-_TRANSITIONS = {
-    # H edge crossed upward: pass R(i, j)
-    (0, 1): (
-        (0, 0, 1, -1, _SW, 1, 0, 0, 0),     # left exit V(i,j)
-        (0, 1, 0, 1, _BT, 0, 0, 0, 0),      # top exit H(i,j+1)
-        (1, 0, 1, 1, _SE, 0, -1, 0, 0),     # right exit V(i+1,j)
-    ),
-    # H edge crossed downward: pass R(i, j-1)
-    (0, -1): (
-        (0, -1, 0, -1, _BT, 0, 0, 0, -1),   # bottom exit H(i,j-1)
-        (0, -1, 1, -1, _NW, 0, -1, 0, -1),  # left exit V(i,j-1)
-        (1, -1, 1, 1, _NE, 1, 0, 0, -1),    # right exit V(i+1,j-1)
-    ),
-    # V edge crossed rightward: pass R(i, j)
-    (1, 1): (
-        (0, 0, 0, -1, _SW, -1, 0, 0, 0),    # bottom exit H(i,j)
-        (0, 1, 0, 1, _NW, 0, 1, 0, 0),      # top exit H(i,j+1)
-        (1, 0, 1, 1, _LR, 0, 0, 0, 0),      # right exit V(i+1,j)
-    ),
-    # V edge crossed leftward: pass R(i-1, j)
-    (1, -1): (
-        (-1, 0, 0, -1, _SE, 0, 1, -1, 0),   # bottom exit H(i-1,j)
-        (-1, 1, 0, 1, _NE, -1, 0, -1, 0),   # top exit H(i-1,j+1)
-        (-1, 0, 1, -1, _LR, 0, 0, -1, 0),   # left exit V(i-1,j)
-    ),
-}
-
 _HV = {"H": 0, "V": 1}
 _HV_NAME = ("H", "V")
+
+
+def _transitions() -> dict:
+    """Steps out of a crossing (hv, sign) at the origin, as tuples
+
+        (di, dj, nhv, nsign, state, dtheta, dpmt, rdi, rdj)
+
+    with (rdi, rdj) the rhombus passed, in step_candidates order (by
+    rhombus, then exit mid-edge).  Offsets hold for any mid-edge.
+    """
+    out = {}
+    for hv, orient in enumerate(_HV_NAME):
+        for sign in (1, -1):
+            out[(hv, sign)] = tuple(
+                (s.dst.i, s.dst.j, _HV[s.dst.orient], s.exit_sign,
+                 s.state_code, *s.turn_units, s.rhombus.i, s.rhombus.j)
+                for s in step_candidates(MidEdge(0, 0, orient), sign=sign))
+    return out
+
+
+_TRANSITIONS = _transitions()
 
 
 @dataclass
@@ -160,7 +135,8 @@ class EnumerationStats:
     max_length_seen: int = 0
 
 
-def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int) -> int:
+def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
+                    start: MidEdge) -> int:
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     max_steps = max_length // min(rule.as_tuple())
@@ -168,6 +144,13 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int) -> int:
         raise ValueError(
             f"length budget {max_length} needs up to {max_steps} steps, "
             f"above the cap {step_cap}"
+        )
+    # _pack_mid aliases coordinates beyond +-(_OFF - 1), and a step moves
+    # each coordinate by at most one
+    if max(abs(start.i), abs(start.j)) + max_steps >= _OFF:
+        raise ValueError(
+            f"a walk of {max_steps} steps from {start} can leave the packed "
+            f"coordinate range +-{_OFF - 1}"
         )
     return max_steps
 
@@ -191,9 +174,9 @@ def run_walk_enumeration(
     ``first_step`` restricts the root to a single candidate index, which
     is the prefix-partition hook for parallel runs.
     """
-    _step_cap_check(max_length, rule, step_cap)
-    lt, lp, ls = rule.as_tuple()
-    step_len = {_SW: lt, _NE: lt, _SE: lp, _NW: lp, _BT: ls, _LR: ls}
+    _step_cap_check(max_length, rule, step_cap, start)
+    lens = rule.as_tuple()
+    step_len = {code: lens[_SLOT[code]] for code, _, _ in PASSAGE.values()}
 
     if domain is not None:
         box = (domain.T, domain.L)
@@ -231,15 +214,15 @@ def run_walk_enumeration(
             prev = occ.get(rho, 0)
             if prev == 0:
                 new_state = comp
-                slot = _SINGLE_SLOT[comp]
+                slot = _SLOT[comp]
                 profile[slot] += 1
                 undo = (rho, 0, slot, None)
             else:
                 new_state = _PROMOTE.get((prev, comp))
                 if new_state is None:
                     continue
-                slot = _SINGLE_SLOT[comp]
-                dslot = _DOUBLE_SLOT[new_state]
+                slot = _SLOT[comp]
+                dslot = _SLOT[new_state]
                 profile[slot] -= 1
                 profile[dslot] += 1
                 undo = (rho, prev, slot, dslot)
@@ -290,7 +273,7 @@ def run_walk_enumeration(
         ni, nj = si + di, sj + dj
         mid = _pack_mid(ni, nj, nhv)
         rho = _pack_rho(si + rdi, sj + rdj)
-        profile[_SINGLE_SLOT[comp]] += 1
+        profile[_SLOT[comp]] += 1
         occ[rho] = comp
         visited.add(mid)
         if trace is not None:
@@ -302,7 +285,7 @@ def run_walk_enumeration(
             trace.pop()
         visited.remove(mid)
         occ.pop(rho)
-        profile[_SINGLE_SLOT[comp]] -= 1
+        profile[_SLOT[comp]] -= 1
 
     return stats
 
@@ -368,35 +351,14 @@ class Walk:
         return dt * theta + dp * (math.pi - theta)
 
     def length(self, rule: LengthRule = UNIT_RULE) -> int:
-        lt, lp, ls = rule.as_tuple()
-        n = 0
-        for s in self.steps:
-            k = s.kind
-            n += lt if k == "arc_theta" else lp if k == "arc_pi_minus_theta" else ls
-        return n
+        lens = rule.as_tuple()
+        return sum(lens[_SLOT[s.state_code]] for s in self.steps)
 
     def profile(self) -> tuple[int, int, int, int, int]:
         c = [0, 0, 0, 0, 0]
         for st in self.occupancy.values():
-            c[{"u1": 0, "u2": 1, "v": 2, "w1": 3, "w2": 4}[_STATE_WEIGHT_FIELD[st]]] += 1
+            c[_SLOT[_CODE[st]]] += 1
         return tuple(c)
-
-
-_COMPONENT_TO_STATE = {
-    "sw": PlaquetteState.ARC_SW,
-    "se": PlaquetteState.ARC_SE,
-    "ne": PlaquetteState.ARC_NE,
-    "nw": PlaquetteState.ARC_NW,
-    "bt": PlaquetteState.STRAIGHT_BT,
-    "lr": PlaquetteState.STRAIGHT_LR,
-}
-
-_STATE_PROMOTE = {
-    (PlaquetteState.ARC_SW, "ne"): PlaquetteState.DOUBLE_THETA,
-    (PlaquetteState.ARC_NE, "sw"): PlaquetteState.DOUBLE_THETA,
-    (PlaquetteState.ARC_SE, "nw"): PlaquetteState.DOUBLE_PI_MINUS_THETA,
-    (PlaquetteState.ARC_NW, "se"): PlaquetteState.DOUBLE_PI_MINUS_THETA,
-}
 
 
 def occupancy_from_steps(steps: Iterable[Step]) -> dict[Rhombus, PlaquetteState]:
@@ -405,19 +367,19 @@ def occupancy_from_steps(steps: Iterable[Step]) -> dict[Rhombus, PlaquetteState]
     Raises ValueError on an inadmissible second visit (straight plus
     anything, two straights, or arcs around non-opposite corners).
     """
-    occ: dict[Rhombus, PlaquetteState] = {}
+    occ: dict[Rhombus, int] = {}
     for s in steps:
         prev = occ.get(s.rhombus)
-        if prev is None:
-            occ[s.rhombus] = _COMPONENT_TO_STATE[s.component]
-            continue
-        nxt = _STATE_PROMOTE.get((prev, s.component))
-        if nxt is None:
-            raise ValueError(
-                f"inadmissible plaquette reuse: {prev} + {s.component} in {s.rhombus}"
-            )
-        occ[s.rhombus] = nxt
-    return occ
+        code = s.state_code
+        if prev is not None:
+            code = _PROMOTE.get((prev, code))
+            if code is None:
+                raise ValueError(
+                    f"inadmissible plaquette reuse: {_STATES[prev]} + "
+                    f"{s.component} in {s.rhombus}"
+                )
+        occ[s.rhombus] = code
+    return {r: _STATES[code] for r, code in occ.items()}
 
 
 def build_walk(start: MidEdge, steps: Iterable[Step]) -> Walk:
@@ -501,33 +463,29 @@ def enumerate_walks(
 # combinatorial aggregates are cached and re-weighted per family.
 
 
+def _free_counts(n_max: int, rule: LengthRule, orient: str,
+                 first_step: int | None = None) -> dict:
+    counts: dict = {}
+
+    def emit(rec):
+        key = (rec[4], rec[7:12])
+        counts[key] = counts.get(key, 0) + 1
+
+    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, emit=emit,
+                         first_step=first_step)
+    return counts
+
+
 @lru_cache(maxsize=32)
 def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
                         orient: str = "H") -> dict:
     """counts[(rlen, profile)] over all free-lattice walks, both signs."""
-    counts: dict = {}
-    start = MidEdge(0, 0, orient)
-
-    def emit(rec):
-        key = (rec[4], rec[7:12])
-        counts[key] = counts.get(key, 0) + 1
-
-    run_walk_enumeration(start, n_max, rule, emit=emit)
-    return counts
+    return _free_counts(n_max, rule, orient)
 
 
 def _free_prefix_aggregate(args):
     n_max, rule_tuple, orient, idx = args
-    counts: dict = {}
-    start = MidEdge(0, 0, orient)
-
-    def emit(rec):
-        key = (rec[4], rec[7:12])
-        counts[key] = counts.get(key, 0) + 1
-
-    run_walk_enumeration(start, n_max, LengthRule(*rule_tuple),
-                         emit=emit, first_step=idx)
-    return counts
+    return _free_counts(n_max, LengthRule(*rule_tuple), orient, idx)
 
 
 def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,

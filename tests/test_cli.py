@@ -125,6 +125,28 @@ def test_honeycomb_subcommand(capsys):
     assert out.splitlines()[0] == "n,weighted_sum,oracle_count,expected_sum"
 
 
+@pytest.mark.parametrize("argv,tol", [
+    (["honeycomb"], 1e-12),
+    (["--tol", "1e-10", "honeycomb"], 1e-10),
+    (["--tol", "1e-10", "weights"], 1e-10),
+    (["weights"], 1e-10),
+])
+def test_tol_default_per_subcommand_and_explicit_value_kept(monkeypatch,
+                                                           argv, tol):
+    import skewsaw.cli as cli
+
+    seen = []
+
+    def record(args):
+        seen.append(args.tol)
+        return [], [], {"command": args.command}, True
+
+    monkeypatch.setattr(cli, "cmd_honeycomb", record)
+    monkeypatch.setattr(cli, "cmd_weights", record)
+    assert main(argv) == 0
+    assert seen == [tol]
+
+
 def test_strip_subcommand(capsys):
     code, out = run_cli(capsys, "--format", "json", "strip",
                         "--T", "2", "--L", "3")

@@ -6,18 +6,48 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewsaw.geometry import (
+    PASSAGE,
     LatticeAngle,
     MidEdge,
     ParallelogramDomain,
     Rhombus,
     Step,
-    nearest_midedge,
     step_candidates,
-    winding_increment,
 )
 
 THETAS = [math.pi / 3, 5 * math.pi / 12, math.pi / 2, 7 * math.pi / 12,
           2 * math.pi / 3]
+
+
+def winding_increment(prev_direction: complex, step: Step, theta: float) -> float:
+    """Signed turn contributed by one step, given the crossing direction
+    at its source edge.
+
+    ``prev_direction`` must equal the inward normal of the step's
+    rhombus at ``step.src`` (the walk has to enter the face it passes).
+    The exact turn is checked against the embedded normals: a mismatch
+    means the passage table and the embedding disagree.
+    """
+    entry = step.src.normal(theta, step.entry_sign)
+    if abs(prev_direction - entry) > 1e-9:
+        raise ValueError(
+            f"direction {prev_direction} does not enter {step.rhombus} "
+            f"through {step.src}"
+        )
+    turn = step.turn(theta)
+    exit_dir = step.dst.normal(theta, step.exit_sign)
+    expected = cmath.phase(exit_dir / entry)
+    if abs(_wrap_angle(turn) - expected) > 1e-9:
+        raise ValueError(f"inconsistent turn for step {step}")
+    return turn
+
+
+def _wrap_angle(x: float) -> float:
+    while x <= -math.pi:
+        x += 2 * math.pi
+    while x > math.pi:
+        x -= 2 * math.pi
+    return x
 
 
 def test_lattice_angle_rejects_out_of_range():
@@ -27,14 +57,6 @@ def test_lattice_angle_rejects_out_of_range():
         LatticeAngle(3 * math.pi / 4)
     LatticeAngle(math.pi / 3)
     LatticeAngle(2 * math.pi / 3)
-
-
-@given(st.integers(-30, 30), st.integers(-30, 30),
-       st.sampled_from(["H", "V"]))
-def test_midedge_embedding_roundtrip(i, j, orient):
-    theta = 0.5 * math.pi * 0.97  # generic angle, no accidental symmetry
-    m = MidEdge(i, j, orient)
-    assert nearest_midedge(m.embed(theta), theta) == m
 
 
 def test_embeddings_distinct_within_window():
@@ -120,6 +142,20 @@ def test_winding_rejects_wrong_direction():
     down = b.normal(theta, -1)
     with pytest.raises(ValueError):
         winding_increment(down, Step(r, b, lf), theta)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_every_passage_turn_agrees_with_embedded_normals(theta):
+    # all twelve ordered side pairs of a rhombus, through both rhombi of
+    # an H and a V mid-edge
+    sides = set()
+    for m in (MidEdge(0, 0, "H"), MidEdge(0, 0, "V")):
+        for s in step_candidates(m):
+            # raises when the exact turn and the embedding disagree
+            winding_increment(s.src.normal(theta, s.entry_sign), s, theta)
+            sides.add((s.rhombus.mid_edges().index(s.src),
+                       s.rhombus.mid_edges().index(s.dst)))
+    assert sides == set(PASSAGE) and len(sides) == 12
 
 
 @pytest.mark.parametrize("theta", THETAS)

@@ -204,3 +204,13 @@ def test_lattice_cell_orientation_matches_geometry():
     cell = cell_from_rhombus(r, th)
     assert cell.angle == pytest.approx(th)
     assert cell.mids == r.mid_edges()  # (bottom, right, top, left)
+
+
+def test_patch_windings_are_exact_at_every_angle():
+    # the histogram is combinatorial; at pi/2, where theta = pi - theta,
+    # a winding must still keep its own (theta, pi - theta) units
+    from skewsaw.loops import _patch_aggregate
+
+    at_half_pi, _ = _patch_aggregate(math.pi / 2, 2, 2, 0)
+    assert at_half_pi == _patch_aggregate(1.2, 2, 2, 0)[0]
+    assert at_half_pi == _patch_aggregate(1.9, 2, 2, 0)[0]

@@ -94,6 +94,14 @@ def test_oracle_equivalence_weight_sums():
         assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_enumerate_walks_visits_in_naive_order(orient):
+    # the search's transition table follows step_candidates' order
+    start = MidEdge(0, 0, orient)
+    fast = [wk.steps for wk in collect_walks(start, 6)]
+    assert fast == [tuple(steps) for steps in naive_enumerate(start, 6)]
+
+
 def test_enumerate_in_domain_counts_match_oracle():
     d = ParallelogramDomain(2, 1, math.pi / 2)
     walks = collect_walks(d.origin, 12, domain=d)
@@ -217,6 +225,22 @@ def test_step_cap_enforced():
     # a generous cap on rule lengths loosens the limit
     enumerate_walks(MidEdge(0, 0, "H"), 100, LengthRule(25, 25, 25), None,
                     lambda w: None)
+
+
+def test_step_cap_refuses_steps_beyond_packed_coordinates():
+    from skewsaw.walks import _OFF, _step_cap_check
+
+    origin = MidEdge(0, 0, "H")
+    assert _step_cap_check(_OFF - 1, UNIT_RULE, 600, origin) == _OFF - 1
+    with pytest.raises(ValueError):
+        _step_cap_check(600, UNIT_RULE, 600, origin)
+    with pytest.raises(ValueError):
+        _step_cap_check(_OFF, UNIT_RULE, _OFF, origin)
+    # the range counts from the start: 8 steps from j = 511 used to alias
+    # and lose walks
+    assert _step_cap_check(7, UNIT_RULE, 40, MidEdge(0, _OFF - 8, "H")) == 7
+    with pytest.raises(ValueError):
+        enumerate_walks(MidEdge(0, _OFF - 1, "H"), 8)
 
 
 def test_honeycomb_rule_lengths():
