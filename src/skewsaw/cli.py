@@ -116,7 +116,25 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (rows, columns, meta, ok).
+# Subcommands.  Each returns (rows, columns, meta, ok), its columns taken
+# from this table, which also writes the --help epilogs.
+
+COLUMNS = {
+    "weights": ("theta", "family", "sigma", "u1", "u2", "v", "w1", "w2",
+                "inv_u1", "max_local_residual"),
+    "verify-local": ("theta", "sigma", "max_residual"),
+    "solve-system": ("sigma", "theta", "residual", "rank", "rank_deficiency",
+                     "match_formula"),
+    "verify-cr": ("T", "L", "theta", "sigma", "max_cr_residual"),
+    "parallelogram": ("T", "L", "theta", "x", "A", "B", "D", "E",
+                      "residual13"),
+    "strip": ("T", "L", "theta", "x", "A", "B", "E_plus_D", "growth_margin"),
+    "series": ("n", "c_tilde", "root_estimate", "ratio_estimate",
+               "lower_bracket", "upper_bracket", "target"),
+    "honeycomb": ("n", "weighted_sum", "oracle_count", "expected_sum"),
+    "yangbaxter": ("alpha", "s", "n", "patterns", "max_residual"),
+    "enumerate": ("walk", "weight", "length"),
+}
 
 
 def cmd_weights(args):
@@ -143,9 +161,7 @@ def cmd_weights(args):
     }
     rows.append(row)
     ok = res.max_abs() < args.tol
-    cols = ["theta", "family", "sigma", "u1", "u2", "v", "w1", "w2",
-            "inv_u1", "max_local_residual"]
-    return rows, cols, {"command": "weights", "theta": th}, ok
+    return rows, COLUMNS["weights"], {"command": "weights", "theta": th}, ok
 
 
 def cmd_verify_local(args):
@@ -158,8 +174,8 @@ def cmd_verify_local(args):
             r = local_residuals(w, sg, th).max_abs()
             ok = ok and r < args.tol
             rows.append({"theta": th, "sigma": sg, "max_residual": r})
-    cols = ["theta", "sigma", "max_residual"]
-    return rows, cols, {"command": "verify-local", "grid": args.grid}, ok
+    meta = {"command": "verify-local", "grid": args.grid}
+    return rows, COLUMNS["verify-local"], meta, ok
 
 
 def cmd_solve_system(args):
@@ -184,9 +200,8 @@ def cmd_solve_system(args):
         elif solvable:
             ok = False
         rows.append(row)
-    cols = ["sigma", "theta", "residual", "rank", "rank_deficiency",
-            "match_formula"]
-    return rows, cols, {"command": "solve-system", "theta": args.theta}, ok
+    meta = {"command": "solve-system", "theta": args.theta}
+    return rows, COLUMNS["solve-system"], meta, ok
 
 
 def cmd_verify_cr(args):
@@ -195,9 +210,8 @@ def cmd_verify_cr(args):
     worst = max_cr_residual(table)
     rows = [{"T": args.T, "L": args.L, "theta": args.theta,
              "sigma": args.sigma, "max_cr_residual": worst}]
-    cols = ["T", "L", "theta", "sigma", "max_cr_residual"]
     ok = worst < args.tol
-    return rows, cols, {"command": "verify-cr"}, ok
+    return rows, COLUMNS["verify-cr"], {"command": "verify-cr"}, ok
 
 
 def cmd_parallelogram(args):
@@ -218,8 +232,7 @@ def cmd_parallelogram(args):
         rows.append({"T": T, "L": L, "theta": args.theta, "x": x,
                      "A": s.A, "B": s.B, "D": s.D, "E": s.E,
                      "residual13": resid})
-    cols = ["T", "L", "theta", "x", "A", "B", "D", "E", "residual13"]
-    return rows, cols, {"command": "parallelogram"}, ok
+    return rows, COLUMNS["parallelogram"], {"command": "parallelogram"}, ok
 
 
 def cmd_strip(args):
@@ -238,20 +251,17 @@ def cmd_strip(args):
     ok = all(m >= -1e-12 for m in rep.growth_margins)
     ok = ok and all(x >= -1e-12 for x in chain.floor_margins)
     ok = ok and all(x >= -1e-12 for x in chain.subcritical_margins)
-    cols = ["T", "L", "theta", "x", "A", "B", "E_plus_D", "growth_margin"]
     meta = {"command": "strip", "bridge_floor": chain.chain_floor,
             "floor_margins": list(chain.floor_margins),
             "recursion_margins": list(chain.recursion_margins),
             "subcritical_margins": list(chain.subcritical_margins)}
-    return rows, cols, meta, ok
+    return rows, COLUMNS["strip"], meta, ok
 
 
 def cmd_series(args):
     rep = series_report(args.theta, args.rule, args.n_max,
                         workers=args.threads)
     rows = list(rep.rows())
-    cols = ["n", "c_tilde", "root_estimate", "ratio_estimate",
-            "lower_bracket", "upper_bracket", "target"]
     ok = True
     for n in range(1, args.n_max + 1):
         if rep.root_estimates[n - 1] < rep.lower_brackets[n - 1] - 1e-9:
@@ -259,17 +269,17 @@ def cmd_series(args):
         if rep.upper_bracket is not None and \
                 rep.root_estimates[n - 1] > rep.upper_bracket + 1e-9:
             ok = False
-    return rows, cols, {"command": "series", "target": rep.target}, ok
+    meta = {"command": "series", "target": rep.target}
+    return rows, COLUMNS["series"], meta, ok
 
 
 def cmd_honeycomb(args):
     rep = honeycomb_crosscheck(args.n_max, workers=args.threads)
     rows = list(rep.rows())
-    cols = ["n", "weighted_sum", "oracle_count", "expected_sum"]
     ok = rep.max_relative_error() < args.tol and rep.images_valid
     meta = {"command": "honeycomb", "max_relative_error":
             rep.max_relative_error(), "images_valid": rep.images_valid}
-    return rows, cols, meta, ok
+    return rows, COLUMNS["honeycomb"], meta, ok
 
 
 def cmd_yangbaxter(args):
@@ -285,8 +295,7 @@ def cmd_yangbaxter(args):
             rows.append({"alpha": alpha, "s": s, "n": rep.n,
                          "patterns": rep.pattern_count,
                          "max_residual": rep.max_residual})
-    cols = ["alpha", "s", "n", "patterns", "max_residual"]
-    return rows, cols, {"command": "yangbaxter"}, ok
+    return rows, COLUMNS["yangbaxter"], {"command": "yangbaxter"}, ok
 
 
 def cmd_enumerate(args):
@@ -306,8 +315,8 @@ def cmd_enumerate(args):
         })
 
     enumerate_walks(start, args.n_max, args.rule, domain, visit)
-    cols = ["walk", "weight", "length"]
-    return rows, cols, {"command": "enumerate", "walks": len(rows)}, True
+    meta = {"command": "enumerate", "walks": len(rows)}
+    return rows, COLUMNS["enumerate"], meta, True
 
 
 def main(argv=None) -> int:
@@ -331,23 +340,9 @@ def main(argv=None) -> int:
                              "honeycomb, 1e-10 otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    columns_doc = {
-        "weights": "theta,family,sigma,u1,u2,v,w1,w2,inv_u1,max_local_residual",
-        "verify-local": "theta,sigma,max_residual",
-        "solve-system": "sigma,theta,residual,rank,rank_deficiency,match_formula",
-        "verify-cr": "T,L,theta,sigma,max_cr_residual",
-        "parallelogram": "T,L,theta,x,A,B,D,E,residual13",
-        "strip": "T,L,theta,x,A,B,E_plus_D,growth_margin",
-        "series": "n,c_tilde,root_estimate,ratio_estimate,lower_bracket,"
-                  "upper_bracket,target",
-        "honeycomb": "n,weighted_sum,oracle_count,expected_sum",
-        "yangbaxter": "alpha,s,n,patterns,max_residual",
-        "enumerate": "walk,weight,length",
-    }
-
     def add(name, fn, **kw):
-        p = sub.add_parser(name, epilog=f"CSV columns: {columns_doc[name]}",
-                           **kw)
+        p = sub.add_parser(
+            name, epilog="CSV columns: " + ",".join(COLUMNS[name]), **kw)
         p.set_defaults(fn=fn)
         return p
 

@@ -184,59 +184,51 @@ def iter_consistent_configs(cells, boundary_mids=None,
                             allow_open_interior=0):
     """Yield (states, loops, chains) over all consistent assignments.
 
-    Interior mids (shared by two cells) must be occupied by both or
-    neither; ``allow_open_interior`` of them may instead be occupied
-    once, which is how a path endpoint strictly inside a patch arises.
-    ``boundary_mids`` is informational only (chains may end there).
+    A strand ends at a mid that the cells around it occupy once.  It may
+    end at the mids in ``boundary_mids`` at no cost (default: every mid
+    that belongs to only one cell); at most ``allow_open_interior`` other
+    mids may be strand ends.  Ends are counted as the search goes, each
+    mid when its last cell is assigned.
     """
-    mid_owner: dict = {}
+    owners: dict = {}
     for ci, cell in enumerate(cells):
-        for m in cell.mids:
-            mid_owner.setdefault(m, []).append(ci)
-    shared = {m for m, owners in mid_owner.items() if len(owners) == 2}
+        for k, m in enumerate(cell.mids):
+            owners.setdefault(m, []).append((ci, k))
+    if boundary_mids is None:
+        boundary_mids = {m for m, own in owners.items() if len(own) == 1}
+    # closes[ci]: (side, partner (cell, side) or None, free end) for each
+    # mid whose last cell is ci
+    closes = [[] for _ in cells]
+    for m, own in owners.items():
+        ci, k = own[-1]
+        partner = own[0] if len(own) == 2 else None
+        closes[ci].append((k, partner, m in boundary_mids))
 
-    occupied_by_state = {
+    occupied = {
         name: frozenset(itertools.chain.from_iterable(state_pairs(name)))
         for name in STATE_NAMES
     }
-
     n = len(cells)
     states = [""] * n
 
-    def rec(ci, open_interior):
+    def rec(ci, open_ends):
         if ci == n:
             traced = _trace(cells, states)
             if traced is not None:
                 yield tuple(states), traced[0], traced[1]
             return
-        cell = cells[ci]
         for name in STATE_NAMES:
-            occ_idx = occupied_by_state[name]
-            extra = 0
-            ok = True
-            for k in range(4):
-                m = cell.mids[k]
-                if m not in shared:
-                    continue
-                other = [o for o in mid_owner[m] if o != ci]
-                o = other[0]
-                if o > ci:
-                    continue  # partner not assigned yet
-                here = k in occ_idx
-                there = any(
-                    cells[o].mids[t] == m and t in occupied_by_state[states[o]]
-                    for t in range(4)
-                )
-                if here != there:
-                    extra += 1
-                    if open_interior + extra > allow_open_interior:
-                        ok = False
-                        break
-            if not ok:
+            occ = occupied[name]
+            ends = open_ends
+            for k, partner, free in closes[ci]:
+                there = (partner is not None
+                         and partner[1] in occupied[states[partner[0]]])
+                if (k in occ) != there and not free:
+                    ends += 1
+            if ends > allow_open_interior:
                 continue
             states[ci] = name
-            yield from rec(ci + 1, open_interior + extra)
-        states[ci] = ""
+            yield from rec(ci + 1, ends)
 
     yield from rec(0, 0)
 
@@ -347,7 +339,8 @@ def _closed_cycles(chain_pairs, outside_pairs) -> int:
 
 def _tiling_sums(cells, boundary, s: float):
     """Aggregate per (occupied-boundary-subset): list of
-    (chain pairing, n-exponent base, weight product)."""
+    (chain pairing, n-exponent base, weight product).  Strands end only
+    at the boundary mids, where an outside pairing can continue them."""
     wcache: dict[float, WeightSet] = {}
 
     def weights_for(cell: Cell) -> WeightSet:
@@ -356,25 +349,13 @@ def _tiling_sums(cells, boundary, s: float):
         return wcache[cell.angle]
 
     buckets: dict = {}
-    for states, loops, chains in iter_consistent_configs(cells):
-        ends = []
-        chain_pairs = []
-        ok = True
-        for ch in chains:
-            a, b = ch[0], ch[-1]
-            if a not in boundary or b not in boundary:
-                ok = False  # strand ends strictly inside: no outside match
-                break
-            ends.extend((a, b))
-            chain_pairs.append((a, b))
-        if not ok:
-            continue
-        occupied = frozenset(ends)
+    for states, loops, chains in iter_consistent_configs(cells, boundary):
+        chain_pairs = tuple((ch[0], ch[-1]) for ch in chains)
         w = 1.0
         for cell, st in zip(cells, states):
             w *= cell_state_weight(st, weights_for(cell))
-        buckets.setdefault(occupied, []).append(
-            (tuple(chain_pairs), len(loops), w))
+        occupied = frozenset(itertools.chain(*chain_pairs))
+        buckets.setdefault(occupied, []).append((chain_pairs, len(loops), w))
     return buckets
 
 
@@ -430,26 +411,16 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
     a = MidEdge(0, j0 + rows // 2, "V")
 
     counts: dict = {}
+    # a is a mid of one cell only, so by parity every configuration is
+    # loops avoiding a (standing in for the empty strand at the origin)
+    # or loops plus one chain with a as an end
     for states, loops, chains in iter_consistent_configs(
-            cells, allow_open_interior=1):
-        if len(chains) > 1:
-            continue
+            cells, boundary_mids={a}, allow_open_interior=1):
         if chains:
-            ch = chains[0]
-            if ch[0] == a:
-                pass
-            elif ch[-1] == a:
-                ch = ch[::-1]
-            else:
-                continue
+            ch = chains[0] if chains[0][0] == a else chains[0][::-1]
             z = ch[-1]
             key_wind = _chain_turns(cells, states, ch)
         else:
-            # loop-only configuration: stands in for the empty strand at
-            # the origin, so nothing may cross the origin mid-edge
-            if any(a in _occupied_mids(cell, st)
-                   for cell, st in zip(cells, states)):
-                continue
             z = a
             key_wind = (0, 0)
         profile = [0, 0, 0, 0, 0]
@@ -460,14 +431,6 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
         key = (z, key_wind, tuple(profile), len(loops))
         counts[key] = counts.get(key, 0) + 1
     return counts, a
-
-
-def _occupied_mids(cell: Cell, state: str):
-    occ = set()
-    for (x, y) in state_pairs(state):
-        occ.add(cell.mids[x])
-        occ.add(cell.mids[y])
-    return occ
 
 
 def _chain_turns(cells, states, chain) -> tuple[int, int]:

@@ -290,23 +290,6 @@ def run_walk_enumeration(
     return stats
 
 
-def root_candidate_count(start: MidEdge,
-                         domain: ParallelogramDomain | None = None,
-                         signs: Iterable[int] = (-1, 1)) -> int:
-    """Number of first-step candidates (the prefix-partition width)."""
-    shv = _HV[start.orient]
-    count = 0
-    for sign in (1, -1):
-        if sign not in signs:
-            continue
-        for tr in _TRANSITIONS[(shv, sign)]:
-            ri, rj = start.i + tr[7], start.j + tr[8]
-            if domain is not None and not domain.contains_rhombus(Rhombus(ri, rj)):
-                continue
-            count += 1
-    return count
-
-
 def power_tables(w: WeightSet, size: int):
     """Power tables for evaluating profile weights without pow calls."""
     def tab(x: float):
@@ -443,15 +426,8 @@ def enumerate_walks(
             mid0, steps = _steps_from_trace(trace)
             visitor(build_walk(mid0, steps))
 
-    if domain is not None:
-        allowed = []
-        for s in signs:
-            fwd = start.rhombi()[0 if s == 1 else 1]
-            if domain.contains_rhombus(fwd):
-                allowed.append(s)
-        signs = tuple(allowed)
-        if domain.side_of(start) is None:
-            raise ValueError(f"start {start} is not a mid-edge of the domain")
+    if domain is not None and domain.side_of(start) is None:
+        raise ValueError(f"start {start} is not a mid-edge of the domain")
 
     return run_walk_enumeration(start, max_length, rule, domain,
                                 emit=emit, signs=signs, step_cap=step_cap,
@@ -500,7 +476,8 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
         return free_walk_aggregate(n_max, rule, orient)
     from concurrent.futures import ProcessPoolExecutor
 
-    nroots = root_candidate_count(MidEdge(0, 0, orient))
+    hv = _HV[orient]
+    nroots = len(_TRANSITIONS[(hv, 1)]) + len(_TRANSITIONS[(hv, -1)])
     jobs = [(n_max, rule.as_tuple(), orient, k) for k in range(nroots)]
     total: dict = {(0, (0, 0, 0, 0, 0)): 1}
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -47,6 +47,12 @@ GOLDEN = [
     ("patch_2x2_theta_1.2", lambda: _patch_hist(1.2, 2, 2, 0),
      25, 24,
      "31c26100d056721633734d26181c7cfcf934703fd7a82369e2fab8afa4b97594"),
+    ("patch_2x3_theta_1.2", lambda: _patch_hist(1.2, 2, 3, 0),
+     86, 81,
+     "142f99684a7052b6955a275e9dfff90d29bebb11953fa5e2e427ab3a9df452d8"),
+    ("patch_3x2_theta_1.2", lambda: _patch_hist(1.2, 3, 2, 0),
+     72, 62,
+     "31b662667a84e1883cf1be4b29d28c03d121049eb520c8d71bb614195cd9a120"),
 ]
 
 

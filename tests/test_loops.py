@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -214,3 +215,53 @@ def test_patch_windings_are_exact_at_every_angle():
     at_half_pi, _ = _patch_aggregate(math.pi / 2, 2, 2, 0)
     assert at_half_pi == _patch_aggregate(1.2, 2, 2, 0)[0]
     assert at_half_pi == _patch_aggregate(1.9, 2, 2, 0)[0]
+
+
+def _states_digest(configs):
+    h = hashlib.sha256()
+    n = 0
+    for states, _, _ in configs:
+        h.update(repr(states).encode())
+        n += 1
+    return n, h.hexdigest()
+
+
+@pytest.mark.parametrize("allow,count,sha", [
+    (0, 433,
+     "cc302e8ffdd7819a919a275548978fc58a0a1d2cb395ea03e62e47d701e954cb"),
+    (1, 2113,
+     "9573873ae78b37ecfb27af5395d6226461f2f9645ff5931e8a718bd8968be8d8"),
+], ids=["closed_interior", "one_open_interior"])
+def test_default_search_sequence(allow, count, sha):
+    # boundary_mids=None: strands end for free at every mid of one cell;
+    # count and order of the yielded states are pinned
+    configs = iter_consistent_configs(rect_cells(1.2, 2, 2),
+                                      allow_open_interior=allow)
+    assert _states_digest(configs) == (count, sha)
+
+
+def test_boundary_mids_bound_where_strands_end():
+    # the loop observable's search: ends are free at the origin only, and
+    # one more end may lie anywhere
+    a = MidEdge(0, 1, "V")
+    configs = list(iter_consistent_configs(
+        rect_cells(1.2, 2, 3), boundary_mids={a}, allow_open_interior=1))
+    assert len(configs) == 86
+    for _, loops, chains in configs:
+        assert len(chains) <= 1
+        for ch in chains:
+            assert a in (ch[0], ch[-1])
+        if not chains:
+            assert all(a not in lp for lp in loops)
+
+
+def test_hexagon_strands_end_on_its_boundary():
+    hexa = hexagon(0.8)
+    boundary = set(hexa.boundary)
+    for cells in (hexa.tiling1, hexa.tiling2):
+        configs = list(iter_consistent_configs(cells, boundary))
+        assert configs == list(iter_consistent_configs(cells))
+        assert len(configs) == 95
+        ends = {m for _, _, chains in configs for ch in chains
+                for m in (ch[0], ch[-1])}
+        assert ends == boundary

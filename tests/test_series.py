@@ -3,7 +3,7 @@ import math
 import pytest
 
 from skewsaw.geometry import MidEdge
-from skewsaw.honeycomb import count_midedge_saws
+from skewsaw.honeycomb import _neighbours, count_midedge_saws
 from skewsaw.series import (
     honeycomb_crosscheck,
     is_valid_hex_image,
@@ -108,3 +108,27 @@ def test_no_w2_states_at_honeycomb_angle():
     # double (pi-theta)-arc states would map two arcs into crossing
     # triangles; their weight vanishes so they never contribute
     assert critical_weights(math.pi / 3).w2 == pytest.approx(0.0, abs=1e-15)
+
+
+# n-step vertex self-avoiding walks on the honeycomb lattice, OEIS A001668
+A001668 = [1, 3, 6, 12, 24, 48, 90, 174, 336, 648, 1218, 2328, 4416, 8388,
+           15780]
+
+
+def test_hexagonal_graph_reproduces_published_saw_counts():
+    # anchors the oracle's own graph to the literature
+    counts = [0] * len(A001668)
+    visited = set()
+
+    def rec(v, n):
+        counts[n] += 1
+        if n + 1 == len(counts):
+            return
+        visited.add(v)
+        for u, _ in _neighbours(v):
+            if u not in visited:
+                rec(u, n + 1)
+        visited.remove(v)
+
+    rec(("A", 0, 0), 0)
+    assert counts == A001668

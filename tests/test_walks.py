@@ -17,6 +17,7 @@ from skewsaw.walks import (
     free_walk_aggregate,
     free_walk_aggregate_parallel,
     occupancy_from_steps,
+    run_walk_enumeration,
     walk_from_dump,
     walk_to_dump,
     weight_of,
@@ -273,3 +274,29 @@ def test_rule_validation():
         LengthRule(0, 1, 1)
     with pytest.raises(ValueError):
         LengthRule(1, -2, 1)
+
+
+def _subtree_hist(orient, n_max, signs):
+    counts = Counter()
+    run_walk_enumeration(MidEdge(0, 0, orient), n_max, signs=signs,
+                         emit=lambda rec: counts.update([(rec[4], rec[7:12])]))
+    return counts
+
+
+def test_first_step_subtrees_agree_under_pi_rotation():
+    # the pi rotation about the start maps the sign +1 walks one to one
+    # onto the sign -1 walks
+    assert _subtree_hist("H", 9, (1,)) == _subtree_hist("H", 9, (-1,))
+
+
+def test_h_and_v_starts_give_identical_histograms():
+    assert (free_walk_aggregate(9, UNIT_RULE, "H")
+            == free_walk_aggregate(9, UNIT_RULE, "V"))
+
+
+def test_free_histogram_invariant_under_reflection():
+    # theta <-> pi - theta swaps the arc classes: u1 <-> u2 and w1 <-> w2
+    agg = free_walk_aggregate(9, UNIT_RULE, "H")
+    swapped = {(n, (p[1], p[0], p[2], p[4], p[3])): c
+               for (n, p), c in agg.items()}
+    assert swapped == agg
