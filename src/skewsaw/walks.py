@@ -6,17 +6,28 @@ opposite corners) is re-weighted as a double-arc state rather than a
 product of single arcs.  The enumerator is a depth-first backtracker
 over exact integer state:
 
-* visited mid-edges as a hash set of packed integers,
-* per-rhombus plaquette states as small ints with undo,
-* walk weight as the count vector of final states (so a weight set is
-  applied afterwards via power tables -- no floating point is touched
-  while searching),
+* the current and visited mid-edges as packed integers (a hash set for
+  the visited ones), each step adding a fixed offset,
+* per-rhombus plaquette states as small ints in a dict with undo; a
+  domain search starts with the ring of rhombi around the domain
+  blocked,
+* walk weight as the count vector of final states, packed into one int
+  of 6 bits per slot (so a weight set is applied afterwards via power
+  tables -- no floating point is touched while searching),
 * winding as integer multiples of theta and pi - theta.
 
-Per-walk callbacks receive the packed record
+A walk whose length leaves no room for the shortest step is childless:
+the search counts and reports it without pushing its crossing.
+
+Per-walk callbacks receive the record
 ``(i, j, hv, sign, rlen, dtheta, dpmt, c1, c2, c3, c4, c5)`` where the
 c's count rhombi whose final state is a theta-arc / (pi-theta)-arc /
-straight / double-theta / double-(pi-theta).
+straight / double-theta / double-(pi-theta).  A ``counts`` dict sink
+instead counts walks per packed profile, with no record and no call.
+
+The free-lattice aggregates enumerate only the walks whose first step
+crosses with sign +1 and double every non-empty count: the rotation by
+pi about the start maps them one to one onto the sign -1 walks.
 """
 
 from __future__ import annotations
@@ -96,12 +107,33 @@ HONEYCOMB_RULE = LengthRule(1, 2, 2)
 _OFF = 1 << 9          # coordinate offset; walks stay inside +-511
 _COORD_BITS = 10
 
+
 def _pack_mid(i: int, j: int, hv: int) -> int:
     return (((i + _OFF) << _COORD_BITS | (j + _OFF)) << 1) | hv
 
 
+def _unpack_mid(mid: int) -> tuple[int, int, int]:
+    return ((mid >> _COORD_BITS + 1) - _OFF,
+            ((mid >> 1) & ((1 << _COORD_BITS) - 1)) - _OFF, mid & 1)
+
+
 def _pack_rho(i: int, j: int) -> int:
     return (i + _OFF) << _COORD_BITS | (j + _OFF)
+
+
+# The five-slot weight profile packs into one int, _SLOT_BITS per slot.  A
+# slot counts at most one rhombus per step, so the search refuses more
+# than _SLOT_MAX steps.
+_SLOT_BITS = 6
+_SLOT_MAX = (1 << _SLOT_BITS) - 1
+_INC = tuple(0 if slot is None else 1 << _SLOT_BITS * slot for slot in _SLOT)
+
+
+def _unpack_profile(pk: int) -> tuple[int, int, int, int, int]:
+    """The profile (c1, ..., c5) of a packed profile key."""
+    return (pk & _SLOT_MAX, pk >> _SLOT_BITS & _SLOT_MAX,
+            pk >> 2 * _SLOT_BITS & _SLOT_MAX, pk >> 3 * _SLOT_BITS & _SLOT_MAX,
+            pk >> 4 * _SLOT_BITS)
 
 
 _HV = {"H": 0, "V": 1}
@@ -128,11 +160,49 @@ def _transitions() -> dict:
 
 _TRANSITIONS = _transitions()
 
+# _PROMOTE_STEP[prev][state]: (double state, profile increment) when a
+# single state arrives in a rhombus holding prev, else None.  _BLOCKED
+# marks a rhombus no walk may pass.
+_BLOCKED = len(_STATES)
+_PROMOTE_STEP = tuple(
+    tuple(None if (prev, code) not in _PROMOTE else
+          (_PROMOTE[(prev, code)], _INC[_PROMOTE[(prev, code)]] - _INC[code])
+          for code in range(len(_STATES)))
+    for prev in range(len(_STATES) + 1))
+
+
+def _step_rows(lens: tuple[int, int, int]) -> dict:
+    """_TRANSITIONS in the search's form for one length rule: per crossing
+    (hv, sign) a list of
+
+        (dmid, drho, state, length, dprofile, next row, dtheta, dpmt, nsign)
+
+    where dmid and drho are the offsets of the packed exit mid-edge and of
+    the packed rhombus passed from the packed current mid-edge (shifted
+    right by one for the rhombus), and dprofile the packed-profile
+    increment of a first visit.
+    """
+    rows: dict = {key: [] for key in _TRANSITIONS}
+    for (hv, sign), row in rows.items():
+        for di, dj, nhv, nsign, state, ddt, ddp, rdi, rdj in _TRANSITIONS[(hv, sign)]:
+            row.append(((di << _COORD_BITS + 1) + (dj << 1) + nhv - hv,
+                        (rdi << _COORD_BITS) + rdj, state, lens[_SLOT[state]],
+                        _INC[state], rows[(nhv, nsign)], ddt, ddp, nsign))
+    return rows
+
+
+def _ring(domain: ParallelogramDomain) -> list[int]:
+    """Packed rhombi just outside the domain.  Neighbouring rhombi differ
+    by one in i or j, so a walk that would leave the domain has to pass one
+    of these first; blocking them keeps every walk inside."""
+    T, L = domain.T, domain.L
+    return [_pack_rho(i, j) for i in range(-1, T + 1) for j in range(-L - 1, L + 2)
+            if not (0 <= i < T and -L <= j <= L)]
+
 
 @dataclass
 class EnumerationStats:
     walks: int = 0
-    max_length_seen: int = 0
 
 
 def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
@@ -165,129 +235,112 @@ def run_walk_enumeration(
     step_cap: int = DEFAULT_STEP_CAP,
     first_step: int | None = None,
     trace: list | None = None,
+    counts: dict | None = None,
 ) -> EnumerationStats:
-    """Drive the backtracking search, invoking ``emit`` once per walk.
+    """Drive the backtracking search over every walk of length <= budget.
 
-    ``emit`` gets the packed record described in the module docstring.
-    ``trace`` (if a list) is kept in sync with the crossing sequence
+    ``emit`` gets the record described in the module docstring
+    once per walk.  ``counts`` (if a dict) gets ``counts[pk] += 1`` per
+    walk, pk the packed profile (see ``_unpack_profile``).  ``trace`` (if
+    a list) is kept in sync with the crossing sequence
     ``[(i, j, hv, sign), ...]`` so callers can materialise Walk objects.
     ``first_step`` restricts the root to a single candidate index, which
     is the prefix-partition hook for parallel runs.
     """
-    _step_cap_check(max_length, rule, step_cap, start)
+    max_steps = _step_cap_check(max_length, rule, step_cap, start)
+    if max_steps > _SLOT_MAX:
+        raise ValueError(
+            f"a walk of {max_steps} steps can overflow the {_SLOT_BITS}-bit "
+            f"profile slots (at most {_SLOT_MAX} steps)"
+        )
     lens = rule.as_tuple()
-    step_len = {code: lens[_SLOT[code]] for code, _, _ in PASSAGE.values()}
-
-    if domain is not None:
-        box = (domain.T, domain.L)
-    else:
-        box = None
+    rows = _step_rows(lens)
+    # a walk longer than this has no step left in the budget
+    leaf_len = max_length - min(lens)
+    promote = _PROMOTE_STEP
 
     si, sj, shv = start.i, start.j, _HV[start.orient]
-    visited = {_pack_mid(si, sj, shv)}
+    smid = _pack_mid(si, sj, shv)
+    visited = {smid}
     occ: dict[int, int] = {}
-    profile = [0, 0, 0, 0, 0]
-    stats = EnumerationStats()
+    if domain is not None:
+        occ = dict.fromkeys(_ring(domain), _BLOCKED)
+    occ_get = occ.get
+    count_get = counts.get if counts is not None else None
 
-    def emit_current(ci, cj, chv, sign, rlen, dth, dpm):
-        stats.walks += 1
-        if rlen > stats.max_length_seen:
-            stats.max_length_seen = rlen
-        if emit is not None:
-            emit((ci, cj, chv, sign, rlen, dth, dpm,
-                  profile[0], profile[1], profile[2], profile[3], profile[4]))
-
-    def rec(ci, cj, chv, sign, rlen, dth, dpm):
-        for di, dj, nhv, nsign, comp, ddt, ddp, rdi, rdj in _TRANSITIONS[(chv, sign)]:
-            slen = step_len[comp]
+    def rec(cm, row, rlen, dth, dpm, pk):
+        walks = 0
+        base = cm >> 1
+        for dmid, drho, comp, slen, inc, nrow, ddt, ddp, nsign in row:
             nlen = rlen + slen
             if nlen > max_length:
                 continue
-            ri, rj = ci + rdi, cj + rdj
-            if box is not None and not (0 <= ri < box[0] and -box[1] <= rj <= box[1]):
+            nm = cm + dmid
+            if nm in visited:
                 continue
-            ni, nj = ci + di, cj + dj
-            mid = _pack_mid(ni, nj, nhv)
-            if mid in visited:
-                continue
-            rho = _pack_rho(ri, rj)
-            prev = occ.get(rho, 0)
-            if prev == 0:
-                new_state = comp
-                slot = _SLOT[comp]
-                profile[slot] += 1
-                undo = (rho, 0, slot, None)
-            else:
-                new_state = _PROMOTE.get((prev, comp))
-                if new_state is None:
+            rho = base + drho
+            prev = occ_get(rho, 0)
+            if prev:
+                promoted = promote[prev][comp]
+                if promoted is None:
                     continue
-                slot = _SLOT[comp]
-                dslot = _SLOT[new_state]
-                profile[slot] -= 1
-                profile[dslot] += 1
-                undo = (rho, prev, slot, dslot)
-            occ[rho] = new_state
-            visited.add(mid)
+                state, dpk = promoted
+                npk = pk + dpk
+            else:
+                state = comp
+                npk = pk + inc
+            walks += 1
+            if counts is not None:
+                counts[npk] = count_get(npk, 0) + 1
             if trace is not None:
-                trace.append((ni, nj, nhv, nsign))
-            emit_current(ni, nj, nhv, nsign, nlen, dth + ddt, dpm + ddp)
-            rec(ni, nj, nhv, nsign, nlen, dth + ddt, dpm + ddp)
+                trace.append((*_unpack_mid(nm), nsign))
+            if emit is not None:
+                emit((*_unpack_mid(nm), nsign, nlen, dth + ddt, dpm + ddp,
+                      *_unpack_profile(npk)))
+            if nlen <= leaf_len:  # else childless: nothing to push
+                occ[rho] = state
+                visited.add(nm)
+                walks += rec(nm, nrow, nlen, dth + ddt, dpm + ddp, npk)
+                visited.remove(nm)
+                if prev:
+                    occ[rho] = prev
+                else:
+                    del occ[rho]
             if trace is not None:
                 trace.pop()
-            visited.remove(mid)
-            rho_, prev_, slot_, dslot_ = undo
-            if dslot_ is None:
-                profile[slot_] -= 1
-                occ.pop(rho_)
-            else:
-                profile[slot_] += 1
-                profile[dslot_] -= 1
-                occ[rho_] = prev_
+        return walks
 
     # Empty walk.
+    if counts is not None:
+        counts[0] = count_get(0, 0) + 1
     if trace is not None:
         trace.clear()
         trace.append((si, sj, shv, 0))
-    emit_current(si, sj, shv, 0, 0, 0, 0)
+    if emit is not None:
+        emit((si, sj, shv, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+    walks = 1
 
-    # Root candidates across the allowed crossing signs, ordered like
-    # geometry.step_candidates (by rhombus, then exit edge).
+    # Root candidates across the allowed crossing signs, outside the
+    # blocked ring, ordered like geometry.step_candidates (by rhombus, then
+    # exit edge: the packed ints order as their coordinates do).
     roots = []
     for sign in (1, -1):
         if sign not in signs:
             continue
-        for tr in _TRANSITIONS[(shv, sign)]:
-            ri, rj = si + tr[7], sj + tr[8]
-            if box is not None and not (0 <= ri < box[0] and -box[1] <= rj <= box[1]):
-                continue
-            roots.append(((ri, rj, si + tr[0], sj + tr[1], tr[2]), sign, tr))
-    roots.sort(key=lambda item: item[0])
+        for step in rows[(shv, sign)]:
+            rho = (smid >> 1) + step[1]
+            if rho not in occ:
+                roots.append((rho, smid + step[0], sign, step))
+    roots.sort()
 
-    for idx, (_, sign, tr) in enumerate(roots):
+    for idx, (_, _, sign, step) in enumerate(roots):
         if first_step is not None and idx != first_step:
             continue
-        di, dj, nhv, nsign, comp, ddt, ddp, rdi, rdj = tr
-        slen = step_len[comp]
-        if slen > max_length:
-            continue
-        ni, nj = si + di, sj + dj
-        mid = _pack_mid(ni, nj, nhv)
-        rho = _pack_rho(si + rdi, sj + rdj)
-        profile[_SLOT[comp]] += 1
-        occ[rho] = comp
-        visited.add(mid)
         if trace is not None:
             trace[0] = (si, sj, shv, sign)  # crossing sign of the first step
-            trace.append((ni, nj, nhv, nsign))
-        emit_current(ni, nj, nhv, nsign, slen, ddt, ddp)
-        rec(ni, nj, nhv, nsign, slen, ddt, ddp)
-        if trace is not None:
-            trace.pop()
-        visited.remove(mid)
-        occ.pop(rho)
-        profile[_SLOT[comp]] -= 1
+        walks += rec(smid, (step,), 0, 0, 0, 0)
 
-    return stats
+    return EnumerationStats(walks=walks)
 
 
 def power_tables(w: WeightSet, size: int):
@@ -441,22 +494,37 @@ def enumerate_walks(
 
 def _free_counts(n_max: int, rule: LengthRule, orient: str,
                  first_step: int | None = None) -> dict:
+    """counts[pk] over the free-lattice walks whose first step crosses
+    with sign +1 (the empty walk included)."""
     counts: dict = {}
-
-    def emit(rec):
-        key = (rec[4], rec[7:12])
-        counts[key] = counts.get(key, 0) + 1
-
-    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, emit=emit,
-                         first_step=first_step)
+    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(1,),
+                         first_step=first_step, counts=counts)
     return counts
+
+
+def _both_signs(counts: dict, rule: LengthRule) -> dict:
+    """counts[(rlen, profile)] over all free-lattice walks, sorted.
+
+    The rotation by pi about the start maps the sign +1 walks one to one
+    onto the sign -1 walks, with the same states, so every non-empty count
+    doubles.  Each passage adds its length to its weight slot, a double
+    state two arcs of one class, so the length follows from the profile.
+    """
+    lt, lp, ls = rule.as_tuple()
+    out = []
+    for pk, n in counts.items():
+        c1, c2, c3, c4, c5 = profile = _unpack_profile(pk)
+        rlen = lt * (c1 + 2 * c4) + lp * (c2 + 2 * c5) + ls * c3
+        out.append(((rlen, profile), 2 * n if pk else n))
+    return dict(sorted(out))
 
 
 @lru_cache(maxsize=32)
 def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
                         orient: str = "H") -> dict:
-    """counts[(rlen, profile)] over all free-lattice walks, both signs."""
-    return _free_counts(n_max, rule, orient)
+    """counts[(rlen, profile)] over all free-lattice walks, both signs,
+    with keys in sorted order."""
+    return _both_signs(_free_counts(n_max, rule, orient), rule)
 
 
 def _free_prefix_aggregate(args):
@@ -468,24 +536,23 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
                                  orient: str = "H", workers: int = 1) -> dict:
     """Prefix-parallel version of ``free_walk_aggregate``.
 
-    The walk tree is split at the six first-step candidates; partial
-    counts are summed, so the result is identical to the sequential one
-    (the empty walk is added back by hand).
+    One job per sign +1 first step; partial counts are summed, so the
+    result is identical to the sequential one, keys in the same order
+    (the empty walk, which every job counts, is set back to one).
     """
     if workers <= 1:
         return free_walk_aggregate(n_max, rule, orient)
     from concurrent.futures import ProcessPoolExecutor
 
-    hv = _HV[orient]
-    nroots = len(_TRANSITIONS[(hv, 1)]) + len(_TRANSITIONS[(hv, -1)])
-    jobs = [(n_max, rule.as_tuple(), orient, k) for k in range(nroots)]
-    total: dict = {(0, (0, 0, 0, 0, 0)): 1}
+    jobs = [(n_max, rule.as_tuple(), orient, k)
+            for k in range(len(_TRANSITIONS[(_HV[orient], 1)]))]
+    total: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_free_prefix_aggregate, jobs):
-            part.pop((0, (0, 0, 0, 0, 0)), None)  # empty walk per worker
-            for key, n in part.items():
-                total[key] = total.get(key, 0) + n
-    return total
+            for pk, n in part.items():
+                total[pk] = total.get(pk, 0) + n
+    total[0] = 1
+    return _both_signs(total, rule)
 
 
 def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,

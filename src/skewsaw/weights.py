@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .geometry import as_theta
 
 IDENTITY_TOL = 1e-12
@@ -254,6 +252,8 @@ def solve_local_system(sigma: float, theta: float,
     a one-dimensional solution family; elsewhere the residual stays
     bounded away from zero (or the solution degenerates to v = 0).
     """
+    import numpy as np  # only this function needs it; kept off CLI start-up
+
     rows = _local_coefficient_rows(sigma, float(theta))
     A = np.zeros((8, 5))
     b = np.zeros(8)

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import skewsaw
 from skewsaw.cli import main, parse_angle, parse_rule
 
 
@@ -160,3 +164,19 @@ def test_threads_flag_matches_sequential(capsys):
     code2, out2 = run_cli(capsys, "--threads", "2", "series", "--n-max", "5")
     assert code1 == code2 == 0
     assert out1 == out2
+    # byte for byte: the float sums run over one key order
+    code1, out1 = run_cli(capsys, "--threads", "1", "honeycomb", "--n-max", "10")
+    code2, out2 = run_cli(capsys, "--threads", "2", "honeycomb", "--n-max", "10")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by solve_local_system alone, when it runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewsaw.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, skewsaw.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

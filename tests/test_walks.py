@@ -24,7 +24,7 @@ from skewsaw.walks import (
 )
 from skewsaw.weights import critical_weights
 
-from oracles import naive_enumerate, naive_profile, naive_weight
+from oracles import naive_enumerate, naive_length, naive_profile, naive_weight
 
 THETAS3 = [math.pi / 3, math.pi / 2, 2 * math.pi / 3]
 
@@ -77,6 +77,18 @@ def test_oracle_equivalence_counts_and_profiles(n_max):
     for steps in naive_enumerate(start, n_max):
         slow[(len(steps), naive_profile(steps))] += 1
     assert fast == slow
+
+
+def test_oracle_equivalence_honeycomb_rule():
+    # a non-unit rule: a walk is childless once no step fits the budget,
+    # before its length reaches it
+    start = MidEdge(0, 0, "V")
+    rule = HONEYCOMB_RULE.as_tuple()
+    slow: Counter = Counter()
+    for steps in naive_enumerate(start, 9, rule):
+        slow[(naive_length(steps, rule), naive_profile(steps))] += 1
+    assert sum(slow.values()) == 1_233
+    assert Counter(free_walk_aggregate(9, HONEYCOMB_RULE, "V")) == slow
 
 
 def test_oracle_equivalence_weight_sums():
@@ -244,6 +256,22 @@ def test_step_cap_refuses_steps_beyond_packed_coordinates():
         enumerate_walks(MidEdge(0, _OFF - 1, "H"), 8)
 
 
+def test_step_cap_refuses_steps_beyond_profile_slots():
+    from skewsaw.walks import DEFAULT_STEP_CAP, _SLOT_MAX
+
+    assert DEFAULT_STEP_CAP <= _SLOT_MAX
+    # a one-rhombus domain keeps the search tiny at any budget
+    d = ParallelogramDomain(1, 0, math.pi / 2)
+    kw = dict(domain=d, signs=(d.origin_sign,))
+    assert run_walk_enumeration(d.origin, _SLOT_MAX, step_cap=_SLOT_MAX,
+                                **kw).walks == 4
+    with pytest.raises(ValueError, match="profile slots"):
+        run_walk_enumeration(d.origin, _SLOT_MAX + 1, step_cap=100, **kw)
+    with pytest.raises(ValueError, match="profile slots"):
+        run_walk_enumeration(MidEdge(0, 0, "H"), 2 * _SLOT_MAX + 2,
+                             LengthRule(2, 2, 2), step_cap=100)
+
+
 def test_honeycomb_rule_lengths():
     walks = collect_walks(MidEdge(0, 0, "V"), 2, rule=HONEYCOMB_RULE)
     # empty + 2 theta-arcs at length 1; length 2: 2 u2-arcs, 2 straights,
@@ -253,9 +281,14 @@ def test_honeycomb_rule_lengths():
 
 
 def test_prefix_parallel_matches_sequential():
-    seq = free_walk_aggregate(5, UNIT_RULE, "H")
-    par = free_walk_aggregate_parallel(5, UNIT_RULE, "H", workers=2)
-    assert par == seq
+    # equal counts with keys in one sorted order, so float re-weights sum
+    # in the same order on both paths
+    for n_max, rule, orient in [(5, UNIT_RULE, "H"), (9, UNIT_RULE, "H"),
+                                (12, HONEYCOMB_RULE, "V")]:
+        seq = free_walk_aggregate(n_max, rule, orient)
+        par = free_walk_aggregate_parallel(n_max, rule, orient, workers=2)
+        assert list(par.items()) == list(seq.items())
+        assert list(seq) == sorted(seq)
 
 
 @given(st.integers(0, 3), st.sampled_from(["H", "V"]))
@@ -276,17 +309,24 @@ def test_rule_validation():
         LengthRule(1, -2, 1)
 
 
-def _subtree_hist(orient, n_max, signs):
+def _subtree_hist(orient, n_max, rule, signs):
     counts = Counter()
-    run_walk_enumeration(MidEdge(0, 0, orient), n_max, signs=signs,
+    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=signs,
                          emit=lambda rec: counts.update([(rec[4], rec[7:12])]))
     return counts
 
 
-def test_first_step_subtrees_agree_under_pi_rotation():
+@pytest.mark.parametrize("orient,rule,n_max", [
+    ("H", UNIT_RULE, 9), ("V", UNIT_RULE, 9), ("V", HONEYCOMB_RULE, 12),
+], ids=["H-unit-9", "V-unit-9", "V-honeycomb-12"])
+def test_first_step_subtrees_agree_under_pi_rotation(orient, rule, n_max):
     # the pi rotation about the start maps the sign +1 walks one to one
-    # onto the sign -1 walks
-    assert _subtree_hist("H", 9, (1,)) == _subtree_hist("H", 9, (-1,))
+    # onto the sign -1 walks; the free aggregates count one and double it
+    plus = _subtree_hist(orient, n_max, rule, (1,))
+    assert plus == _subtree_hist(orient, n_max, rule, (-1,))
+    both = Counter({key: 2 * n for key, n in plus.items()})
+    both[(0, (0, 0, 0, 0, 0))] = 1
+    assert free_walk_aggregate(n_max, rule, orient) == both
 
 
 def test_h_and_v_starts_give_identical_histograms():
