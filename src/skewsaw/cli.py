@@ -26,7 +26,6 @@ from .observable import (
     bridge_chain_check,
     max_cr_residual,
     observable,
-    side_coefficients,
     strip_limits,
     strip_sums,
 )
@@ -217,7 +216,6 @@ def cmd_verify_cr(args):
 def cmd_parallelogram(args):
     rows = []
     ok = True
-    ca, cd, ce = side_coefficients(args.theta)
     xc = critical_weights(args.theta).x_c
     pairs = [(args.T, args.L)] if args.T else [
         (T, L) for T in range(1, args.budget + 1)
@@ -227,11 +225,10 @@ def cmd_parallelogram(args):
     for T, L in pairs:
         x = args.x_over_xc * xc
         s = strip_sums(T, L, x, args.theta)
-        resid = abs(ca * s.A + s.B + cd * s.D + ce * s.E - 1.0)
-        ok = ok and resid < args.tol
+        ok = ok and s.residual < args.tol
         rows.append({"T": T, "L": L, "theta": args.theta, "x": x,
                      "A": s.A, "B": s.B, "D": s.D, "E": s.E,
-                     "residual13": resid})
+                     "residual13": s.residual})
     return rows, COLUMNS["parallelogram"], {"command": "parallelogram"}, ok
 
 

@@ -51,10 +51,6 @@ class LatticeAngle:
                 f"lattice angle {self.theta!r} outside [pi/3, 2pi/3]"
             )
 
-    @property
-    def complement(self) -> float:
-        return math.pi - self.theta
-
 
 def as_theta(theta) -> float:
     """Coerce a float or LatticeAngle to a validated angle value."""
@@ -117,15 +113,6 @@ class Rhombus:
             MidEdge(self.i + 1, self.j, "V"),
             MidEdge(self.i, self.j + 1, "H"),
             MidEdge(self.i, self.j, "V"),
-        )
-
-    def corners(self) -> tuple[tuple[int, int], ...]:
-        """(SW, SE, NE, NW) vertex coordinates, counter-clockwise."""
-        return (
-            (self.i, self.j),
-            (self.i + 1, self.j),
-            (self.i + 1, self.j + 1),
-            (self.i, self.j + 1),
         )
 
     def center(self, theta: float) -> complex:

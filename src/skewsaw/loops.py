@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import PASSAGE, PLAQUETTE_STATES, MidEdge, Rhombus
-from .walks import power_tables, profile_weight
+from .observable import _rhombus_contour
+from .walks import _weigh
 from .weights import WeightSet, loop_parameter, on_weights
 
 def _cell_state_name(pairs) -> str:
@@ -463,13 +464,14 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     w, n = on_weights(theta, s)
     sigma = s + 1.0
     counts, a = _patch_aggregate(theta, cols, rows, j0)
-    tables = power_tables(w, cols * rows)
+    # _weigh reads the profile off the end of each key
+    amps = _weigh({(z, wind, nloops, profile): cnt
+                   for (z, wind, profile, nloops), cnt in counts.items()}, w)
     pmt = math.pi - theta
     values: dict = {}
-    for (z, (k1, k2), profile, nloops), cnt in counts.items():
-        amp = cnt * profile_weight(profile, tables) * float(n) ** nloops
+    for (z, (k1, k2), nloops), amp in amps.items():
         phase = cmath.exp(-1j * sigma * (k1 * theta + k2 * pmt))
-        values[z] = values.get(z, 0.0 + 0.0j) + amp * phase
+        values[z] = values.get(z, 0.0 + 0.0j) + amp * float(n) ** nloops * phase
     return values
 
 
@@ -477,13 +479,5 @@ def on_observable_cr_check(theta: float, s: float, cols: int = 2,
                            rows: int = 2, j0: int = 0) -> float:
     """Max rhombus contour residual of the loop-weighted observable."""
     values = on_observable(theta, s, cols, rows, j0)
-    e = cmath.exp(1j * theta)
-    worst = 0.0
-    for i in range(cols):
-        for j in range(j0, j0 + rows):
-            r = Rhombus(i, j)
-            b, rt, t, lf = r.mid_edges()
-            res = (values.get(b, 0j) + e * values.get(rt, 0j)
-                   - values.get(t, 0j) - e * values.get(lf, 0j))
-            worst = max(worst, abs(res))
-    return worst
+    return max(abs(_rhombus_contour(values, Rhombus(i, j), theta))
+               for i in range(cols) for j in range(j0, j0 + rows))

