@@ -110,10 +110,6 @@ def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.  Each returns (rows, columns, meta, ok), its columns taken
 # from this table, which also writes the --help epilogs.

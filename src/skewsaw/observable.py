@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import UNIT_RULE, _HV_NAME, _weigh, run_walk_enumeration
+from .walks import (UNIT_RULE, _HV_NAME, _domain_histogram, _weigh,
+                    run_walk_enumeration)
 # not used here: the benchmark's tracer test reads observable.profile_weight
 from .walks import profile_weight  # noqa: F401
 from .weights import WeightSet, critical_weights
@@ -43,14 +44,15 @@ class ObservableTable:
         return self.values.get(m, 0.0 + 0.0j)
 
 
-# Largest domain the exhaustive pass will attempt; beyond ~20 rhombi the
-# walk tree outgrows a desk-scale run.
+# Largest domain the exhaustive pass will attempt; beyond 24 rhombi the
+# walk tree outgrows a desk-scale run (8x1 takes seconds).
 DOMAIN_RHOMBUS_BUDGET = 24
 
 
 @lru_cache(maxsize=128)
 def domain_walk_aggregate(T: int, L: int) -> dict:
-    """counts[(end, dtheta, dpmt, profile)] over all in-domain walks.
+    """counts[(end, dtheta, dpmt, profile)] over all in-domain walks,
+    with keys in sorted order.
 
     Enumeration is purely combinatorial (independent of theta and of any
     weight family), so one pass serves every angle, spin and fugacity.
@@ -63,17 +65,10 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
         )
     domain = ParallelogramDomain(T, L, math.pi / 2)
     counts: dict = {}
-
-    def emit(rec):
-        i, j, hv, _sign, _rlen, dth, dpm = rec[:7]
-        key = ((i, j, hv), dth, dpm, rec[7:12])
-        counts[key] = counts.get(key, 0) + 1
-
     run_walk_enumeration(domain.origin, 2 * domain.n_rhombi + 2,
-                         UNIT_RULE, domain, emit=emit,
-                         signs=(domain.origin_sign,),
-                         step_cap=2 * domain.n_rhombi + 2)
-    return counts
+                         UNIT_RULE, domain, signs=(domain.origin_sign,),
+                         step_cap=2 * domain.n_rhombi + 2, counts=counts)
+    return _domain_histogram(counts)
 
 
 def observable(domain: ParallelogramDomain, sigma: float,

@@ -11,19 +11,20 @@ over exact integer state:
 * per-rhombus plaquette states as small ints in a dict with undo; a
   domain search starts with the ring of rhombi around the domain
   blocked,
-* walk weight as the count vector of final states, packed into one int
-  of 6 bits per slot (so a weight set is applied afterwards, by
-  ``_weigh`` -- no floating point is touched while searching),
-* winding as integer multiples of theta and pi - theta.
+* walk weight as the profile (c1, ..., c5), the counts of rhombi whose
+  final state is a theta-arc / (pi-theta)-arc / straight / double-theta
+  / double-(pi-theta), and winding as integer multiples of theta and
+  pi - theta: a weight set is applied afterwards, by ``_weigh``.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.
 
-Per-walk callbacks receive the record
-``(i, j, hv, sign, rlen, dtheta, dpmt, c1, c2, c3, c4, c5)`` where the
-c's count rhombi whose final state is a theta-arc / (pi-theta)-arc /
-straight / double-theta / double-(pi-theta).  A ``counts`` dict sink
-instead counts walks per packed profile, with no record and no call.
+The search counts walks into a ``counts`` dict under one packed int key,
+each step adding one precomputed increment.  The low 30 bits hold the
+profile, 6 bits per slot and c1 most significant.  A free search keys by
+the profile alone.  A domain search packs (end mid-edge, dtheta, dpmt)
+above it, each turn count biased into its own field, so sorted keys are
+in the order of their tuples.
 
 The free-lattice aggregates enumerate only the walks whose first step
 crosses with sign +1 and double every non-empty count: the rotation by
@@ -75,11 +76,6 @@ _PROMOTE = {
 }
 
 
-def state_weight(state: PlaquetteState, w: WeightSet) -> float:
-    slot = _SLOT[_CODE[state]]
-    return 1.0 if slot is None else w.as_tuple()[slot]
-
-
 @dataclass(frozen=True)
 class LengthRule:
     """Per-passage lengths: (theta-arc, (pi-theta)-arc, straight)."""
@@ -104,7 +100,7 @@ HONEYCOMB_RULE = LengthRule(1, 2, 2)
 
 # ---------------------------------------------------------------------------
 # Fast core.  Mid-edges and rhombi pack into single ints; transitions are
-# read off geometry.step_candidates once, at import.
+# read off geometry.step_candidates.
 
 _OFF = 1 << 9          # coordinate offset; walks stay inside +-511
 _COORD_BITS = 10
@@ -123,73 +119,96 @@ def _pack_rho(i: int, j: int) -> int:
     return (i + _OFF) << _COORD_BITS | (j + _OFF)
 
 
-# The five-slot weight profile packs into one int, _SLOT_BITS per slot.  A
-# slot counts at most one rhombus per step, so the search refuses more
-# than _SLOT_MAX steps.
+# The five-slot weight profile packs into one int, _SLOT_BITS per slot and
+# c1 most significant, so packed profiles sort as their tuples do.  A slot
+# counts at most one rhombus per step, so the search refuses more than
+# _SLOT_MAX steps.
 _SLOT_BITS = 6
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
-_INC = tuple(0 if slot is None else 1 << _SLOT_BITS * slot for slot in _SLOT)
+_PROFILE_BITS = 5 * _SLOT_BITS
+_INC = tuple(0 if s is None else 1 << _SLOT_BITS * (4 - s) for s in _SLOT)
 
 
-def _unpack_profile(pk: int) -> tuple[int, int, int, int, int]:
-    """The profile (c1, ..., c5) of a packed profile key."""
-    return (pk & _SLOT_MAX, pk >> _SLOT_BITS & _SLOT_MAX,
-            pk >> 2 * _SLOT_BITS & _SLOT_MAX, pk >> 3 * _SLOT_BITS & _SLOT_MAX,
-            pk >> 4 * _SLOT_BITS)
+def _unpack_profile(key: int) -> tuple[int, int, int, int, int]:
+    """The profile (c1, ..., c5) in the low bits of a packed key."""
+    return (key >> 4 * _SLOT_BITS & _SLOT_MAX, key >> 3 * _SLOT_BITS & _SLOT_MAX,
+            key >> 2 * _SLOT_BITS & _SLOT_MAX, key >> _SLOT_BITS & _SLOT_MAX,
+            key & _SLOT_MAX)
+
+
+# A domain key packs (mid-edge, dtheta, dpmt) above the profile, each turn
+# count plus _TURN_BIAS in a _TURN_BITS field that walks of at most _SLOT_MAX
+# steps of at most _MAX_TURN units per class never overflow.
+_TURN_BITS = 7
+_TURN_BIAS = 1 << _TURN_BITS - 1
+_TURN_MASK = (1 << _TURN_BITS) - 1
+_MAX_TURN = max(abs(u) for _, *units in PASSAGE.values() for u in units)
+if _SLOT_MAX * _MAX_TURN >= _TURN_BIAS:
+    raise RuntimeError("a walk of _SLOT_MAX steps can overflow a turn field")
+
+
+def _pack_domain_key(mid: int, dth: int, dpm: int, pk: int) -> int:
+    """The key of packed mid-edge ``mid``, turns (dth, dpm) and profile pk."""
+    return (((mid << _TURN_BITS) + dth + _TURN_BIAS << _TURN_BITS)
+            + dpm + _TURN_BIAS << _PROFILE_BITS) + pk
+
+
+def _domain_histogram(counts: dict) -> dict:
+    """Sorted counts by (end, dtheta, dpmt, profile), each distinct end and
+    profile tuple stored once; drains ``counts``."""
+    keys, out, share = sorted(counts, reverse=True), {}, {}.setdefault
+    while keys:  # popped off the sort, each key is freed once decoded
+        key = keys.pop()
+        above = key >> _PROFILE_BITS
+        end, profile = _unpack_mid(above >> 2 * _TURN_BITS), _unpack_profile(key)
+        out[(share(end, end), (above >> _TURN_BITS & _TURN_MASK) - _TURN_BIAS,
+             (above & _TURN_MASK) - _TURN_BIAS,
+             share(profile, profile))] = counts.pop(key)
+    return out
 
 
 _HV = {"H": 0, "V": 1}
 _HV_NAME = ("H", "V")
 
 
-def _transitions() -> dict:
-    """Steps out of a crossing (hv, sign) at the origin, as tuples
+# Steps out of a crossing (hv, sign) at the origin, by rhombus, then exit
+# mid-edge; as offsets they hold for any mid-edge.
+_CANDIDATES = {(hv, sign): step_candidates(MidEdge(0, 0, orient), sign=sign)
+               for hv, orient in enumerate(_HV_NAME) for sign in (1, -1)}
 
-        (di, dj, nhv, nsign, state, dtheta, dpmt, rdi, rdj)
-
-    with (rdi, rdj) the rhombus passed, in step_candidates order (by
-    rhombus, then exit mid-edge).  Offsets hold for any mid-edge.
-    """
-    out = {}
-    for hv, orient in enumerate(_HV_NAME):
-        for sign in (1, -1):
-            out[(hv, sign)] = tuple(
-                (s.dst.i, s.dst.j, _HV[s.dst.orient], s.exit_sign,
-                 s.state_code, *s.turn_units, s.rhombus.i, s.rhombus.j)
-                for s in step_candidates(MidEdge(0, 0, orient), sign=sign))
-    return out
-
-
-_TRANSITIONS = _transitions()
-
-# _PROMOTE_STEP[prev][state]: (double state, profile increment) when a
-# single state arrives in a rhombus holding prev, else None.  _BLOCKED
-# marks a rhombus no walk may pass.
+# _PROMOTE_STEP[prev][state]: (double state, correction) when a single
+# state arrives in a rhombus holding prev, else None; the correction
+# turns a first visit's key increment into a move of prev's count to the
+# double state.  _BLOCKED marks a rhombus no walk may pass.
 _BLOCKED = len(_STATES)
 _PROMOTE_STEP = tuple(
     tuple(None if (prev, code) not in _PROMOTE else
-          (_PROMOTE[(prev, code)], _INC[_PROMOTE[(prev, code)]] - _INC[code])
+          (_PROMOTE[(prev, code)],
+           _INC[_PROMOTE[(prev, code)]] - _INC[prev] - _INC[code])
           for code in range(len(_STATES)))
     for prev in range(len(_STATES) + 1))
 
 
-def _step_rows(lens: tuple[int, int, int]) -> dict:
-    """_TRANSITIONS in the search's form for one length rule: per crossing
-    (hv, sign) a list of
-
-        (dmid, drho, state, length, dprofile, next row, dtheta, dpmt, nsign)
-
-    where dmid and drho are the offsets of the packed exit mid-edge and of
-    the packed rhombus passed from the packed current mid-edge (shifted
-    right by one for the rhombus), and dprofile the packed-profile
-    increment of a first visit.
+@lru_cache(maxsize=None)
+def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
+    """_CANDIDATES in the search's form for one length rule: per crossing
+    (hv, sign) a list of (dmid, drho, state, length, dkey, next row, nsign).
+    dmid and drho are the offsets of the packed exit mid-edge and of the
+    packed rhombus passed from the packed current mid-edge (shifted right
+    by one for the rhombus); dkey is the key increment of a first visit,
+    with dmid and the turn units above the profile for domain keys.
     """
-    rows: dict = {key: [] for key in _TRANSITIONS}
+    rows: dict = {key: [] for key in _CANDIDATES}
     for (hv, sign), row in rows.items():
-        for di, dj, nhv, nsign, state, ddt, ddp, rdi, rdj in _TRANSITIONS[(hv, sign)]:
-            row.append(((di << _COORD_BITS + 1) + (dj << 1) + nhv - hv,
-                        (rdi << _COORD_BITS) + rdj, state, lens[_SLOT[state]],
-                        _INC[state], rows[(nhv, nsign)], ddt, ddp, nsign))
+        for s in _CANDIDATES[(hv, sign)]:
+            nhv, nsign, state = _HV[s.dst.orient], s.exit_sign, s.state_code
+            dmid = _pack_mid(s.dst.i, s.dst.j, nhv) - _pack_mid(0, 0, hv)
+            dkey = _INC[state]
+            if domain_keys:
+                dkey += (_pack_domain_key(dmid, *s.turn_units, 0)
+                         - _pack_domain_key(0, 0, 0, 0))
+            row.append((dmid, _pack_rho(s.rhombus.i, s.rhombus.j) - _pack_rho(0, 0),
+                        state, lens[_SLOT[state]], dkey, rows[(nhv, nsign)], nsign))
     return rows
 
 
@@ -236,18 +255,16 @@ def run_walk_enumeration(
     signs: Iterable[int] = (-1, 1),
     step_cap: int = DEFAULT_STEP_CAP,
     first_step: int | None = None,
-    trace: list | None = None,
     counts: dict | None = None,
 ) -> EnumerationStats:
     """Drive the backtracking search over every walk of length <= budget.
 
-    ``emit`` gets the record described in the module docstring
-    once per walk.  ``counts`` (if a dict) gets ``counts[pk] += 1`` per
-    walk, pk the packed profile (see ``_unpack_profile``).  ``trace`` (if
-    a list) is kept in sync with the crossing sequence
-    ``[(i, j, hv, sign), ...]`` so callers can materialise Walk objects.
-    ``first_step`` restricts the root to a single candidate index, which
-    is the prefix-partition hook for parallel runs.
+    ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
+    packed as the module docstring says (see ``_unpack_profile`` and
+    ``_domain_histogram``).  ``emit`` (if given) gets each walk's
+    crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
+    change.  ``first_step`` restricts the root to a single candidate
+    index, which is the prefix-partition hook for parallel runs.
     """
     max_steps = _step_cap_check(max_length, rule, step_cap, start)
     if max_steps > _SLOT_MAX:
@@ -256,7 +273,7 @@ def run_walk_enumeration(
             f"profile slots (at most {_SLOT_MAX} steps)"
         )
     lens = rule.as_tuple()
-    rows = _step_rows(lens)
+    rows = _step_rows(lens, domain is not None)
     # a walk longer than this has no step left in the budget
     leaf_len = max_length - min(lens)
     promote = _PROMOTE_STEP
@@ -265,15 +282,17 @@ def run_walk_enumeration(
     smid = _pack_mid(si, sj, shv)
     visited = {smid}
     occ: dict[int, int] = {}
+    key0 = 0 if domain is None else _pack_domain_key(smid, 0, 0, 0)
     if domain is not None:
         occ = dict.fromkeys(_ring(domain), _BLOCKED)
     occ_get = occ.get
     count_get = counts.get if counts is not None else None
+    crossings = [(si, sj, shv, 0)]
 
-    def rec(cm, row, rlen, dth, dpm, pk):
+    def rec(cm, row, rlen, key):
         walks = 0
         base = cm >> 1
-        for dmid, drho, comp, slen, inc, nrow, ddt, ddp, nsign in row:
+        for dmid, drho, comp, slen, dkey, nrow, nsign in row:
             nlen = rlen + slen
             if nlen > max_length:
                 continue
@@ -286,40 +305,35 @@ def run_walk_enumeration(
                 promoted = promote[prev][comp]
                 if promoted is None:
                     continue
-                state, dpk = promoted
-                npk = pk + dpk
+                state, fix = promoted
+                nkey = key + dkey + fix
             else:
                 state = comp
-                npk = pk + inc
+                nkey = key + dkey
             walks += 1
             if counts is not None:
-                counts[npk] = count_get(npk, 0) + 1
-            if trace is not None:
-                trace.append((*_unpack_mid(nm), nsign))
+                counts[nkey] = count_get(nkey, 0) + 1
             if emit is not None:
-                emit((*_unpack_mid(nm), nsign, nlen, dth + ddt, dpm + ddp,
-                      *_unpack_profile(npk)))
+                crossings.append((*_unpack_mid(nm), nsign))
+                emit(crossings)
             if nlen <= leaf_len:  # else childless: nothing to push
                 occ[rho] = state
                 visited.add(nm)
-                walks += rec(nm, nrow, nlen, dth + ddt, dpm + ddp, npk)
+                walks += rec(nm, nrow, nlen, nkey)
                 visited.remove(nm)
                 if prev:
                     occ[rho] = prev
                 else:
                     del occ[rho]
-            if trace is not None:
-                trace.pop()
+            if emit is not None:
+                crossings.pop()
         return walks
 
     # Empty walk.
     if counts is not None:
-        counts[0] = count_get(0, 0) + 1
-    if trace is not None:
-        trace.clear()
-        trace.append((si, sj, shv, 0))
+        counts[key0] = count_get(key0, 0) + 1
     if emit is not None:
-        emit((si, sj, shv, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+        emit(crossings)
     walks = 1
 
     # Root candidates across the allowed crossing signs, outside the
@@ -338,9 +352,8 @@ def run_walk_enumeration(
     for idx, (_, _, sign, step) in enumerate(roots):
         if first_step is not None and idx != first_step:
             continue
-        if trace is not None:
-            trace[0] = (si, sj, shv, sign)  # crossing sign of the first step
-        walks += rec(smid, (step,), 0, 0, 0, 0)
+        crossings[0] = (si, sj, shv, sign)  # crossing sign of the first step
+        walks += rec(smid, (step,), 0, key0)
 
     return EnumerationStats(walks=walks)
 
@@ -452,16 +465,15 @@ def build_walk(start: MidEdge, steps: Iterable[Step]) -> Walk:
 
 def weight_of(walk: Walk, w: WeightSet) -> float:
     """Product of final plaquette-state weights (the weight contract)."""
-    out = 1.0
-    for st in walk.occupancy.values():
-        out *= state_weight(st, w)
-    return out
+    weights = w.as_tuple()
+    slots = (_SLOT[_CODE[st]] for st in walk.occupancy.values())
+    return math.prod((weights[slot] for slot in slots), start=1.0)
 
 
-def _steps_from_trace(trace) -> tuple[MidEdge, tuple[Step, ...]]:
-    mids = [MidEdge(i, j, _HV_NAME[hv]) for i, j, hv, _ in trace]
+def _steps_from_crossings(crossings) -> tuple[MidEdge, tuple[Step, ...]]:
+    mids = [MidEdge(i, j, _HV_NAME[hv]) for i, j, hv, _ in crossings]
     steps = []
-    for (pi, pj, phv, psign), cur in zip(trace, mids[1:]):
+    for (pi, pj, phv, psign), cur in zip(crossings, mids[1:]):
         prev_mid = MidEdge(pi, pj, _HV_NAME[phv])
         r = prev_mid.rhombi()[0 if psign == 1 else 1]
         steps.append(Step(r, prev_mid, cur))
@@ -481,21 +493,18 @@ def enumerate_walks(
 
     The visitor sees each walk exactly once (the empty walk included) in
     a deterministic order.  This is the contract-level API; heavy
-    consumers aggregate over ``run_walk_enumeration`` records instead.
+    consumers aggregate over the ``counts`` of ``run_walk_enumeration``
+    instead.
     """
-    trace: list = []
-
-    def emit(_record):
-        if visitor is not None:
-            mid0, steps = _steps_from_trace(trace)
-            visitor(build_walk(mid0, steps))
+    def emit(crossings):
+        visitor(build_walk(*_steps_from_crossings(crossings)))
 
     if domain is not None and domain.side_of(start) is None:
         raise ValueError(f"start {start} is not a mid-edge of the domain")
 
-    return run_walk_enumeration(start, max_length, rule, domain,
-                                emit=emit, signs=signs, step_cap=step_cap,
-                                trace=trace)
+    return run_walk_enumeration(
+        start, max_length, rule, domain, signs=signs, step_cap=step_cap,
+        emit=None if visitor is None else emit)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +565,7 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     from concurrent.futures import ProcessPoolExecutor
 
     jobs = [(n_max, rule.as_tuple(), orient, k)
-            for k in range(len(_TRANSITIONS[(_HV[orient], 1)]))]
+            for k in range(len(_CANDIDATES[(_HV[orient], 1)]))]
     total: dict = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_free_prefix_aggregate, jobs):

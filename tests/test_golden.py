@@ -44,6 +44,9 @@ GOLDEN = [
     ("domain_1x3", lambda: domain_walk_aggregate(1, 3),
      22, 22,
      "b9431571362a53c5ff3b53545239aaa9b5f3b12a6521613f3aa119ebd40b47de"),
+    ("domain_4x2", lambda: domain_walk_aggregate(4, 2),
+     167_141, 34_754,
+     "e87b95037815f27c562a6d489b7698be2e6ad68c562457e3cb96a989448cc944"),
     ("patch_2x2_theta_1.2", lambda: _patch_hist(1.2, 2, 2, 0),
      25, 24,
      "31c26100d056721633734d26181c7cfcf934703fd7a82369e2fab8afa4b97594"),
@@ -61,3 +64,9 @@ GOLDEN = [
 def test_golden_histogram(name, build, total, keys, sha):
     hist = build()
     assert (sum(hist.values()), len(hist), _digest(hist)) == (total, keys, sha)
+
+
+@pytest.mark.parametrize("T,L", [(2, 2), (4, 2), (1, 5), (3, 3)])
+def test_domain_histogram_keys_are_sorted(T, L):
+    keys = list(domain_walk_aggregate(T, L))
+    assert keys == sorted(keys)

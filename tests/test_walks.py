@@ -272,6 +272,36 @@ def test_step_cap_refuses_steps_beyond_profile_slots():
                              LengthRule(2, 2, 2), step_cap=100)
 
 
+@pytest.mark.parametrize("T,L", [(1, 11), (24, 0)])
+def test_domain_key_round_trips_at_its_extremes(T, L):
+    from skewsaw.walks import _HV, _domain_histogram, _pack_domain_key, _pack_mid
+
+    mids = ParallelogramDomain(T, L, math.pi / 2).mid_edges()
+    corners = set()
+    for orient in "HV":
+        side = [m for m in mids if m.orient == orient]
+        for i in {min(m.i for m in side), max(m.i for m in side)}:
+            for j in {min(m.j for m in side), max(m.j for m in side)}:
+                if MidEdge(i, j, orient) in mids:
+                    corners.add((i, j, _HV[orient]))
+    assert len(corners) == 6
+    profiles = [(0, 0, 0, 0, 0), (63, 63, 63, 63, 63), (1, 0, 63, 0, 62)]
+    keys = {}
+    for mid in corners:
+        for dth in (-63, 0, 63):
+            for dpm in (-63, 0, 63):
+                for profile in profiles:
+                    # c1 in the most significant of five 6-bit slots
+                    pk = sum(c << 6 * (4 - s) for s, c in enumerate(profile))
+                    record = (mid, dth, dpm, profile)
+                    key = _pack_domain_key(_pack_mid(*mid), dth, dpm, pk)
+                    assert _domain_histogram({key: 1}) == {record: 1}
+                    keys[key] = record
+    assert len(keys) == 6 * 9 * 3
+    # sorted keys come in the order of their tuples
+    assert list(_domain_histogram(dict.fromkeys(keys, 1))) == sorted(keys.values())
+
+
 def test_honeycomb_rule_lengths():
     walks = collect_walks(MidEdge(0, 0, "V"), 2, rule=HONEYCOMB_RULE)
     # empty + 2 theta-arcs at length 1; length 2: 2 u2-arcs, 2 straights,
@@ -310,10 +340,17 @@ def test_rule_validation():
 
 
 def _subtree_hist(orient, n_max, rule, signs):
-    counts = Counter()
+    from skewsaw.walks import _unpack_profile
+
+    counts: dict = {}
     run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=signs,
-                         emit=lambda rec: counts.update([(rec[4], rec[7:12])]))
-    return counts
+                         counts=counts)
+    lt, lp, ls = rule.as_tuple()
+    hist = Counter()
+    for pk, n in counts.items():
+        c1, c2, c3, c4, c5 = profile = _unpack_profile(pk)
+        hist[(lt * (c1 + 2 * c4) + lp * (c2 + 2 * c5) + ls * c3, profile)] += n
+    return hist
 
 
 @pytest.mark.parametrize("orient,rule,n_max", [
