@@ -78,8 +78,15 @@ def parse_rule(text: str) -> LengthRule:
         )
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("SKEWSAW_WORKERS", "1"))
+def parse_workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError("worker count (--threads or SKEWSAW_WORKERS) must "
+                         f"be a positive integer, got {text!r}")
+    return n
 
 
 def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
@@ -325,7 +332,8 @@ def main(argv=None) -> int:
     parser.add_argument("--stamp", action="store_true",
                         help="add a timestamp header (off keeps output "
                              "byte-identical across runs)")
-    parser.add_argument("--threads", type=int, default=_default_workers(),
+    parser.add_argument("--threads",
+                        default=os.environ.get("SKEWSAW_WORKERS", "1"),
                         help="worker count for prefix-parallel enumeration "
                              "(default from SKEWSAW_WORKERS)")
     parser.add_argument("--tol", type=float,
@@ -404,6 +412,7 @@ def main(argv=None) -> int:
     if args.tol is None:
         args.tol = 1e-12 if args.command == "honeycomb" else 1e-10
     try:
+        args.threads = parse_workers(args.threads)
         rows, cols, meta, ok = args.fn(args)
     except (ValueError, OverflowError) as exc:
         parser.exit(EXIT_CONFIG, f"error: {exc}\n")

@@ -1,8 +1,11 @@
-"""Brute-force self-avoiding walk counts on the hexagonal lattice.
+"""Self-avoiding walk counts on the hexagonal lattice.
 
 Deliberately self-contained: the graph is built from its own axial
-coordinates and shares no code with the rhombic engine, so it can act
-as an independent oracle for the theta = pi/3 correspondence.
+coordinates and the search shares no code with the rhombic engine, so it
+can act as an independent oracle for the theta = pi/3 correspondence.
+The test suite anchors the graph to the published counts of OEIS
+A001668, and ``tests/oracles.py`` keeps the naive search over a set of
+used edges as the reference this one must equal.
 
 Vertices come in two sublattices, ('A', p, q) and ('B', p, q).  Each A
 vertex has the three neighbours
@@ -14,6 +17,17 @@ vertex has the three neighbours
 and the lattice is 3-edge-coloured by these classes.  Walks start and
 end at edge midpoints and are self-avoiding on vertices and on the
 midpoints they cross.
+
+The search packs a vertex as the int ``(p * W + q) * 2 + sublattice``
+(p and q shifted so that both stay in ``[0, W)``), and steps along class
+c by a per-sublattice offset derived once from ``_neighbours``.  It keeps
+no set of used edges: a vertex-self-avoiding walk has used one edge at
+its current vertex, the one it came in by, except at the far endpoint of
+the start edge, where the start edge is used as well.  A walk that has
+reached the last length is counted from its entry class and not pushed.
+Only the walks leaving from one endpoint of the start edge are searched:
+the rotation by pi about the edge's midpoint maps them onto those
+leaving from the other endpoint, class by class, so each count doubles.
 """
 
 from __future__ import annotations
@@ -34,8 +48,20 @@ def _neighbours(vertex):
     )
 
 
-def _edge_key(u, v):
-    return (u, v) if u <= v else (v, u)
+def _pack(vertex, width: int) -> int:
+    kind, p, q = vertex
+    return (p * width + q) * 2 + (kind == "B")
+
+
+def _class_steps(width: int) -> tuple[tuple[int, ...], ...]:
+    """steps[s][c]: packed offset from a sublattice-s vertex along class c."""
+    out = []
+    for base in (("A", 0, 0), ("B", 0, 0)):
+        row = [0, 0, 0]
+        for nxt, cls in _neighbours(base):
+            row[cls] = _pack(nxt, width) - _pack(base, width)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def count_midedge_saws(n_max: int, start_class: int = 1,
@@ -49,33 +75,60 @@ def count_midedge_saws(n_max: int, start_class: int = 1,
     endings on that direction class are not counted (continuing through
     it is still allowed).  counts[0] = 1 for the empty walk.
     """
-    # A(0,0) and its class-`start_class` neighbour
-    a0 = ("A", 0, 0)
-    b0 = next(v for v, cls in _neighbours(a0) if cls == start_class)
-    start_edge = _edge_key(a0, b0)
-
     counts = [0] * (n_max + 1)
     counts[0] = 1
     if n_max == 0:
         return counts
 
-    visited = set()
-    used_edges = {start_edge}
+    # A walk of n_max vertices from A(0, 0) keeps |p|, |q| <= n_max, its
+    # last vertex's neighbours included, so this width cannot alias.
+    width = 2 * n_max + 3
+    steps = _class_steps(width)
+    a0 = _pack(("A", n_max + 1, n_max + 1), width)
+    far = a0 + steps[0][start_class]
+    # ends[c]: end classes a vertex entered by class c may stop on; at the
+    # far endpoint the start edge is used too (its other end is visited,
+    # so the search never continues through it)
+    ends = [sum(e not in (c, forbidden_end_class) for e in range(3))
+            for c in range(3)]
+    far_cut = int(start_class != forbidden_end_class)
+    # rows[s][c]: (offset, row there, ends there) for the two classes that
+    # leave a sublattice-s vertex entered by class c
+    rows = [[[], [], []], [[], [], []]]
+    for s in (0, 1):
+        for c in range(3):
+            rows[s][c].extend((steps[s][e], rows[1 - s][e], ends[e])
+                              for e in range(3) if e != c)
+    last = n_max - 1
+    visited = bytearray(2 * width * width)
 
-    def rec(vertex, depth):
-        visited.add(vertex)
-        for nxt, cls in _neighbours(vertex):
-            key = _edge_key(vertex, nxt)
-            if key in used_edges:
+    def rec(v, row, depth):
+        nd = depth + 1
+        if depth == last:  # childless: count the children's ends
+            total = 0
+            for off, _, n in row:
+                nv = v + off
+                if not visited[nv]:
+                    total += n - far_cut if nv == far else n
+            counts[nd] += total
+            return
+        for off, nrow, n in row:
+            nv = v + off
+            if visited[nv]:
                 continue
-            if cls != forbidden_end_class:
-                counts[depth] += 1  # end here, at the midpoint of (vertex, nxt)
-            if depth < n_max and nxt not in visited:
-                used_edges.add(key)
-                rec(nxt, depth + 1)
-                used_edges.remove(key)
-        visited.remove(vertex)
+            counts[nd] += n - far_cut if nv == far else n
+            visited[nv] = 1
+            rec(nv, nrow, nd)
+            visited[nv] = 0
 
-    for first in (a0, b0):
-        rec(first, 1)
+    counts[1] = ends[start_class]
+    visited[a0] = 1
+    if n_max > 1:
+        rec(a0, rows[0][start_class], 1)
+    # The rotation by pi about the start edge's midpoint swaps its two
+    # endpoints and maps every edge class onto itself, so the walks that
+    # leave from the far endpoint are as many, length by length and with
+    # the same end classes, as those searched from A(0, 0).
+    for n in range(1, n_max + 1):
+        counts[n] *= 2
     return counts

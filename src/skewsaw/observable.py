@@ -261,14 +261,6 @@ class StripLimitsReport:
     ED: tuple[float, ...]          # E + D per L (should decay in L)
     growth_margins: tuple[float, ...]  # A_{L+1} - A_L - c_T (E_L + D_L)
 
-    @property
-    def A_limit(self) -> float:
-        return self.A[-1]
-
-    @property
-    def B_limit(self) -> float:
-        return self.B[-1]
-
 
 def strip_limits(T: int, x: float, theta, L_max: int) -> StripLimitsReport:
     """Side sums along increasing L with the tail-control inequality.

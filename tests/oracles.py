@@ -11,6 +11,7 @@ code as possible with skewsaw.walks.
 from __future__ import annotations
 
 from skewsaw.geometry import MidEdge, Step, step_candidates
+from skewsaw.honeycomb import _neighbours
 from skewsaw.weights import WeightSet
 
 _OPPOSITE_ARCS = {frozenset(("sw", "ne")): "w1", frozenset(("se", "nw")): "w2"}
@@ -90,3 +91,50 @@ def naive_enumerate(start: MidEdge, max_length: int, rule=(1, 1, 1)):
 
     grow([], [start])
     return results
+
+
+# ---------------------------------------------------------------------------
+# Naive hexagonal reference: the mid-edge walks of honeycomb.py grown
+# vertex by vertex through a set of visited vertices and a set of used
+# edges, searching from both endpoints of the start edge and recursing
+# into every leaf.  It shares the graph (``_neighbours``, anchored to
+# OEIS A001668 in test_series.py) and nothing else with the fast search.
+
+
+def _edge_key(u, v):
+    return (u, v) if u <= v else (v, u)
+
+
+def naive_midedge_saws(n_max: int, start_class: int = 1,
+                       forbidden_end_class: int | None = 0) -> list[int]:
+    """Same contract as honeycomb.count_midedge_saws."""
+    # A(0,0) and its class-`start_class` neighbour
+    a0 = ("A", 0, 0)
+    b0 = next(v for v, cls in _neighbours(a0) if cls == start_class)
+    start_edge = _edge_key(a0, b0)
+
+    counts = [0] * (n_max + 1)
+    counts[0] = 1
+    if n_max == 0:
+        return counts
+
+    visited = set()
+    used_edges = {start_edge}
+
+    def rec(vertex, depth):
+        visited.add(vertex)
+        for nxt, cls in _neighbours(vertex):
+            key = _edge_key(vertex, nxt)
+            if key in used_edges:
+                continue
+            if cls != forbidden_end_class:
+                counts[depth] += 1  # end here, at the midpoint of (vertex, nxt)
+            if depth < n_max and nxt not in visited:
+                used_edges.add(key)
+                rec(nxt, depth + 1)
+                used_edges.remove(key)
+        visited.remove(vertex)
+
+    for first in (a0, b0):
+        rec(first, 1)
+    return counts

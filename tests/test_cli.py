@@ -180,3 +180,22 @@ def test_cli_import_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--threads", "0"], None),
+    (["--threads", "-3"], None),
+    ([], "abc"),
+])
+def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
+    if env is None:
+        monkeypatch.delenv("SKEWSAW_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SKEWSAW_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "weights"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "positive integer" in captured.err

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from skewsaw.honeycomb import count_midedge_saws
 from skewsaw.loops import _patch_aggregate
 from skewsaw.observable import domain_walk_aggregate
 from skewsaw.walks import HONEYCOMB_RULE, UNIT_RULE, free_walk_aggregate
@@ -64,6 +65,17 @@ GOLDEN = [
 def test_golden_histogram(name, build, total, keys, sha):
     hist = build()
     assert (sum(hist.values()), len(hist), _digest(hist)) == (total, keys, sha)
+
+
+# count_midedge_saws(19) at the defaults (start class 1, no class-0 ends),
+# recorded with the naive edge-set search; sum 754,825
+HONEYCOMB_19 = [1, 2, 6, 10, 22, 42, 82, 160, 310, 596, 1134, 2166, 4126,
+                7846, 14812, 28052, 52978, 100006, 188114, 354360]
+
+
+def test_golden_honeycomb_oracle_counts():
+    assert count_midedge_saws(19) == HONEYCOMB_19
+    assert sum(HONEYCOMB_19) == 754_825
 
 
 @pytest.mark.parametrize("T,L", [(2, 2), (4, 2), (1, 5), (3, 3)])

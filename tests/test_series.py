@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import naive_midedge_saws
 from skewsaw.geometry import MidEdge
 from skewsaw.honeycomb import _neighbours, count_midedge_saws
 from skewsaw.series import (
@@ -73,6 +74,18 @@ def test_honeycomb_counts_small():
     assert counts[1] == 2
     assert counts[2] == 6
     assert counts[3] == 10
+
+
+@pytest.mark.parametrize("forbidden", [None, 0, 1, 2])
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_honeycomb_oracle_equals_naive_reference(start, forbidden):
+    ref = naive_midedge_saws(12, start, forbidden)
+    for n in range(13):
+        assert count_midedge_saws(n, start, forbidden) == ref[:n + 1]
+
+
+def test_honeycomb_oracle_equals_naive_reference_at_defaults():
+    assert count_midedge_saws(16) == naive_midedge_saws(16)
 
 
 def test_honeycomb_crosscheck_exact():
