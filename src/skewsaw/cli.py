@@ -78,6 +78,25 @@ def parse_rule(text: str) -> LengthRule:
         )
 
 
+def parse_finite(text: str) -> float:
+    """A finite float: nan or an infinity would fill a table with nan or
+    pass a check that compared nothing."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def parse_nonnegative(text: str) -> float:
+    x = parse_finite(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return x
+
+
 def parse_workers(text: str) -> int:
     try:
         n = int(text)
@@ -220,7 +239,9 @@ def cmd_parallelogram(args):
     rows = []
     ok = True
     xc = critical_weights(args.theta).x_c
-    pairs = [(args.T, args.L)] if args.T else [
+    if args.T is None and args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    pairs = [(args.T, args.L)] if args.T is not None else [
         (T, L) for T in range(1, args.budget + 1)
         for L in range(0, args.budget)
         if (2 * L + 1) * T <= args.budget
@@ -285,7 +306,7 @@ def cmd_honeycomb(args):
 def cmd_yangbaxter(args):
     rows = []
     ok = True
-    alphas = ([args.alpha] if args.alpha else
+    alphas = ([args.alpha] if args.alpha is not None else
               [0.5, 0.65, 0.8, 0.95, 1.1])
     svals = [args.s] if args.s is not None else [-3 / 8, 0.5, 0.75]
     for alpha in alphas:
@@ -302,7 +323,7 @@ def cmd_enumerate(args):
     rows = []
     start = MidEdge(0, 0, args.orient)
     domain = None
-    if args.T:
+    if args.T is not None:
         domain = ParallelogramDomain(args.T, args.L, args.theta)
         start = domain.origin
     w = critical_weights(args.theta)
@@ -336,7 +357,7 @@ def main(argv=None) -> int:
                         default=os.environ.get("SKEWSAW_WORKERS", "1"),
                         help="worker count for prefix-parallel enumeration "
                              "(default from SKEWSAW_WORKERS)")
-    parser.add_argument("--tol", type=float,
+    parser.add_argument("--tol", type=parse_finite,
                         help="verification tolerance (default 1e-12 for "
                              "honeycomb, 1e-10 otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,26 +372,26 @@ def main(argv=None) -> int:
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--family", choices=("critical", "sigma", "sigma-one", "on"),
                    default="critical")
-    p.add_argument("--sigma", type=float, default=5 / 8)
-    p.add_argument("--u1", type=float, default=0.5)
-    p.add_argument("--s", type=float, default=-3 / 8)
+    p.add_argument("--sigma", type=parse_finite, default=5 / 8)
+    p.add_argument("--u1", type=parse_finite, default=0.5)
+    p.add_argument("--s", type=parse_finite, default=-3 / 8)
 
     p = add("verify-local", cmd_verify_local,
             help="local-relation residuals over a theta grid")
     p.add_argument("--grid", type=int, default=13)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=parse_finite)
 
     p = add("solve-system", cmd_solve_system,
             help="least-squares solve of the local relations")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=parse_finite)
 
     p = add("verify-cr", cmd_verify_cr,
             help="contour residuals of the observable on a domain")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--T", type=int, default=3)
     p.add_argument("--L", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=5 / 8)
+    p.add_argument("--sigma", type=parse_finite, default=5 / 8)
 
     p = add("parallelogram", cmd_parallelogram,
             help="boundary identity residuals over (T, L)")
@@ -379,13 +400,13 @@ def main(argv=None) -> int:
     p.add_argument("--L", type=int, default=0)
     p.add_argument("--budget", type=int, default=12,
                    help="max rhombus count when scanning all (T, L)")
-    p.add_argument("--x-over-xc", type=float, default=1.0)
+    p.add_argument("--x-over-xc", type=parse_nonnegative, default=1.0)
 
     p = add("strip", cmd_strip, help="strip sums, tail bounds and bridge chain")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--T", type=int, default=2)
     p.add_argument("--L", type=int, default=4)
-    p.add_argument("--x-over-xc", type=float, default=1.0)
+    p.add_argument("--x-over-xc", type=parse_nonnegative, default=1.0)
 
     p = add("series", cmd_series, help="growth-constant series report")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
@@ -398,7 +419,7 @@ def main(argv=None) -> int:
 
     p = add("yangbaxter", cmd_yangbaxter, help="hexagon flip residuals")
     p.add_argument("--alpha", type=parse_angle)
-    p.add_argument("--s", type=float)
+    p.add_argument("--s", type=parse_finite)
 
     p = add("enumerate", cmd_enumerate, help="dump walks with weight and length")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)

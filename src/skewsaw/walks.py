@@ -29,6 +29,13 @@ in the order of their tuples.
 The free-lattice aggregates enumerate only the walks whose first step
 crosses with sign +1 and double every non-empty count: the rotation by
 pi about the start maps them one to one onto the sign -1 walks.
+
+The domain aggregate (``domain_counts``) searches about half of the
+domain's walks too.  The mirror through the horizontal line of the
+origin maps the domain onto itself and the walks leaving the axis by a
+bottom arc one to one onto those leaving it by a top arc; the search
+visits the former and adds each of their keys mirrored.
+``run_walk_enumeration`` still searches every walk, and is the oracle.
 """
 
 from __future__ import annotations
@@ -126,6 +133,7 @@ def _pack_rho(i: int, j: int) -> int:
 _SLOT_BITS = 6
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
 _PROFILE_BITS = 5 * _SLOT_BITS
+_PROFILE_MASK = (1 << _PROFILE_BITS) - 1
 _INC = tuple(0 if s is None else 1 << _SLOT_BITS * (4 - s) for s in _SLOT)
 
 
@@ -153,17 +161,28 @@ def _pack_domain_key(mid: int, dth: int, dpm: int, pk: int) -> int:
             + dpm + _TURN_BIAS << _PROFILE_BITS) + pk
 
 
+def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
+    """(end, dtheta, dpmt) from a domain key shifted right by the profile."""
+    return (_unpack_mid(above >> 2 * _TURN_BITS),
+            (above >> _TURN_BITS & _TURN_MASK) - _TURN_BIAS,
+            (above & _TURN_MASK) - _TURN_BIAS)
+
+
 def _domain_histogram(counts: dict) -> dict:
-    """Sorted counts by (end, dtheta, dpmt, profile), each distinct end and
-    profile tuple stored once; drains ``counts``."""
-    keys, out, share = sorted(counts, reverse=True), {}, {}.setdefault
+    """Sorted counts by (end, dtheta, dpmt, profile), each distinct
+    (end, dtheta, dpmt) and profile decoded and stored once; drains
+    ``counts``."""
+    keys, out, heads, profiles = sorted(counts, reverse=True), {}, {}, {}
     while keys:  # popped off the sort, each key is freed once decoded
         key = keys.pop()
-        above = key >> _PROFILE_BITS
-        end, profile = _unpack_mid(above >> 2 * _TURN_BITS), _unpack_profile(key)
-        out[(share(end, end), (above >> _TURN_BITS & _TURN_MASK) - _TURN_BIAS,
-             (above & _TURN_MASK) - _TURN_BIAS,
-             share(profile, profile))] = counts.pop(key)
+        above, pk = key >> _PROFILE_BITS, key & _PROFILE_MASK
+        head = heads.get(above)
+        if head is None:
+            head = heads[above] = _unpack_head(above)
+        profile = profiles.get(pk)
+        if profile is None:
+            profile = profiles[pk] = _unpack_profile(pk)
+        out[(*head, profile)] = counts.pop(key)
     return out
 
 
@@ -246,48 +265,21 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
     return max_steps
 
 
-def run_walk_enumeration(
-    start: MidEdge,
-    max_length: int,
-    rule: LengthRule = UNIT_RULE,
-    domain: ParallelogramDomain | None = None,
-    emit: Callable | None = None,
-    signs: Iterable[int] = (-1, 1),
-    step_cap: int = DEFAULT_STEP_CAP,
-    first_step: int | None = None,
-    counts: dict | None = None,
-) -> EnumerationStats:
-    """Drive the backtracking search over every walk of length <= budget.
+def _searcher(max_length: int, lens: tuple[int, int, int], visited: set,
+              occ: dict, counts: dict | None, emit: Callable | None,
+              crossings: list) -> Callable:
+    """The backtracking search as rec(cm, row, rlen, key) -> walks.
 
-    ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
-    packed as the module docstring says (see ``_unpack_profile`` and
-    ``_domain_histogram``).  ``emit`` (if given) gets each walk's
-    crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
-    change.  ``first_step`` restricts the root to a single candidate
-    index, which is the prefix-partition hook for parallel runs.
+    rec tries each step of ``row`` out of packed mid-edge ``cm``, reached
+    at length ``rlen`` with key ``key``, and every walk below it; it counts
+    and returns the walks it finds.  ``visited`` and ``occ`` (the packed
+    rhombi's state codes) hold the walk so far and are restored on return.
     """
-    max_steps = _step_cap_check(max_length, rule, step_cap, start)
-    if max_steps > _SLOT_MAX:
-        raise ValueError(
-            f"a walk of {max_steps} steps can overflow the {_SLOT_BITS}-bit "
-            f"profile slots (at most {_SLOT_MAX} steps)"
-        )
-    lens = rule.as_tuple()
-    rows = _step_rows(lens, domain is not None)
     # a walk longer than this has no step left in the budget
     leaf_len = max_length - min(lens)
     promote = _PROMOTE_STEP
-
-    si, sj, shv = start.i, start.j, _HV[start.orient]
-    smid = _pack_mid(si, sj, shv)
-    visited = {smid}
-    occ: dict[int, int] = {}
-    key0 = 0 if domain is None else _pack_domain_key(smid, 0, 0, 0)
-    if domain is not None:
-        occ = dict.fromkeys(_ring(domain), _BLOCKED)
     occ_get = occ.get
     count_get = counts.get if counts is not None else None
-    crossings = [(si, sj, shv, 0)]
 
     def rec(cm, row, rlen, key):
         walks = 0
@@ -329,9 +321,48 @@ def run_walk_enumeration(
                 crossings.pop()
         return walks
 
+    return rec
+
+
+def run_walk_enumeration(
+    start: MidEdge,
+    max_length: int,
+    rule: LengthRule = UNIT_RULE,
+    domain: ParallelogramDomain | None = None,
+    emit: Callable | None = None,
+    signs: Iterable[int] = (-1, 1),
+    step_cap: int = DEFAULT_STEP_CAP,
+    first_step: int | None = None,
+    counts: dict | None = None,
+) -> EnumerationStats:
+    """Drive the backtracking search over every walk of length <= budget.
+
+    ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
+    packed as the module docstring says (see ``_unpack_profile`` and
+    ``_domain_histogram``).  ``emit`` (if given) gets each walk's
+    crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
+    change.  ``first_step`` restricts the root to a single candidate
+    index, which is the prefix-partition hook for parallel runs.
+    """
+    max_steps = _step_cap_check(max_length, rule, step_cap, start)
+    if max_steps > _SLOT_MAX:
+        raise ValueError(
+            f"a walk of {max_steps} steps can overflow the {_SLOT_BITS}-bit "
+            f"profile slots (at most {_SLOT_MAX} steps)"
+        )
+    lens = rule.as_tuple()
+    rows = _step_rows(lens, domain is not None)
+
+    si, sj, shv = start.i, start.j, _HV[start.orient]
+    smid = _pack_mid(si, sj, shv)
+    occ = {} if domain is None else dict.fromkeys(_ring(domain), _BLOCKED)
+    key0 = 0 if domain is None else _pack_domain_key(smid, 0, 0, 0)
+    crossings = [(si, sj, shv, 0)]
+    rec = _searcher(max_length, lens, {smid}, occ, counts, emit, crossings)
+
     # Empty walk.
     if counts is not None:
-        counts[key0] = count_get(key0, 0) + 1
+        counts[key0] = counts.get(key0, 0) + 1
     if emit is not None:
         emit(crossings)
     walks = 1
@@ -355,6 +386,79 @@ def run_walk_enumeration(
         crossings[0] = (si, sj, shv, sign)  # crossing sign of the first step
         walks += rec(smid, (step,), 0, key0)
 
+    return EnumerationStats(walks=walks)
+
+
+# The mirror through the horizontal line of the origin V(0, 0) of a
+# domain maps R(i, j) to R(i, -j), V(i, j) to V(i, -j) and H(i, j) to
+# H(i, 1 - j).  It swaps the theta- and (pi-theta)-corners of every
+# rhombus, so the turns (dtheta, dpmt) go to (-dpmt, -dtheta) and the
+# profile slots c1 <-> c2 and c4 <-> c5.
+_SWAP_LOW = _SLOT_MAX << 3 * _SLOT_BITS | _SLOT_MAX   # the c2 and c5 fields
+_C3_FIELD = _SLOT_MAX << 2 * _SLOT_BITS
+
+
+def _mirror_profile(pk: int) -> int:
+    return (pk >> _SLOT_BITS & _SWAP_LOW | (pk & _SWAP_LOW) << _SLOT_BITS
+            | pk & _C3_FIELD)
+
+
+def _mirror_head(above: int) -> int:
+    """The mirror of a domain key's (end, dtheta, dpmt) field ``above``, as
+    a key with a zero profile."""
+    (i, j, hv), dth, dpm = _unpack_head(above)
+    return _pack_domain_key(_pack_mid(i, -j if hv else 1 - j, hv), -dpm, -dth, 0)
+
+
+def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
+    """``counts[key] += n`` over every walk in ``domain`` from its origin,
+    keyed like ``run_walk_enumeration``'s, while searching about half.
+
+    The walks of k straights along the axis, k = 0..T, are their own
+    mirror images and are counted once.  Every other walk leaves the axis
+    first by the bottom or the top arc of some R(k, 0); the search visits
+    the bottom ones alone and adds each of their keys mirrored as well.
+    The returned ``walks`` is the number of walks visited.
+    """
+    max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
+    if max_steps > _SLOT_MAX:
+        raise ValueError(
+            f"a domain of {domain.n_rhombi} rhombi can overflow the "
+            f"{_SLOT_BITS}-bit profile slots")
+    lens = UNIT_RULE.as_tuple()
+    cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
+    visited = {cm}
+    occ = dict.fromkeys(_ring(domain), _BLOCKED)
+    half: dict = {}
+    rec = _searcher(max_steps, lens, visited, occ, half, None, [])
+    # out of V(k, 0) crossed rightward, into R(k, 0)
+    by_exit = {step[0]: step for step in
+               _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]}
+    bottom = by_exit[_pack_mid(0, 0, _HV["H"]) - _pack_mid(0, 0, _HV["V"])]
+    straight = by_exit[_pack_mid(1, 0, _HV["V"]) - _pack_mid(0, 0, _HV["V"])]
+    key = _pack_domain_key(cm, 0, 0, 0)
+    walks = 0
+    for k in range(domain.T + 1):
+        counts[key] = counts.get(key, 0) + 1  # k straights along the axis
+        walks += 1
+        if k == domain.T:
+            break
+        walks += rec(cm, (bottom,), k, key)
+        dmid, drho, state, _, dkey, _, _ = straight
+        occ[(cm >> 1) + drho] = state
+        cm += dmid
+        visited.add(cm)
+        key += dkey
+
+    heads: dict = {}
+    for key, n in half.items():
+        above = key >> _PROFILE_BITS
+        head = heads.get(above)
+        if head is None:
+            head = heads[above] = _mirror_head(above)
+        mkey = head | _mirror_profile(key & _PROFILE_MASK)
+        counts[key] = counts.get(key, 0) + n
+        counts[mkey] = counts.get(mkey, 0) + n
     return EnumerationStats(walks=walks)
 
 

@@ -199,3 +199,37 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parallelogram", "--T", "0"],
+    ["enumerate", "--T", "0"],
+    ["parallelogram", "--budget", "0"],
+    ["parallelogram", "--budget", "-3"],
+    ["parallelogram", "--x-over-xc", "nan"],
+    ["parallelogram", "--x-over-xc", "inf"],
+    ["parallelogram", "--x-over-xc", "-1"],
+    ["strip", "--x-over-xc", "nan"],
+    ["verify-cr", "--sigma", "nan"],
+    ["verify-cr", "--sigma", "-inf"],
+    ["weights", "--family", "sigma", "--sigma", "inf"],
+    ["verify-local", "--sigma", "nan"],
+    ["weights", "--family", "sigma-one", "--u1", "nan"],
+    ["yangbaxter", "--alpha", "0.8", "--s", "nan"],
+    ["yangbaxter", "--alpha", "0", "--s", "0.5"],
+    ["--tol", "nan", "weights"],
+], ids=" ".join)
+def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_zero_fugacity_is_accepted(capsys):
+    code, out = run_cli(capsys, "parallelogram", "--T", "2", "--L", "1",
+                        "--x-over-xc", "0")
+    assert code == 1  # the identity holds at x_c only
+    assert out.splitlines()[1].startswith("2,1,")

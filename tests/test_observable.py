@@ -269,3 +269,25 @@ def test_domain_reweights_match_per_walk_sums(T, L, theta, x_ratio):
     assert table.values.keys() <= F.keys()
     for m, value in F.items():
         assert table.value(m) == pytest.approx(value, rel=1e-12), m
+
+
+@pytest.mark.parametrize("x_ratio", [1.0, 0.8])
+@pytest.mark.parametrize("theta", [math.pi / 3, 1.2, 2 * math.pi / 3])
+def test_side_marginal_strip_sums_match_the_full_histogram(theta, x_ratio):
+    from skewsaw.observable import domain_walk_aggregate
+
+    x = x_ratio * critical_weights(theta).x_c
+    w = critical_weights(theta).at_fugacity(x)
+    for T, L in [(1, 0), (2, 1), (1, 3), (3, 1), (2, 2), (12, 0), (4, 2)]:
+        domain = ParallelogramDomain(T, L, theta)
+        sides = {"alpha": 0.0, "beta": 0.0, "delta": 0.0, "epsilon": 0.0}
+        for ((i, j, hv), _, _, profile), n in domain_walk_aggregate(T, L).items():
+            end = MidEdge(i, j, "HV"[hv])
+            side = domain.side_of(end)
+            if end != domain.origin and side in sides:
+                sides[side] += n * math.prod(
+                    x ** c for x, c in zip(w.as_tuple(), profile))
+        s = strip_sums(T, L, x, theta)
+        assert (s.A, s.B, s.D, s.E) == pytest.approx(
+            (sides["alpha"], sides["beta"], sides["delta"], sides["epsilon"]),
+            rel=1e-12, abs=0.0)

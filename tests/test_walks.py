@@ -377,3 +377,60 @@ def test_free_histogram_invariant_under_reflection():
     swapped = {(n, (p[1], p[0], p[2], p[4], p[3])): c
                for (n, p), c in agg.items()}
     assert swapped == agg
+
+
+# every (T, L) of at most 12 rhombi, and 4x2
+MIRROR_SHAPES = [(T, L) for T in range(1, 13) for L in range(6)
+                 if (2 * L + 1) * T <= 12] + [(4, 2)]
+
+
+def _full_domain_counts(domain, first_step=None):
+    counts: dict = {}
+    cap = 2 * domain.n_rhombi + 2
+    stats = run_walk_enumeration(domain.origin, cap, UNIT_RULE, domain,
+                                 signs=(domain.origin_sign,), step_cap=cap,
+                                 first_step=first_step, counts=counts)
+    return counts, stats.walks
+
+
+@pytest.mark.parametrize("T,L", MIRROR_SHAPES)
+def test_mirrored_domain_search_equals_the_full_search(T, L):
+    from skewsaw.walks import domain_counts
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    full, n_full = _full_domain_counts(domain)
+    counts: dict = {}
+    visited = domain_counts(domain, counts).walks
+    assert counts == full
+    # the T + 1 axis walks once, half of the others
+    assert visited == (n_full - (T + 1)) // 2 + (T + 1)
+    assert (n_full - (T + 1)) % 2 == 0
+
+
+@pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (1, 3), (4, 2)])
+def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
+    from skewsaw.walks import (_HV, _PROFILE_BITS, _PROFILE_MASK, _mirror_head,
+                               _mirror_profile, _pack_domain_key, _pack_mid)
+
+    def mirror(key):
+        return (_mirror_head(key >> _PROFILE_BITS)
+                | _mirror_profile(key & _PROFILE_MASK))
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    empty = _pack_domain_key(_pack_mid(0, 0, _HV["V"]), 0, 0, 0)
+    # first steps in root order: bottom arc, top arc, straight
+    subtrees = []
+    for idx in range(3):
+        counts, _ = _full_domain_counts(domain, idx)
+        counts = Counter(counts)
+        counts[empty] -= 1  # every root's search counts the empty walk
+        subtrees.append(+counts)
+    for sub in subtrees:
+        assert all(mirror(mirror(k)) == k for k in sub)
+
+    def mirrored(sub):
+        return Counter({mirror(k): n for k, n in sub.items()})
+
+    assert mirrored(subtrees[0]) == subtrees[1]
+    assert mirrored(subtrees[2]) == subtrees[2]
+    assert subtrees[0] != subtrees[1]
