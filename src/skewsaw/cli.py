@@ -186,6 +186,8 @@ def cmd_weights(args):
 
 
 def cmd_verify_local(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     rows = []
     ok = True
     sigmas = [args.sigma] if args.sigma is not None else [3 / 8, 5 / 8, 7 / 8]
@@ -356,7 +358,10 @@ def main(argv=None) -> int:
     parser.add_argument("--threads",
                         default=os.environ.get("SKEWSAW_WORKERS", "1"),
                         help="worker count for prefix-parallel enumeration "
-                             "(default from SKEWSAW_WORKERS)")
+                             "under a rule whose two arcs differ in length "
+                             "(the honeycomb rule); other rules run the "
+                             "mirror-halved search in one process (default "
+                             "from SKEWSAW_WORKERS)")
     parser.add_argument("--tol", type=parse_finite,
                         help="verification tolerance (default 1e-12 for "
                              "honeycomb, 1e-10 otherwise)")

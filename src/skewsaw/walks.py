@@ -30,12 +30,17 @@ The free-lattice aggregates enumerate only the walks whose first step
 crosses with sign +1 and double every non-empty count: the rotation by
 pi about the start maps them one to one onto the sign -1 walks.
 
-The domain aggregate (``domain_counts``) searches about half of the
-domain's walks too.  The mirror through the horizontal line of the
-origin maps the domain onto itself and the walks leaving the axis by a
-bottom arc one to one onto those leaving it by a top arc; the search
-visits the former and adds each of their keys mirrored.
-``run_walk_enumeration`` still searches every walk, and is the oracle.
+Both the free and the domain aggregates then halve the search again by a
+mirror through the axis, the line of straights out of the start.  It
+swaps the theta- and (pi-theta)-corners of every rhombus, so it maps
+walks onto walks of the same length only when the two arcs have the
+same length (``LengthRule.mirror_symmetric``).  The walks of
+straights along the axis are their own images and are counted once;
+every other walk leaves the axis by one of two mirror-image arcs, and
+``_axis_mirror_counts`` searches the walks leaving by one of them and
+adds each of their keys mirrored as well.  A free search under any
+other rule searches every sign +1 walk.  ``run_walk_enumeration``
+still searches every walk, and is the oracle.
 """
 
 from __future__ import annotations
@@ -99,6 +104,12 @@ class LengthRule:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.len_theta_arc, self.len_pi_minus_theta_arc,
                 self.len_straight)
+
+    @property
+    def mirror_symmetric(self) -> bool:
+        """The two arcs have one length, so the mirror that swaps theta and
+        pi - theta keeps the length of every walk."""
+        return self.len_theta_arc == self.len_pi_minus_theta_arc
 
 
 UNIT_RULE = LengthRule(1, 1, 1)
@@ -389,11 +400,11 @@ def run_walk_enumeration(
     return EnumerationStats(walks=walks)
 
 
-# The mirror through the horizontal line of the origin V(0, 0) of a
-# domain maps R(i, j) to R(i, -j), V(i, j) to V(i, -j) and H(i, j) to
-# H(i, 1 - j).  It swaps the theta- and (pi-theta)-corners of every
-# rhombus, so the turns (dtheta, dpmt) go to (-dpmt, -dtheta) and the
-# profile slots c1 <-> c2 and c4 <-> c5.
+# The mirror through the axis swaps the theta- and (pi-theta)-corners of
+# every rhombus, so the profile slots c1 <-> c2 and c4 <-> c5.  Through the
+# horizontal line of a domain's origin V(0, 0) it also maps V(i, j) to
+# V(i, -j) and H(i, j) to H(i, 1 - j), and the turns (dtheta, dpmt) to
+# (-dpmt, -dtheta).
 _SWAP_LOW = _SLOT_MAX << 3 * _SLOT_BITS | _SLOT_MAX   # the c2 and c5 fields
 _C3_FIELD = _SLOT_MAX << 2 * _SLOT_BITS
 
@@ -410,6 +421,45 @@ def _mirror_head(above: int) -> int:
     return _pack_domain_key(_pack_mid(i, -j if hv else 1 - j, hv), -dpm, -dth, 0)
 
 
+def _axis_mirror_counts(max_length: int, lens: tuple[int, int, int], row: list,
+                        cm: int, key: int, occ: dict, points: int,
+                        counts: dict, mirror: Callable[[int], int]) -> int:
+    """``counts[key] += n`` over the non-empty walks out of packed mid-edge
+    ``cm`` (empty-walk key ``key``, first steps ``row``), searching about
+    half of them; returns the walks visited.
+
+    The axis is the line of straights out of ``cm``, and ``points`` the
+    number of its mid-edges, ``cm`` included, that a walk can reach.  The
+    walks of straights along it are their own mirror images and are
+    counted once.  From each point the search visits the walks whose next
+    step is the first arc of ``row`` and adds each of their keys as found
+    and as ``mirror(key)``, for the walks leaving by the other arc.
+    """
+    visited = {cm}
+    half: dict = {}
+    rec = _searcher(max_length, lens, visited, occ, half, None, [])
+    straight = next(step for step in row if _SLOT[step[2]] == 2)
+    arc = next(step for step in row if _SLOT[step[2]] != 2)
+    dmid, drho, state, slen, dkey, _, _ = straight
+    walks = rlen = 0
+    for k in range(points):
+        walks += rec(cm, (arc,), rlen, key)
+        if k == points - 1:
+            break
+        occ[(cm >> 1) + drho] = state
+        cm += dmid
+        visited.add(cm)
+        key += dkey
+        rlen += slen
+        counts[key] = counts.get(key, 0) + 1  # k + 1 straights
+        walks += 1
+    for key, n in half.items():
+        mkey = mirror(key)
+        counts[key] = counts.get(key, 0) + n
+        counts[mkey] = counts.get(mkey, 0) + n
+    return walks
+
+
 def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
     """``counts[key] += n`` over every walk in ``domain`` from its origin,
     keyed like ``run_walk_enumeration``'s, while searching about half.
@@ -417,7 +467,7 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     The walks of k straights along the axis, k = 0..T, are their own
     mirror images and are counted once.  Every other walk leaves the axis
     first by the bottom or the top arc of some R(k, 0); the search visits
-    the bottom ones alone and adds each of their keys mirrored as well.
+    one of the two and adds each of their keys mirrored as well.
     The returned ``walks`` is the number of walks visited.
     """
     max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
@@ -427,39 +477,23 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
             f"{_SLOT_BITS}-bit profile slots")
     lens = UNIT_RULE.as_tuple()
     cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
-    visited = {cm}
-    occ = dict.fromkeys(_ring(domain), _BLOCKED)
-    half: dict = {}
-    rec = _searcher(max_steps, lens, visited, occ, half, None, [])
-    # out of V(k, 0) crossed rightward, into R(k, 0)
-    by_exit = {step[0]: step for step in
-               _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]}
-    bottom = by_exit[_pack_mid(0, 0, _HV["H"]) - _pack_mid(0, 0, _HV["V"])]
-    straight = by_exit[_pack_mid(1, 0, _HV["V"]) - _pack_mid(0, 0, _HV["V"])]
     key = _pack_domain_key(cm, 0, 0, 0)
-    walks = 0
-    for k in range(domain.T + 1):
-        counts[key] = counts.get(key, 0) + 1  # k straights along the axis
-        walks += 1
-        if k == domain.T:
-            break
-        walks += rec(cm, (bottom,), k, key)
-        dmid, drho, state, _, dkey, _, _ = straight
-        occ[(cm >> 1) + drho] = state
-        cm += dmid
-        visited.add(cm)
-        key += dkey
-
+    counts[key] = counts.get(key, 0) + 1  # the empty walk
     heads: dict = {}
-    for key, n in half.items():
+
+    def mirror(key):
         above = key >> _PROFILE_BITS
         head = heads.get(above)
         if head is None:
             head = heads[above] = _mirror_head(above)
-        mkey = head | _mirror_profile(key & _PROFILE_MASK)
-        counts[key] = counts.get(key, 0) + n
-        counts[mkey] = counts.get(mkey, 0) + n
-    return EnumerationStats(walks=walks)
+        return head | _mirror_profile(key & _PROFILE_MASK)
+
+    # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is blocked
+    row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
+    walks = _axis_mirror_counts(max_steps, lens, row, cm, key,
+                                dict.fromkeys(_ring(domain), _BLOCKED),
+                                domain.T + 1, counts, mirror)
+    return EnumerationStats(walks=1 + walks)
 
 
 def profile_weight(profile, tables) -> float:
@@ -616,13 +650,37 @@ def enumerate_walks(
 # combinatorial aggregates are cached and re-weighted per family.
 
 
+def _mirrored_free_counts(n_max: int, rule: LengthRule, orient: str,
+                          counts: dict) -> EnumerationStats:
+    """``counts[pk] += n`` over the free-lattice walks whose first step
+    crosses with sign +1 (the empty walk included), searching about half
+    of them by ``_axis_mirror_counts``; right only when
+    ``rule.mirror_symmetric``.  The returned ``walks`` is the number of
+    walks visited.
+    """
+    # checks the budget as the full search does, and counts the empty walk
+    stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(),
+                                 counts=counts)
+    lens = rule.as_tuple()
+    hv = _HV[orient]
+    stats.walks += _axis_mirror_counts(
+        n_max, lens, _step_rows(lens, False)[(hv, 1)], _pack_mid(0, 0, hv), 0,
+        {}, n_max // rule.len_straight + 1, counts, _mirror_profile)
+    return stats
+
+
 def _free_counts(n_max: int, rule: LengthRule, orient: str,
                  first_step: int | None = None) -> dict:
     """counts[pk] over the free-lattice walks whose first step crosses
-    with sign +1 (the empty walk included)."""
+    with sign +1 (the empty walk included): the mirror-halved search for a
+    mirror-symmetric rule, else the full one, or the walks through root
+    ``first_step`` alone."""
     counts: dict = {}
-    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(1,),
-                         first_step=first_step, counts=counts)
+    if first_step is None and rule.mirror_symmetric:
+        _mirrored_free_counts(n_max, rule, orient, counts)
+    else:
+        run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(1,),
+                             first_step=first_step, counts=counts)
     return counts
 
 
@@ -647,7 +705,12 @@ def _both_signs(counts: dict, rule: LengthRule) -> dict:
 def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
                         orient: str = "H") -> dict:
     """counts[(rlen, profile)] over all free-lattice walks, both signs,
-    with keys in sorted order."""
+    with keys in sorted order.
+
+    The search visits the sign +1 walks only (the pi rotation gives the
+    others) and, under a mirror-symmetric rule, about half of those (the
+    mirror through the axis gives the rest).
+    """
     return _both_signs(_free_counts(n_max, rule, orient), rule)
 
 
@@ -662,9 +725,11 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
 
     One job per sign +1 first step; partial counts are summed, so the
     result is identical to the sequential one, keys in the same order
-    (the empty walk, which every job counts, is set back to one).
+    (the empty walk, which every job counts, is set back to one).  A
+    mirror-symmetric rule gets the cached ``free_walk_aggregate``: its
+    mirror-halved search in one process beats the full jobs on two.
     """
-    if workers <= 1:
+    if workers <= 1 or rule.mirror_symmetric:
         return free_walk_aggregate(n_max, rule, orient)
     from concurrent.futures import ProcessPoolExecutor
 

@@ -206,6 +206,8 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     ["enumerate", "--T", "0"],
     ["parallelogram", "--budget", "0"],
     ["parallelogram", "--budget", "-3"],
+    ["verify-local", "--grid", "0"],
+    ["verify-local", "--grid", "-3"],
     ["parallelogram", "--x-over-xc", "nan"],
     ["parallelogram", "--x-over-xc", "inf"],
     ["parallelogram", "--x-over-xc", "-1"],

@@ -33,6 +33,9 @@ GOLDEN = [
     ("free_unit_H_10", lambda: free_walk_aggregate(10, UNIT_RULE, "H"),
      122_921, 431,
      "f82ad6f3a39d9556d15b5baaa11c35c489be973c10f2b9d2910617f578451348"),
+    ("free_unit_V_11", lambda: free_walk_aggregate(11, UNIT_RULE, "V"),
+     340_791, 604,
+     "7d675772403541dceeafdc50d3babfd77033907a813681b6b6e97f85194a1edc"),
     ("free_honeycomb_V_12", lambda: free_walk_aggregate(12, HONEYCOMB_RULE, "V"),
      8_713, 187,
      "0effc417d4e72c3f8cef4fb935297b0aff5e3ad9bf704385146e91a0a959004b"),

@@ -379,6 +379,57 @@ def test_free_histogram_invariant_under_reflection():
     assert swapped == agg
 
 
+def _mirrored_and_full(orient, n_max, rule):
+    from skewsaw.walks import _mirrored_free_counts
+
+    half: dict = {}
+    visited = _mirrored_free_counts(n_max, rule, orient, half).walks
+    full: dict = {}
+    n_full = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule,
+                                  signs=(1,), counts=full).walks
+    return half, visited, full, n_full
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5, 9, 11])
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_mirrored_free_search_equals_the_full_search(orient, n_max):
+    half, visited, full, n_full = _mirrored_and_full(orient, n_max, UNIT_RULE)
+    assert half == full
+    # the n + 1 walks of straights once, half of the others
+    axis = n_max + 1
+    assert visited == (n_full - axis) // 2 + axis
+    assert (n_full - axis) % 2 == 0
+
+
+@pytest.mark.parametrize("rule", [LengthRule(1, 1, 2), LengthRule(2, 2, 1)],
+                         ids=["1-1-2", "2-2-1"])
+def test_mirrored_free_search_holds_for_every_mirror_symmetric_rule(rule):
+    # a straight of another length moves the last axis point; the last
+    # one may still have room for an arc
+    for orient in "HV":
+        for n_max in range(10):
+            half, visited, full, n_full = _mirrored_and_full(orient, n_max, rule)
+            assert half == full
+            axis = n_max // rule.len_straight + 1
+            assert visited == (n_full - axis) // 2 + axis
+
+
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_mirror_fold_is_wrong_when_the_arcs_differ_in_length(orient):
+    # with arcs of two lengths the mirror maps walks onto walks of another
+    # length, so the fold is guarded off and the full sign +1 search stays
+    assert not HONEYCOMB_RULE.mirror_symmetric
+    for n_max in (4, 12):
+        half, _, full, _ = _mirrored_and_full(orient, n_max, HONEYCOMB_RULE)
+        assert half != full
+
+
+def test_mirror_symmetric_rule_skips_the_pool():
+    # the mirror-halved search in one process serves every worker count
+    agg = free_walk_aggregate(9, UNIT_RULE, "V")
+    assert free_walk_aggregate_parallel(9, UNIT_RULE, "V", workers=2) is agg
+
+
 # every (T, L) of at most 12 rhombi, and 4x2
 MIRROR_SHAPES = [(T, L) for T in range(1, 13) for L in range(6)
                  if (2 * L + 1) * T <= 12] + [(4, 2)]
