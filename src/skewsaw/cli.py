@@ -108,6 +108,14 @@ def parse_workers(text: str) -> int:
     return n
 
 
+def check_output(path: str) -> None:
+    """Refuse an --output path that cannot be written, before any work."""
+    exists = os.path.exists(path)
+    target = path if exists else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(f"cannot write --output {path!r}")
+
+
 def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -439,10 +447,15 @@ def main(argv=None) -> int:
         args.tol = 1e-12 if args.command == "honeycomb" else 1e-10
     try:
         args.threads = parse_workers(args.threads)
+        if args.output:
+            check_output(args.output)
         rows, cols, meta, ok = args.fn(args)
     except (ValueError, OverflowError) as exc:
         parser.exit(EXIT_CONFIG, f"error: {exc}\n")
-    write_rows(rows, cols, args, meta)
+    try:
+        write_rows(rows, cols, args, meta)
+    except OSError as exc:
+        parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

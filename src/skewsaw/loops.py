@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .geometry import PASSAGE, PLAQUETTE_STATES, MidEdge, Rhombus
 from .observable import _rhombus_contour
-from .walks import _weigh
+from .walks import _group, _weigh
 from .weights import WeightSet, loop_parameter, on_weights
 
 def _cell_state_name(pairs) -> str:
@@ -464,9 +464,10 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     w, n = on_weights(theta, s)
     sigma = s + 1.0
     counts, a = _patch_aggregate(theta, cols, rows, j0)
-    # _weigh reads the profile off the end of each key
-    amps = _weigh({(z, wind, nloops, profile): cnt
-                   for (z, wind, profile, nloops), cnt in counts.items()}, w)
+    # _group reads the profile off the end of each key
+    hist = {(z, wind, nloops, profile): cnt
+            for (z, wind, profile, nloops), cnt in counts.items()}
+    amps = _weigh(_group(hist), w)
     pmt = math.pi - theta
     values: dict = {}
     for (z, (k1, k2), nloops), amp in amps.items():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import _HV_NAME, _domain_histogram, _weigh, domain_counts
+from .walks import _HV_NAME, _domain_histogram, _group, _weigh, domain_counts
 # not used here: the benchmark's tracer test reads observable.profile_weight
 # and observable.run_walk_enumeration
 from .walks import profile_weight, run_walk_enumeration  # noqa: F401
@@ -46,7 +46,8 @@ class ObservableTable:
 
 # Largest domain the exhaustive pass will attempt; beyond 24 rhombi the
 # walk tree outgrows a desk-scale run (a cold 8x1, 559,489 walks, takes
-# 0.53-0.74 s on one core of a 2-vCPU Xeon VM under Python 3.11).
+# 0.50-0.58 s, search and decoding, on one core of a 2-vCPU Xeon VM under
+# Python 3.11).
 DOMAIN_RHOMBUS_BUDGET = 24
 
 
@@ -69,13 +70,19 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
     return _domain_histogram(counts)
 
 
+@lru_cache(maxsize=128)
+def _domain_groups(T: int, L: int) -> tuple[list, dict]:
+    """``domain_walk_aggregate(T, L)`` grouped for ``_weigh``."""
+    return _group(domain_walk_aggregate(T, L))
+
+
 def observable(domain: ParallelogramDomain, sigma: float,
                w: WeightSet | None = None) -> ObservableTable:
     """Exact finite sum F_a(z) for every mid-edge z of the domain."""
     theta = as_theta(domain.theta)
     if w is None:
         w = critical_weights(theta)
-    agg = _weigh(domain_walk_aggregate(domain.T, domain.L), w)
+    agg = _weigh(_domain_groups(domain.T, domain.L), w)
     values: dict[MidEdge, complex] = {}
     pmt = math.pi - theta
     for ((i, j, hv), dth, dpm), weight in agg.items():
@@ -174,10 +181,11 @@ _SIDES = ("alpha", "beta", "delta", "epsilon")
 
 
 @lru_cache(maxsize=128)
-def _side_marginal(T: int, L: int) -> dict:
+def _side_marginal(T: int, L: int) -> tuple[list, dict]:
     """counts[(side, profile)] over the walks that end on a side of the
-    domain, the empty walk excluded: ``domain_walk_aggregate`` with the
-    turns summed out and each end replaced by its side."""
+    domain, the empty walk excluded, grouped for ``_weigh``:
+    ``domain_walk_aggregate`` with the turns summed out and each end
+    replaced by its side."""
     domain = ParallelogramDomain(T, L, math.pi / 2)
     sides: dict = {}
     out: dict = {}
@@ -190,7 +198,7 @@ def _side_marginal(T: int, L: int) -> dict:
         if side in _SIDES:
             key = (side, profile)
             out[key] = out.get(key, 0) + n
-    return out
+    return _group(out)
 
 
 def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
@@ -220,7 +228,7 @@ def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
     domain = ParallelogramDomain(T, L, th)
-    agg = _weigh(domain_walk_aggregate(T, L), w)
+    agg = _weigh(_domain_groups(T, L), w)
     plus = minus = 0.0
     for ((i, j, hv), dth, dpm), weight in agg.items():
         m = MidEdge(i, j, _HV_NAME[hv])

@@ -14,10 +14,14 @@ over exact integer state:
 * walk weight as the profile (c1, ..., c5), the counts of rhombi whose
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
-  pi - theta: a weight set is applied afterwards, by ``_weigh``.
+  pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
+  histogram that ``_group`` has grouped once by head (the key without
+  its profile), each distinct profile stored and weighed once.
 
 A walk whose length leaves no room for the shortest step is childless:
-the search counts and reports it without pushing its crossing.
+the search counts and reports it without pushing its crossing.  So is a
+walk that reaches a mid-edge on a domain's boundary (the start aside),
+since its next step would pass the blocked rhombus outside.
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment.  The low 30 bits hold the
@@ -48,9 +52,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping
 
 from .geometry import (
@@ -251,6 +255,17 @@ def _ring(domain: ParallelogramDomain) -> list[int]:
             if not (0 <= i < T and -L <= j <= L)]
 
 
+def _dead_ends(domain: ParallelogramDomain, start: int) -> frozenset:
+    """Packed mid-edges on the domain's boundary, but packed ``start``.  A
+    walk reaches one through the rhombus inside, so its next step would
+    pass the blocked rhombus outside: such a walk is childless."""
+    T, L = domain.T, domain.L
+    mids = {_pack_mid(i, j, _HV["V"]) for i in (0, T) for j in range(-L, L + 1)}
+    mids.update(_pack_mid(i, j, _HV["H"]) for i in range(T) for j in (-L, L + 1))
+    mids.discard(start)
+    return frozenset(mids)
+
+
 @dataclass
 class EnumerationStats:
     walks: int = 0
@@ -278,16 +293,20 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
 
 def _searcher(max_length: int, lens: tuple[int, int, int], visited: set,
               occ: dict, counts: dict | None, emit: Callable | None,
-              crossings: list) -> Callable:
+              crossings: list, dead: frozenset = frozenset()) -> Callable:
     """The backtracking search as rec(cm, row, rlen, key) -> walks.
 
     rec tries each step of ``row`` out of packed mid-edge ``cm``, reached
     at length ``rlen`` with key ``key``, and every walk below it; it counts
     and returns the walks it finds.  ``visited`` and ``occ`` (the packed
     rhombi's state codes) hold the walk so far and are restored on return.
+    A walk that reaches a packed mid-edge in ``dead`` is counted and has
+    no children.  No walk passes one, so ``visited`` holds them too, and
+    only a step that meets ``visited`` looks them up.
     """
     # a walk longer than this has no step left in the budget
     leaf_len = max_length - min(lens)
+    visited.update(dead)
     promote = _PROMOTE_STEP
     occ_get = occ.get
     count_get = counts.get if counts is not None else None
@@ -301,7 +320,9 @@ def _searcher(max_length: int, lens: tuple[int, int, int], visited: set,
                 continue
             nm = cm + dmid
             if nm in visited:
-                continue
+                if nm not in dead:
+                    continue
+                nlen = max_length  # a dead end: counted, not pushed
             rho = base + drho
             prev = occ_get(rho, 0)
             if prev:
@@ -366,10 +387,14 @@ def run_walk_enumeration(
 
     si, sj, shv = start.i, start.j, _HV[start.orient]
     smid = _pack_mid(si, sj, shv)
-    occ = {} if domain is None else dict.fromkeys(_ring(domain), _BLOCKED)
-    key0 = 0 if domain is None else _pack_domain_key(smid, 0, 0, 0)
+    if domain is None:
+        occ, key0, dead = {}, 0, frozenset()
+    else:
+        occ = dict.fromkeys(_ring(domain), _BLOCKED)
+        key0 = _pack_domain_key(smid, 0, 0, 0)
+        dead = _dead_ends(domain, smid)
     crossings = [(si, sj, shv, 0)]
-    rec = _searcher(max_length, lens, {smid}, occ, counts, emit, crossings)
+    rec = _searcher(max_length, lens, {smid}, occ, counts, emit, crossings, dead)
 
     # Empty walk.
     if counts is not None:
@@ -423,7 +448,8 @@ def _mirror_head(above: int) -> int:
 
 def _axis_mirror_counts(max_length: int, lens: tuple[int, int, int], row: list,
                         cm: int, key: int, occ: dict, points: int,
-                        counts: dict, mirror: Callable[[int], int]) -> int:
+                        counts: dict, mirror: Callable[[int], int],
+                        dead: frozenset = frozenset()) -> int:
     """``counts[key] += n`` over the non-empty walks out of packed mid-edge
     ``cm`` (empty-walk key ``key``, first steps ``row``), searching about
     half of them; returns the walks visited.
@@ -437,7 +463,7 @@ def _axis_mirror_counts(max_length: int, lens: tuple[int, int, int], row: list,
     """
     visited = {cm}
     half: dict = {}
-    rec = _searcher(max_length, lens, visited, occ, half, None, [])
+    rec = _searcher(max_length, lens, visited, occ, half, None, [], dead)
     straight = next(step for step in row if _SLOT[step[2]] == 2)
     arc = next(step for step in row if _SLOT[step[2]] != 2)
     dmid, drho, state, slen, dkey, _, _ = straight
@@ -492,7 +518,8 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
     walks = _axis_mirror_counts(max_steps, lens, row, cm, key,
                                 dict.fromkeys(_ring(domain), _BLOCKED),
-                                domain.T + 1, counts, mirror)
+                                domain.T + 1, counts, mirror,
+                                _dead_ends(domain, cm))
     return EnumerationStats(walks=1 + walks)
 
 
@@ -502,24 +529,40 @@ def profile_weight(profile, tables) -> float:
             * t4[profile[3]] * t5[profile[4]])
 
 
-def _weigh(hist: Mapping, w: WeightSet) -> dict:
-    """{key[:-1]: sum of n * weight(key[-1])} over a histogram whose keys
-    end with the profile (c1, ..., c5), in first-met key order.
+def _group(hist: Mapping) -> tuple[list, dict]:
+    """A histogram whose keys end with the profile (c1, ..., c5), grouped
+    for ``_weigh`` as (profiles, heads): the distinct profiles once each,
+    and per head ``key[:-1]``, in first-met order, the list of its keys'
+    profile indices and the list of their counts, in key order."""
+    index: dict = {}
+    heads: dict = {}
+    for key, n in hist.items():
+        k = index.setdefault(key[-1], len(index))
+        group = heads.get(key[:-1])
+        if group is None:
+            group = heads[key[:-1]] = ([], [])
+        group[0].append(k)
+        group[1].append(n)
+    return list(index), heads
+
+
+def _weigh(grouped: tuple[list, dict], w: WeightSet) -> dict:
+    """{head: sum of n * weight(profile)} over a histogram grouped by
+    ``_group``, heads in its order.
 
     Each distinct profile is weighed once, by power tables as long as the
-    largest count in the histogram.
+    largest count in any profile.  Each head adds its terms from 0.0 in
+    key order, as a fold over the histogram's keys would, so the sums are
+    the same bit for bit; ``reduce`` keeps that order on every Python,
+    where ``sum`` compensates float sums from 3.12 on.
     """
-    weights = dict.fromkeys(key[-1] for key in hist)
-    size = max(map(max, weights), default=0)
+    profiles, heads = grouped
+    size = max(map(max, profiles), default=0)
     tables = [list(accumulate(repeat(x, size), mul, initial=1.0))
               for x in w.as_tuple()]
-    for profile in weights:
-        weights[profile] = profile_weight(profile, tables)
-    out: dict = {}
-    for key, n in hist.items():
-        head = key[:-1]
-        out[head] = out.get(head, 0.0) + n * weights[key[-1]]
-    return out
+    weight = [profile_weight(p, tables) for p in profiles].__getitem__
+    return {head: reduce(add, map(mul, counts, map(weight, idx)), 0.0)
+            for head, (idx, counts) in heads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +797,7 @@ def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,
         w = critical_weights(theta)
     agg = free_walk_aggregate_parallel(n_max, rule, orient, workers)
     sums = [0.0] * (n_max + 1)
-    for (rlen,), x in _weigh(agg, w).items():
+    for (rlen,), x in _weigh(_group(agg), w).items():
         sums[rlen] = x
     return sums
 

@@ -123,6 +123,21 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("theta,")
 
 
+@pytest.mark.parametrize("where", ["missing/rows.csv", "."])
+def test_unwritable_output_is_a_config_error_before_the_run(
+        tmp_path, monkeypatch, capsys, where):
+    import skewsaw.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_series", lambda args: ran.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["--output", str(tmp_path / where), "series", "--n-max", "2"])
+    assert exc.value.code == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_honeycomb_subcommand(capsys):
     code, out = run_cli(capsys, "honeycomb", "--n-max", "4")
     assert code == 0

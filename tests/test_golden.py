@@ -51,6 +51,11 @@ GOLDEN = [
     ("domain_4x2", lambda: domain_walk_aggregate(4, 2),
      167_141, 34_754,
      "e87b95037815f27c562a6d489b7698be2e6ad68c562457e3cb96a989448cc944"),
+    # the largest shape DOMAIN_RHOMBUS_BUDGET allows; 38 % of its walks end
+    # on the boundary, where the search stops
+    ("domain_8x1", lambda: domain_walk_aggregate(8, 1),
+     559_489, 48_027,
+     "04de8ae96d0cdf7112b768931956250eb2535789584006fc11ddc6dd9922f57b"),
     ("patch_2x2_theta_1.2", lambda: _patch_hist(1.2, 2, 2, 0),
      25, 24,
      "31c26100d056721633734d26181c7cfcf934703fd7a82369e2fab8afa4b97594"),

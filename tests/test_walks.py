@@ -312,9 +312,12 @@ def test_honeycomb_rule_lengths():
 
 def test_prefix_parallel_matches_sequential():
     # equal counts with keys in one sorted order, so float re-weights sum
-    # in the same order on both paths
-    for n_max, rule, orient in [(5, UNIT_RULE, "H"), (9, UNIT_RULE, "H"),
+    # in the same order on both paths; the arcs of every rule differ in
+    # length, so each case runs the pool
+    for n_max, rule, orient in [(6, LengthRule(2, 1, 1), "H"),
+                                (9, LengthRule(1, 2, 1), "V"),
                                 (12, HONEYCOMB_RULE, "V")]:
+        assert not rule.mirror_symmetric
         seq = free_walk_aggregate(n_max, rule, orient)
         par = free_walk_aggregate_parallel(n_max, rule, orient, workers=2)
         assert list(par.items()) == list(seq.items())
@@ -485,3 +488,121 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     assert mirrored(subtrees[0]) == subtrees[1]
     assert mirrored(subtrees[2]) == subtrees[2]
     assert subtrees[0] != subtrees[1]
+
+
+# ---------------------------------------------------------------------------
+# The grouped re-weight: _weigh(_group(h), w) against a fold over h's keys.
+
+def _fold(hist, w):
+    """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
+    each profile weighed from the same power tables as ``_weigh``'s."""
+    from itertools import accumulate, repeat
+    from operator import mul
+
+    from skewsaw.walks import profile_weight
+
+    size = max((max(key[-1]) for key in hist), default=0)
+    tables = [list(accumulate(repeat(x, size), mul, initial=1.0))
+              for x in w.as_tuple()]
+    out: dict = {}
+    for key, n in hist.items():
+        out[key[:-1]] = out.get(key[:-1], 0.0) + n * profile_weight(key[-1], tables)
+    return out
+
+
+def _side_marginal_hist(T, L):
+    """The (side, profile) histogram that ``_side_marginal`` groups, built
+    from the domain histogram in its order."""
+    from skewsaw.observable import domain_walk_aggregate
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    out: dict = {}
+    for ((i, j, hv), _, _, profile), n in domain_walk_aggregate(T, L).items():
+        end = MidEdge(i, j, "HV"[hv])
+        side = domain.side_of(end)
+        if end != domain.origin and side != "interior":
+            out[(side, profile)] = out.get((side, profile), 0) + n
+    return out
+
+
+def _patch_hist():
+    from skewsaw.loops import _patch_aggregate
+
+    counts, _ = _patch_aggregate(1.2, 2, 3, 0)
+    return {(z, wind, nloops, profile): n
+            for (z, wind, profile, nloops), n in counts.items()}
+
+
+def _domain_4x2():
+    from skewsaw.observable import domain_walk_aggregate
+
+    return domain_walk_aggregate(4, 2)
+
+
+GROUPED_CASES = {
+    "free-unit-H-9": lambda: free_walk_aggregate(9, UNIT_RULE, "H"),
+    "free-honeycomb-V-12": lambda: free_walk_aggregate(12, HONEYCOMB_RULE, "V"),
+    "domain-4x2": _domain_4x2,
+    "patch-2x3": _patch_hist,
+}
+
+
+def _weight_sets():
+    from skewsaw.weights import on_weights, sigma_weights
+
+    w = critical_weights(1.2)
+    return [w, w.at_fugacity(0.8 * w.x_c), sigma_weights(math.pi / 3, 3 / 8),
+            on_weights(2 * math.pi / 3, 0.5)[0]]
+
+
+@pytest.mark.parametrize("case", GROUPED_CASES)
+def test_grouped_reweight_equals_the_per_key_fold(case):
+    from skewsaw.walks import _group, _weigh
+
+    hist = GROUPED_CASES[case]()
+    grouped = _group(hist)
+    for w in _weight_sets():
+        sums = _weigh(grouped, w)
+        ref = _fold(hist, w)
+        assert sums == ref  # bit for bit, not within a tolerance
+        assert list(sums) == list(ref)
+
+
+def test_every_side_marginal_reweights_as_the_per_key_fold():
+    from skewsaw.observable import _side_marginal
+    from skewsaw.walks import _weigh
+
+    shapes = [(T, L) for T in range(1, 21) for L in range(20)
+              if (2 * L + 1) * T <= 20]
+    assert len(shapes) == 39
+    for T, L in shapes:
+        hist = _side_marginal_hist(T, L)
+        for w in _weight_sets():
+            sums = _weigh(_side_marginal(T, L), w)
+            ref = _fold(hist, w)
+            assert sums == ref, (T, L)
+            assert list(sums) == list(ref), (T, L)
+
+
+def test_group_keeps_first_met_heads_and_distinct_profiles():
+    from skewsaw.walks import _group
+
+    p, q = (1, 0, 0, 0, 0), (0, 2, 0, 1, 0)
+    hist = {("b", p): 3, ("a", q): 5, ("b", q): 7, ("a", p): 11}
+    assert _group(hist) == ([p, q], {("b",): ([0, 1], [3, 7]),
+                                     ("a",): ([1, 0], [5, 11])})
+
+
+def test_grouped_reweight_sees_a_changed_count():
+    from skewsaw.walks import _group, _weigh
+
+    hist = _domain_4x2()
+    w = critical_weights(1.2)
+    sums = _weigh(_group(hist), w)
+    key = next(k for k in reversed(hist) if k[-1] != (0, 0, 0, 0, 0))
+    changed = dict(hist)
+    changed[key] += 1
+    other = _weigh(_group(changed), w)
+    assert other[key[:-1]] != sums[key[:-1]]
+    del other[key[:-1]], sums[key[:-1]]
+    assert other == sums
