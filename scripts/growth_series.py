@@ -11,7 +11,7 @@ desk-scale n; that is expected and is the honest picture.
 
 import argparse
 
-from skewsaw.cli import parse_angle, parse_rule
+from skewsaw.cli import parse_angle, parse_rule, parse_workers
 from skewsaw.series import series_report
 from skewsaw.walks import UNIT_RULE
 
@@ -21,7 +21,7 @@ def main() -> int:
     ap.add_argument("--theta", type=parse_angle, default=1.5707963267948966)
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=parse_workers, default=1)
     args = ap.parse_args()
 
     rep = series_report(args.theta, args.rule, args.n_max,

@@ -365,11 +365,10 @@ def main(argv=None) -> int:
                              "byte-identical across runs)")
     parser.add_argument("--threads",
                         default=os.environ.get("SKEWSAW_WORKERS", "1"),
-                        help="worker count for prefix-parallel enumeration "
-                             "under a rule whose two arcs differ in length "
-                             "(the honeycomb rule); other rules run the "
-                             "mirror-halved search in one process (default "
-                             "from SKEWSAW_WORKERS)")
+                        help="worker processes for the free-lattice search, "
+                             "which splits into one job per axis point and "
+                             "arc, under any rule (default from "
+                             "SKEWSAW_WORKERS)")
     parser.add_argument("--tol", type=parse_finite,
                         help="verification tolerance (default 1e-12 for "
                              "honeycomb, 1e-10 otherwise)")

@@ -34,17 +34,19 @@ The free-lattice aggregates enumerate only the walks whose first step
 crosses with sign +1 and double every non-empty count: the rotation by
 pi about the start maps them one to one onto the sign -1 walks.
 
-Both the free and the domain aggregates then halve the search again by a
-mirror through the axis, the line of straights out of the start.  It
-swaps the theta- and (pi-theta)-corners of every rhombus, so it maps
-walks onto walks of the same length only when the two arcs have the
-same length (``LengthRule.mirror_symmetric``).  The walks of
-straights along the axis are their own images and are counted once;
-every other walk leaves the axis by one of two mirror-image arcs, and
-``_axis_mirror_counts`` searches the walks leaving by one of them and
-adds each of their keys mirrored as well.  A free search under any
-other rule searches every sign +1 walk.  ``run_walk_enumeration``
-still searches every walk, and is the oracle.
+Both the free and the domain aggregates split the search along the axis,
+the line of straights out of the start.  The walks of straights alone
+are counted by the caller; every other walk leaves the axis after k
+straights by one of two arcs, and the axis job (k, arc) of
+``_axis_walks`` searches those walks.  The jobs run in one process or,
+for the free lattice, one per task on a process pool.  The mirror
+through the axis swaps the theta- and (pi-theta)-corners of every
+rhombus, so it maps walks onto walks of the same length when the two
+arcs have the same length (``LengthRule.mirror_symmetric``, true of
+every domain search).  Such a search runs the jobs of the first arc
+alone and adds each of their keys mirrored as well; any other rule runs
+the jobs of both arcs.  ``run_walk_enumeration`` still searches every
+walk, and is the oracle.
 """
 
 from __future__ import annotations
@@ -205,11 +207,6 @@ _HV = {"H": 0, "V": 1}
 _HV_NAME = ("H", "V")
 
 
-# Steps out of a crossing (hv, sign) at the origin, by rhombus, then exit
-# mid-edge; as offsets they hold for any mid-edge.
-_CANDIDATES = {(hv, sign): step_candidates(MidEdge(0, 0, orient), sign=sign)
-               for hv, orient in enumerate(_HV_NAME) for sign in (1, -1)}
-
 # _PROMOTE_STEP[prev][state]: (double state, correction) when a single
 # state arrives in a rhombus holding prev, else None; the correction
 # turns a first visit's key increment into a move of prev's count to the
@@ -225,16 +222,17 @@ _PROMOTE_STEP = tuple(
 
 @lru_cache(maxsize=None)
 def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
-    """_CANDIDATES in the search's form for one length rule: per crossing
-    (hv, sign) a list of (dmid, drho, state, length, dkey, next row, nsign).
+    """The steps out of a crossing (hv, sign) at the origin, in the order
+    of geometry.step_candidates, in the search's form for one length rule:
+    per crossing a list of (dmid, drho, state, length, dkey, next row, nsign).
     dmid and drho are the offsets of the packed exit mid-edge and of the
     packed rhombus passed from the packed current mid-edge (shifted right
     by one for the rhombus); dkey is the key increment of a first visit,
     with dmid and the turn units above the profile for domain keys.
     """
-    rows: dict = {key: [] for key in _CANDIDATES}
+    rows: dict = {(hv, sign): [] for hv in (0, 1) for sign in (1, -1)}
     for (hv, sign), row in rows.items():
-        for s in _CANDIDATES[(hv, sign)]:
+        for s in step_candidates(MidEdge(0, 0, _HV_NAME[hv]), sign=sign):
             nhv, nsign, state = _HV[s.dst.orient], s.exit_sign, s.state_code
             dmid = _pack_mid(s.dst.i, s.dst.j, nhv) - _pack_mid(0, 0, hv)
             dkey = _INC[state]
@@ -364,17 +362,16 @@ def run_walk_enumeration(
     emit: Callable | None = None,
     signs: Iterable[int] = (-1, 1),
     step_cap: int = DEFAULT_STEP_CAP,
-    first_step: int | None = None,
     counts: dict | None = None,
 ) -> EnumerationStats:
-    """Drive the backtracking search over every walk of length <= budget.
+    """Drive the backtracking search over every walk of length <= budget
+    whose first step crosses with a sign in ``signs``, and the empty walk.
 
     ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
     packed as the module docstring says (see ``_unpack_profile`` and
     ``_domain_histogram``).  ``emit`` (if given) gets each walk's
     crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
-    change.  ``first_step`` restricts the root to a single candidate
-    index, which is the prefix-partition hook for parallel runs.
+    change.  This full search is the axis-job searches' oracle.
     """
     max_steps = _step_cap_check(max_length, rule, step_cap, start)
     if max_steps > _SLOT_MAX:
@@ -416,9 +413,7 @@ def run_walk_enumeration(
                 roots.append((rho, smid + step[0], sign, step))
     roots.sort()
 
-    for idx, (_, _, sign, step) in enumerate(roots):
-        if first_step is not None and idx != first_step:
-            continue
+    for _, _, sign, step in roots:
         crossings[0] = (si, sj, shv, sign)  # crossing sign of the first step
         walks += rec(smid, (step,), 0, key0)
 
@@ -446,44 +441,48 @@ def _mirror_head(above: int) -> int:
     return _pack_domain_key(_pack_mid(i, -j if hv else 1 - j, hv), -dpm, -dth, 0)
 
 
-def _axis_mirror_counts(max_length: int, lens: tuple[int, int, int], row: list,
-                        cm: int, key: int, occ: dict, points: int,
-                        counts: dict, mirror: Callable[[int], int],
-                        dead: frozenset = frozenset()) -> int:
-    """``counts[key] += n`` over the non-empty walks out of packed mid-edge
-    ``cm`` (empty-walk key ``key``, first steps ``row``), searching about
-    half of them; returns the walks visited.
+def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
+    """The axis jobs (k, arc) over ``points`` axis points, largest first:
+    the first arc's alone for a mirrored search, else both arcs'."""
+    return [(k, arc) for k in range(points) for arc in range(1 if mirrored else 2)]
 
-    The axis is the line of straights out of ``cm``, and ``points`` the
-    number of its mid-edges, ``cm`` included, that a walk can reach.  The
-    walks of straights along it are their own mirror images and are
-    counted once.  From each point the search visits the walks whose next
-    step is the first arc of ``row`` and adds each of their keys as found
-    and as ``mirror(key)``, for the walks leaving by the other arc.
-    """
+
+def _straight(row: list) -> tuple:
+    return next(step for step in row if _SLOT[step[2]] == 2)
+
+
+def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
+                cm: int, key: int, occ: dict, jobs: list, counts: dict,
+                dead: frozenset = frozenset()) -> int:
+    """``counts[key] += 1`` over the walks of the axis jobs ``jobs``, sorted
+    by k; returns their number.  The axis is the line of straights out of
+    packed mid-edge ``cm`` (empty-walk key ``key``, first steps ``row``);
+    the job (k, arc) covers the walks that take k straights along it and
+    then leave it by arc number ``arc`` of ``row``."""
     visited = {cm}
-    half: dict = {}
-    rec = _searcher(max_length, lens, visited, occ, half, None, [], dead)
-    straight = next(step for step in row if _SLOT[step[2]] == 2)
-    arc = next(step for step in row if _SLOT[step[2]] != 2)
-    dmid, drho, state, slen, dkey, _, _ = straight
-    walks = rlen = 0
-    for k in range(points):
-        walks += rec(cm, (arc,), rlen, key)
-        if k == points - 1:
-            break
-        occ[(cm >> 1) + drho] = state
-        cm += dmid
-        visited.add(cm)
-        key += dkey
-        rlen += slen
-        counts[key] = counts.get(key, 0) + 1  # k + 1 straights
-        walks += 1
-    for key, n in half.items():
-        mkey = mirror(key)
-        counts[key] = counts.get(key, 0) + n
-        counts[mkey] = counts.get(mkey, 0) + n
+    rec = _searcher(max_length, lens, visited, occ, counts, None, [], dead)
+    arcs = [step for step in row if _SLOT[step[2]] != 2]
+    dmid, drho, state, slen, dkey, _, _ = _straight(row)
+    walks = rlen = laid = 0
+    for k, arc in jobs:
+        while laid < k:
+            occ[(cm >> 1) + drho] = state
+            cm += dmid
+            visited.add(cm)
+            key += dkey
+            rlen += slen
+            laid += 1
+        walks += rec(cm, (arcs[arc],), rlen, key)
     return walks
+
+
+def _add(counts: dict, part: dict, mirror: Callable[[int], int] | None) -> None:
+    """``counts[key] += n`` over ``part``, and at ``mirror(key)`` if given."""
+    for key, n in part.items():
+        counts[key] = counts.get(key, 0) + n
+        if mirror is not None:
+            key = mirror(key)
+            counts[key] = counts.get(key, 0) + n
 
 
 def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
@@ -492,8 +491,8 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
 
     The walks of k straights along the axis, k = 0..T, are their own
     mirror images and are counted once.  Every other walk leaves the axis
-    first by the bottom or the top arc of some R(k, 0); the search visits
-    one of the two and adds each of their keys mirrored as well.
+    first by the bottom or the top arc of some R(k, 0); the axis jobs of
+    the first search those and add each of their keys mirrored as well.
     The returned ``walks`` is the number of walks visited.
     """
     max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
@@ -504,7 +503,11 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     lens = UNIT_RULE.as_tuple()
     cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
     key = _pack_domain_key(cm, 0, 0, 0)
-    counts[key] = counts.get(key, 0) + 1  # the empty walk
+    # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is blocked
+    row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
+    points, straight = domain.T + 1, _straight(row)[4]
+    for k in range(points):  # the empty walk and the walks of straights
+        counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
     heads: dict = {}
 
     def mirror(key):
@@ -514,13 +517,12 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
             head = heads[above] = _mirror_head(above)
         return head | _mirror_profile(key & _PROFILE_MASK)
 
-    # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is blocked
-    row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
-    walks = _axis_mirror_counts(max_steps, lens, row, cm, key,
-                                dict.fromkeys(_ring(domain), _BLOCKED),
-                                domain.T + 1, counts, mirror,
-                                _dead_ends(domain, cm))
-    return EnumerationStats(walks=1 + walks)
+    half: dict = {}
+    walks = _axis_walks(max_steps, lens, row, cm, key,
+                        dict.fromkeys(_ring(domain), _BLOCKED),
+                        _axis_jobs(points, True), half, _dead_ends(domain, cm))
+    _add(counts, half, mirror)
+    return EnumerationStats(walks=points + walks)
 
 
 def profile_weight(profile, tables) -> float:
@@ -693,38 +695,46 @@ def enumerate_walks(
 # combinatorial aggregates are cached and re-weighted per family.
 
 
-def _mirrored_free_counts(n_max: int, rule: LengthRule, orient: str,
-                          counts: dict) -> EnumerationStats:
+def _free_job(args) -> tuple[dict, int]:
+    """(counts[pk], walks) over the sign +1 free-lattice walks of the axis
+    jobs in ``args`` = (n_max, lens, orient, jobs); a pool task."""
+    n_max, lens, orient, jobs = args
+    hv = _HV[orient]
+    counts: dict = {}
+    walks = _axis_walks(n_max, lens, _step_rows(lens, False)[(hv, 1)],
+                        _pack_mid(0, 0, hv), 0, {}, jobs, counts)
+    return counts, walks
+
+
+def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
+                 workers: int = 1) -> EnumerationStats:
     """``counts[pk] += n`` over the free-lattice walks whose first step
-    crosses with sign +1 (the empty walk included), searching about half
-    of them by ``_axis_mirror_counts``; right only when
-    ``rule.mirror_symmetric``.  The returned ``walks`` is the number of
-    walks visited.
-    """
-    # checks the budget as the full search does, and counts the empty walk
+    crosses with sign +1 (the empty walk included).  The axis jobs run in
+    this process or, for ``workers`` > 1, one per task on a pool of at most
+    that many processes.  The returned ``walks`` is the number of walks
+    visited."""
+    # checks the budget before any pool starts, and counts the empty walk
     stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(),
                                  counts=counts)
     lens = rule.as_tuple()
-    hv = _HV[orient]
-    stats.walks += _axis_mirror_counts(
-        n_max, lens, _step_rows(lens, False)[(hv, 1)], _pack_mid(0, 0, hv), 0,
-        {}, n_max // rule.len_straight + 1, counts, _mirror_profile)
-    return stats
+    points = n_max // rule.len_straight + 1
+    straight = _straight(_step_rows(lens, False)[(_HV[orient], 1)])[4]
+    for k in range(1, points):  # the walks of straights
+        counts[k * straight] = counts.get(k * straight, 0) + 1
+    stats.walks += points - 1
+    jobs = _axis_jobs(points, rule.mirror_symmetric)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _free_counts(n_max: int, rule: LengthRule, orient: str,
-                 first_step: int | None = None) -> dict:
-    """counts[pk] over the free-lattice walks whose first step crosses
-    with sign +1 (the empty walk included): the mirror-halved search for a
-    mirror-symmetric rule, else the full one, or the walks through root
-    ``first_step`` alone."""
-    counts: dict = {}
-    if first_step is None and rule.mirror_symmetric:
-        _mirrored_free_counts(n_max, rule, orient, counts)
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            parts = list(pool.map(_free_job, [(n_max, lens, orient, [job])
+                                              for job in jobs]))
     else:
-        run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(1,),
-                             first_step=first_step, counts=counts)
-    return counts
+        parts = [_free_job((n_max, lens, orient, jobs))]
+    for part, walks in parts:
+        _add(counts, part, _mirror_profile if rule.mirror_symmetric else None)
+        stats.walks += walks
+    return stats
 
 
 def _both_signs(counts: dict, rule: LengthRule) -> dict:
@@ -754,37 +764,23 @@ def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
     others) and, under a mirror-symmetric rule, about half of those (the
     mirror through the axis gives the rest).
     """
-    return _both_signs(_free_counts(n_max, rule, orient), rule)
-
-
-def _free_prefix_aggregate(args):
-    n_max, rule_tuple, orient, idx = args
-    return _free_counts(n_max, LengthRule(*rule_tuple), orient, idx)
+    counts: dict = {}
+    _free_counts(n_max, rule, orient, counts)
+    return _both_signs(counts, rule)
 
 
 def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
                                  orient: str = "H", workers: int = 1) -> dict:
-    """Prefix-parallel version of ``free_walk_aggregate``.
-
-    One job per sign +1 first step; partial counts are summed, so the
-    result is identical to the sequential one, keys in the same order
-    (the empty walk, which every job counts, is set back to one).  A
-    mirror-symmetric rule gets the cached ``free_walk_aggregate``: its
-    mirror-halved search in one process beats the full jobs on two.
-    """
-    if workers <= 1 or rule.mirror_symmetric:
+    """``free_walk_aggregate`` with its axis jobs mapped over a pool of at
+    most ``workers`` processes, for any rule; one worker gets the cached
+    aggregate.  The parent checks the budget before the pool starts, sums
+    the jobs' counts and adds the mirror, so the result equals the
+    sequential one, keys in the same order."""
+    if workers <= 1:
         return free_walk_aggregate(n_max, rule, orient)
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(n_max, rule.as_tuple(), orient, k)
-            for k in range(len(_CANDIDATES[(_HV[orient], 1)]))]
-    total: dict = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_free_prefix_aggregate, jobs):
-            for pk, n in part.items():
-                total[pk] = total.get(pk, 0) + n
-    total[0] = 1
-    return _both_signs(total, rule)
+    counts: dict = {}
+    _free_counts(n_max, rule, orient, counts, workers)
+    return _both_signs(counts, rule)
 
 
 def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,

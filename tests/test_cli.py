@@ -179,11 +179,29 @@ def test_threads_flag_matches_sequential(capsys):
     code2, out2 = run_cli(capsys, "--threads", "2", "series", "--n-max", "5")
     assert code1 == code2 == 0
     assert out1 == out2
-    # byte for byte: the float sums run over one key order
-    code1, out1 = run_cli(capsys, "--threads", "1", "honeycomb", "--n-max", "10")
-    code2, out2 = run_cli(capsys, "--threads", "2", "honeycomb", "--n-max", "10")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # byte for byte: the float sums run over one key order; every rule,
+    # the unit rule included, runs the pool on two workers
+    for argv in (["honeycomb", "--n-max", "10"], ["series", "--n-max", "9"],
+                 ["series", "--rule", "1,2,1", "--n-max", "9"]):
+        code1, out1 = run_cli(capsys, "--threads", "1", *argv)
+        code2, out2 = run_cli(capsys, "--threads", "2", *argv)
+        assert code1 == code2 == 0, argv
+        assert out1 == out2, argv
+
+
+def test_parallel_budget_is_refused_before_the_pool(monkeypatch, capsys):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "honeycomb", "--n-max", "41"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the cap 40" in captured.err
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -15,3 +15,15 @@ def test_scripts_run_to_completion():
             env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
             capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, (argv, out.stderr)
+
+
+def test_growth_series_worker_count():
+    # a worker count below 1 is refused as the CLI refuses it
+    for argv, code in ((["--workers", "2", "--n-max", "6"], 0),
+                       (["--workers", "0"], 2), (["--workers", "-1"], 2)):
+        out = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "growth_series.py"),
+             *argv],
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == code, (argv, out.stderr)

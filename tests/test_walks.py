@@ -312,12 +312,12 @@ def test_honeycomb_rule_lengths():
 
 def test_prefix_parallel_matches_sequential():
     # equal counts with keys in one sorted order, so float re-weights sum
-    # in the same order on both paths; the arcs of every rule differ in
-    # length, so each case runs the pool
+    # in the same order on both paths; every rule runs the pool, the unit
+    # rule its mirrored jobs
     for n_max, rule, orient in [(6, LengthRule(2, 1, 1), "H"),
                                 (9, LengthRule(1, 2, 1), "V"),
-                                (12, HONEYCOMB_RULE, "V")]:
-        assert not rule.mirror_symmetric
+                                (12, HONEYCOMB_RULE, "V"),
+                                (9, UNIT_RULE, "V")]:
         seq = free_walk_aggregate(n_max, rule, orient)
         par = free_walk_aggregate_parallel(n_max, rule, orient, workers=2)
         assert list(par.items()) == list(seq.items())
@@ -383,10 +383,10 @@ def test_free_histogram_invariant_under_reflection():
 
 
 def _mirrored_and_full(orient, n_max, rule):
-    from skewsaw.walks import _mirrored_free_counts
+    from skewsaw.walks import _free_counts
 
     half: dict = {}
-    visited = _mirrored_free_counts(n_max, rule, orient, half).walks
+    visited = _free_counts(n_max, rule, orient, half).walks
     full: dict = {}
     n_full = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule,
                                   signs=(1,), counts=full).walks
@@ -418,19 +418,43 @@ def test_mirrored_free_search_holds_for_every_mirror_symmetric_rule(rule):
 
 
 @pytest.mark.parametrize("orient", ["H", "V"])
-def test_mirror_fold_is_wrong_when_the_arcs_differ_in_length(orient):
+def test_mirror_fold_is_wrong_when_the_arcs_differ_in_length(orient, monkeypatch):
     # with arcs of two lengths the mirror maps walks onto walks of another
-    # length, so the fold is guarded off and the full sign +1 search stays
+    # length, so the fold is guarded off and the jobs of both arcs run
     assert not HONEYCOMB_RULE.mirror_symmetric
+    monkeypatch.setattr(LengthRule, "mirror_symmetric", property(lambda _: True))
     for n_max in (4, 12):
         half, _, full, _ = _mirrored_and_full(orient, n_max, HONEYCOMB_RULE)
         assert half != full
 
 
-def test_mirror_symmetric_rule_skips_the_pool():
-    # the mirror-halved search in one process serves every worker count
-    agg = free_walk_aggregate(9, UNIT_RULE, "V")
-    assert free_walk_aggregate_parallel(9, UNIT_RULE, "V", workers=2) is agg
+@pytest.mark.parametrize("rule,n_max,jobs", [
+    (UNIT_RULE, 9, 10), (HONEYCOMB_RULE, 4, 6), (HONEYCOMB_RULE, 0, 2),
+], ids=["unit-9", "honeycomb-4", "honeycomb-0"])
+def test_pool_is_capped_at_its_job_count(monkeypatch, rule, n_max, jobs):
+    # the fork start method starts every worker at the first submit, so a
+    # huge worker count would start that many processes for a few jobs
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    par = free_walk_aggregate_parallel(n_max, rule, "V", workers=3000)
+    assert sizes == [jobs]
+    assert list(par.items()) == list(free_walk_aggregate(n_max, rule, "V").items())
 
 
 # every (T, L) of at most 12 rhombi, and 4x2
@@ -438,12 +462,12 @@ MIRROR_SHAPES = [(T, L) for T in range(1, 13) for L in range(6)
                  if (2 * L + 1) * T <= 12] + [(4, 2)]
 
 
-def _full_domain_counts(domain, first_step=None):
+def _full_domain_counts(domain):
     counts: dict = {}
     cap = 2 * domain.n_rhombi + 2
     stats = run_walk_enumeration(domain.origin, cap, UNIT_RULE, domain,
                                  signs=(domain.origin_sign,), step_cap=cap,
-                                 first_step=first_step, counts=counts)
+                                 counts=counts)
     return counts, stats.walks
 
 
@@ -463,22 +487,33 @@ def test_mirrored_domain_search_equals_the_full_search(T, L):
 
 @pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (1, 3), (4, 2)])
 def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
-    from skewsaw.walks import (_HV, _PROFILE_BITS, _PROFILE_MASK, _mirror_head,
-                               _mirror_profile, _pack_domain_key, _pack_mid)
+    from skewsaw.walks import (_BLOCKED, _HV, _PROFILE_BITS, _PROFILE_MASK,
+                               _axis_walks, _dead_ends, _mirror_head,
+                               _mirror_profile, _pack_domain_key, _pack_mid,
+                               _ring, _step_rows)
 
     def mirror(key):
         return (_mirror_head(key >> _PROFILE_BITS)
                 | _mirror_profile(key & _PROFILE_MASK))
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
-    empty = _pack_domain_key(_pack_mid(0, 0, _HV["V"]), 0, 0, 0)
-    # first steps in root order: bottom arc, top arc, straight
+    cm = _pack_mid(0, 0, _HV["V"])
+    empty = _pack_domain_key(cm, 0, 0, 0)
+    row = _step_rows(UNIT_RULE.as_tuple(), True)[(_HV["V"], domain.origin_sign)]
+    # the first steps: the k = 0 axis jobs of both arcs, then the straight
     subtrees = []
-    for idx in range(3):
-        counts, _ = _full_domain_counts(domain, idx)
-        counts = Counter(counts)
-        counts[empty] -= 1  # every root's search counts the empty walk
-        subtrees.append(+counts)
+    for arc in range(2):
+        counts: dict = {}
+        _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), row, cm, empty,
+                    dict.fromkeys(_ring(domain), _BLOCKED), [(0, arc)], counts,
+                    _dead_ends(domain, cm))
+        subtrees.append(Counter(counts))
+    straight = Counter(_full_domain_counts(domain)[0])
+    for sub in subtrees:
+        straight.subtract(sub)
+    straight[empty] -= 1  # the empty walk takes no first step
+    assert min(straight.values()) >= 0
+    subtrees.append(+straight)
     for sub in subtrees:
         assert all(mirror(mirror(k)) == k for k in sub)
 
