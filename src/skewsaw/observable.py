@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import _HV_NAME, _domain_histogram, _group, _weigh, domain_counts
+from .walks import (
+    _HV_NAME,
+    _domain_histogram,
+    _group_by_end,
+    _group_packed,
+    _unpack_head,
+    _weigh,
+    domain_counts,
+)
 # not used here: the benchmark's tracer test reads observable.profile_weight
 # and observable.run_walk_enumeration
 from .walks import profile_weight, run_walk_enumeration  # noqa: F401
@@ -46,19 +54,20 @@ class ObservableTable:
 
 # Largest domain the exhaustive pass will attempt; beyond 24 rhombi the
 # walk tree outgrows a desk-scale run (a cold 8x1, 559,489 walks, takes
-# 0.50-0.58 s, search and decoding, on one core of a 2-vCPU Xeon VM under
-# Python 3.11).
+# 0.44-0.58 s, search and sorting into the packed histogram, on one core
+# of a 2-vCPU Xeon VM under Python 3.11).
 DOMAIN_RHOMBUS_BUDGET = 24
 
 
 @lru_cache(maxsize=128)
-def domain_walk_aggregate(T: int, L: int) -> dict:
-    """counts[(end, dtheta, dpmt, profile)] over all in-domain walks,
-    with keys in sorted order.
+def _domain_packed(T: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(keys, counts): the walks in the T x L domain counted by
+    ``domain_counts`` under their packed int keys, keys sorted.
 
     Enumeration is purely combinatorial (independent of theta and of any
-    weight family), so one pass serves every angle, spin and fugacity.
-    The empty walk appears as ((origin), 0, 0, zero-profile).
+    weight family), so one search per shape serves every angle, spin and
+    fugacity.  Every domain histogram below is read off this one, and
+    tuples keep any reader from changing it.
     """
     if (2 * L + 1) * T > DOMAIN_RHOMBUS_BUDGET:
         raise ValueError(
@@ -67,13 +76,28 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
         )
     counts: dict = {}
     domain_counts(ParallelogramDomain(T, L, math.pi / 2), counts)
-    return _domain_histogram(counts)
+    keys = sorted(counts)
+    return tuple(keys), tuple(map(counts.__getitem__, keys))
+
+
+@lru_cache(maxsize=128)
+def domain_walk_aggregate(T: int, L: int) -> dict:
+    """counts[(end, dtheta, dpmt, profile)] over all in-domain walks,
+    with keys in sorted order.
+
+    Decoded on demand from ``_domain_packed`` (no second search) for the
+    readers of tuple keys; the identities and the observable read the
+    packed histogram instead.  The empty walk appears as ((origin), 0, 0,
+    zero-profile).
+    """
+    return _domain_histogram(*_domain_packed(T, L))
 
 
 @lru_cache(maxsize=128)
 def _domain_groups(T: int, L: int) -> tuple[list, dict]:
-    """``domain_walk_aggregate(T, L)`` grouped for ``_weigh``."""
-    return _group(domain_walk_aggregate(T, L))
+    """``_group(domain_walk_aggregate(T, L))``, in value and in order,
+    for ``_weigh``, grouped straight from the packed histogram."""
+    return _group_packed(zip(*_domain_packed(T, L)), _unpack_head)
 
 
 def observable(domain: ParallelogramDomain, sigma: float,
@@ -185,20 +209,20 @@ def _side_marginal(T: int, L: int) -> tuple[list, dict]:
     """counts[(side, profile)] over the walks that end on a side of the
     domain, the empty walk excluded, grouped for ``_weigh``:
     ``domain_walk_aggregate`` with the turns summed out and each end
-    replaced by its side."""
+    replaced by its side, in value and in order.
+
+    Read straight off the packed histogram by ``_group_by_end``, with
+    no tuple histogram in between.
+    """
     domain = ParallelogramDomain(T, L, math.pi / 2)
-    sides: dict = {}
-    out: dict = {}
-    for (end, _dth, _dpm, profile), n in domain_walk_aggregate(T, L).items():
-        side = sides.get(end)
-        if side is None:
-            m = MidEdge(end[0], end[1], _HV_NAME[end[2]])
-            # the empty walk is the only walk that ends at its start
-            side = sides[end] = None if m == domain.origin else domain.side_of(m)
-        if side in _SIDES:
-            key = (side, profile)
-            out[key] = out.get(key, 0) + n
-    return _group(out)
+
+    def side(end):
+        m = MidEdge(end[0], end[1], _HV_NAME[end[2]])
+        # the empty walk is the only walk that ends at its start
+        name = None if m == domain.origin else domain.side_of(m)
+        return name if name in _SIDES else None
+
+    return _group_by_end(*_domain_packed(T, L), side)
 
 
 def strip_sums(T: int, L: int, x: float, theta) -> StripSums:

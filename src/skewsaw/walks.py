@@ -15,8 +15,9 @@ over exact integer state:
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
   pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
-  histogram that ``_group`` has grouped once by head (the key without
-  its profile), each distinct profile stored and weighed once.
+  histogram that ``_group`` (``_group_packed`` for packed domain keys)
+  has grouped once by head (the key without its profile), each distinct
+  profile stored and weighed once.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -52,12 +53,13 @@ walk, and is the oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import (
     PASSAGE,
@@ -178,6 +180,10 @@ def _pack_domain_key(mid: int, dth: int, dpm: int, pk: int) -> int:
             + dpm + _TURN_BIAS << _PROFILE_BITS) + pk
 
 
+# a domain key shifted right by _END_SHIFT holds its end mid-edge alone
+_END_SHIFT = _PROFILE_BITS + 2 * _TURN_BITS
+
+
 def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
     """(end, dtheta, dpmt) from a domain key shifted right by the profile."""
     return (_unpack_mid(above >> 2 * _TURN_BITS),
@@ -185,22 +191,64 @@ def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
             (above & _TURN_MASK) - _TURN_BIAS)
 
 
-def _domain_histogram(counts: dict) -> dict:
-    """Sorted counts by (end, dtheta, dpmt, profile), each distinct
-    (end, dtheta, dpmt) and profile decoded and stored once; drains
-    ``counts``."""
-    keys, out, heads, profiles = sorted(counts, reverse=True), {}, {}, {}
-    while keys:  # popped off the sort, each key is freed once decoded
-        key = keys.pop()
-        above, pk = key >> _PROFILE_BITS, key & _PROFILE_MASK
-        head = heads.get(above)
-        if head is None:
-            head = heads[above] = _unpack_head(above)
-        profile = profiles.get(pk)
-        if profile is None:
-            profile = profiles[pk] = _unpack_profile(pk)
-        out[(*head, profile)] = counts.pop(key)
-    return out
+def _group_packed(items: Iterable[tuple[int, int]],
+                  head: Callable[[int], tuple]) -> tuple[list, dict]:
+    """``_group`` of {(*head(key >> _PROFILE_BITS), profile): n} over the
+    packed (key, n) ``items``, read straight off the ints: each distinct
+    head and each distinct packed profile is decoded once, and no tuple
+    key is built.  This is the one decoder of packed domain keys."""
+    index: dict = {}
+    groups: dict = {}
+    for key, n in items:
+        pk = key & _PROFILE_MASK
+        k = index.get(pk)
+        if k is None:
+            k = index[pk] = len(index)
+        above = key >> _PROFILE_BITS
+        group = groups.get(above)
+        if group is None:
+            group = groups[above] = ([], [])
+        group[0].append(k)
+        group[1].append(n)
+    return (list(map(_unpack_profile, index)),
+            {head(above): group for above, group in groups.items()})
+
+
+def _group_by_end(keys: Sequence[int], counts: Sequence[int],
+                  label: Callable[[tuple[int, int, int]], object]
+                  ) -> tuple[list, dict]:
+    """``_group`` of counts[(label(end), profile)] over sorted packed domain
+    keys and their counts, the turns summed out and the ends labelled
+    None left out; heads and profiles in first-met order.
+
+    Sorted keys hold each end's walks in one run, so each end is decoded
+    and labelled once and the runs of ends left out are skipped whole.
+    """
+    labels: list = []
+    out: dict = {}
+    lo = 0
+    while lo < len(keys):
+        end = keys[lo] >> _END_SHIFT
+        hi = bisect_left(keys, end + 1 << _END_SHIFT, lo)
+        name = label(_unpack_mid(end))
+        if name is not None:
+            if name not in labels:
+                labels.append(name)
+            head = labels.index(name) << _PROFILE_BITS
+            for key, n in zip(keys[lo:hi], counts[lo:hi]):
+                key = head | key & _PROFILE_MASK
+                out[key] = out.get(key, 0) + n
+        lo = hi
+    return _group_packed(out.items(), lambda k: (labels[k],))
+
+
+def _domain_histogram(keys: Iterable[int], counts: Iterable[int]) -> dict:
+    """counts[(end, dtheta, dpmt, profile)] over packed domain keys and
+    their counts, decoded by ``_group_packed``, which leaves both
+    unchanged.  Sorted keys give the tuples in sorted order."""
+    profiles, heads = _group_packed(zip(keys, counts), _unpack_head)
+    return {(*head, profiles[k]): n
+            for head, (idx, ns) in heads.items() for k, n in zip(idx, ns)}
 
 
 _HV = {"H": 0, "V": 1}

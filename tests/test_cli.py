@@ -263,6 +263,21 @@ def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
     assert "error:" in captured.err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["parallelogram", "--T", "5", "--L", "2"],
+    ["verify-cr", "--T", "25", "--L", "0"],
+    ["strip", "--T", "1", "--L", "12"],
+], ids=" ".join)
+def test_domain_over_the_rhombus_budget_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: domain of 25 rhombi exceeds the "
+                            "enumeration budget of 24\n")
+
 def test_zero_fugacity_is_accepted(capsys):
     code, out = run_cli(capsys, "parallelogram", "--T", "2", "--L", "1",
                         "--x-over-xc", "0")

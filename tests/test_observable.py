@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import sys
 
 import pytest
 
@@ -291,3 +292,90 @@ def test_side_marginal_strip_sums_match_the_full_histogram(theta, x_ratio):
         assert (s.A, s.B, s.D, s.E) == pytest.approx(
             (sides["alpha"], sides["beta"], sides["delta"], sides["epsilon"]),
             rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# One packed histogram per shape: every domain path reads it, none changes it.
+
+def _clear_domain_caches():
+    # the package exports the function observable, which hides the module
+    obs = sys.modules["skewsaw.observable"]
+    for cached in (obs._domain_packed, obs.domain_walk_aggregate,
+                   obs._domain_groups, obs._side_marginal):
+        cached.cache_clear()
+
+
+def _domain_readings(T, L, order):
+    theta = 1.2
+    out = {}
+    for name in order:
+        if name == "hist":
+            from skewsaw.observable import domain_walk_aggregate
+
+            hist = domain_walk_aggregate(T, L)
+            out[name] = (dict(hist), list(hist))
+        elif name == "sums":
+            out[name] = strip_sums(T, L, critical_weights(theta).x_c, theta)
+        else:
+            out[name] = observable(ParallelogramDomain(T, L, theta), 5 / 8).values
+    return out
+
+
+@pytest.mark.parametrize("T,L", [(2, 2), (4, 1)])
+def test_tuple_histogram_leaves_the_packed_cache_unchanged(T, L):
+    from skewsaw.observable import _domain_packed
+
+    _clear_domain_caches()
+    first = _domain_readings(T, L, ("hist", "sums", "observable"))
+    packed = _domain_packed(T, L)
+    _clear_domain_caches()
+    second = _domain_readings(T, L, ("sums", "observable", "hist"))
+    assert _domain_packed(T, L) == packed
+    assert first == second  # sums, values and tuple keys, bit for bit
+    assert first["sums"].A > 0 and sum(first["hist"][0].values()) > 1
+
+
+def test_identities_build_no_tuple_histogram(monkeypatch):
+    obs, walks = sys.modules["skewsaw.observable"], sys.modules["skewsaw.walks"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple-keyed domain histogram was built")
+
+    _clear_domain_caches()
+    for module in (obs, walks):
+        monkeypatch.setattr(module, "_domain_histogram", refuse)
+    monkeypatch.setattr(obs, "domain_walk_aggregate", refuse)
+    monkeypatch.setattr(walks, "_group", refuse)
+    theta = 1.2
+    x = critical_weights(theta).x_c
+    for T, L in [(2, 2), (4, 1)]:
+        assert strip_sums(T, L, x, theta).residual < 1e-10
+        table = observable(ParallelogramDomain(T, L, theta), 5 / 8)
+        assert max_cr_residual(table) < 1e-10
+        plus, minus = alpha_winding_split(T, L, x, theta)
+        assert plus > 0 and minus > 0
+        assert abs(obs.real_part_diagnostic(T, L, theta)) < 1e-10
+
+
+def test_tuple_histogram_reuses_the_search(monkeypatch):
+    from skewsaw.observable import _domain_packed, domain_walk_aggregate
+
+    obs = sys.modules["skewsaw.observable"]
+    calls = []
+    search = obs.domain_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "domain_counts", counted)
+    _clear_domain_caches()
+    theta = 1.2
+    strip_sums(4, 1, critical_weights(theta).x_c, theta)
+    assert len(calls) == 1
+    hist = domain_walk_aggregate(4, 1)
+    observable(ParallelogramDomain(4, 1, theta), 5 / 8)
+    assert len(calls) == 1
+    assert sum(hist.values()) == sum(_domain_packed(4, 1)[1])
+    # the perfbench gate reads all 39 shapes of budget 20 after the run
+    assert _domain_packed.cache_info().maxsize >= 39
