@@ -171,11 +171,17 @@ def _passages() -> dict:
 PASSAGE = _passages()
 
 
+# side index by the offset (m.i - r.i, m.j - r.j, m.orient) of a side m of r
+_SIDE_AT = {(m.i, m.j, m.orient): k
+            for k, m in enumerate(Rhombus(0, 0).mid_edges())}
+
+
 def _side_position(r: Rhombus, m: MidEdge) -> int:
-    sides = r.mid_edges()
-    if m not in sides:
+    """The index of ``m`` in ``r.mid_edges()``, found without building them."""
+    side = _SIDE_AT.get((m.i - r.i, m.j - r.j, m.orient))
+    if side is None:
         raise ValueError(f"{m} is not a mid-edge of {r}")
-    return sides.index(m)
+    return side
 
 
 @dataclass(frozen=True, order=True)

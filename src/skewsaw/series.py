@@ -181,13 +181,16 @@ class HoneycombComparison:
 
 def honeycomb_crosscheck(n_max: int, workers: int = 1) -> HoneycombComparison:
     """Compare rhombic weighted sums at theta=pi/3, rule (1,2,2), against
-    u1^n times the independent honeycomb oracle count."""
+    u1^n times the independent honeycomb oracle count.
+
+    The oracle count and the image check of every walk up to length 7
+    are the parent's own work: with ``workers`` > 1 they run in this
+    process while the pool searches the rhombic walks, and with one
+    worker after the cached aggregate.  The pool is joined before this
+    returns, also when either of them raises."""
     theta = math.pi / 3
     w = critical_weights(theta)
-    sums = weighted_length_sums(n_max, theta, w, HONEYCOMB_RULE, "V", workers)
-    oracle = count_midedge_saws(n_max, start_class=1, forbidden_end_class=0)
-    expected = [w.u1 ** n * oracle[n] for n in range(n_max + 1)]
-
+    oracle: list[int] = []
     checked = 0
     valid = True
 
@@ -197,9 +200,16 @@ def honeycomb_crosscheck(n_max: int, workers: int = 1) -> HoneycombComparison:
         if not is_valid_hex_image(walk):
             valid = False
 
-    image_budget = min(n_max, 7)  # image validation is per-walk, keep it light
-    enumerate_walks(MidEdge(0, 0, "V"), image_budget, HONEYCOMB_RULE,
-                    visitor=visit)
+    def parent_work() -> None:
+        oracle.extend(count_midedge_saws(n_max, start_class=1,
+                                         forbidden_end_class=0))
+        image_budget = min(n_max, 7)  # image validation is per-walk, keep it light
+        enumerate_walks(MidEdge(0, 0, "V"), image_budget, HONEYCOMB_RULE,
+                        visitor=visit)
+
+    sums = weighted_length_sums(n_max, theta, w, HONEYCOMB_RULE, "V", workers,
+                                meanwhile=parent_work)
+    expected = [w.u1 ** n * oracle[n] for n in range(n_max + 1)]
     return HoneycombComparison(
         n_max=n_max,
         weighted_sums=tuple(sums),

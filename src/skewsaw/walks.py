@@ -755,12 +755,14 @@ def _free_job(args) -> tuple[dict, int]:
 
 
 def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
-                 workers: int = 1) -> EnumerationStats:
+                 workers: int = 1,
+                 meanwhile: Callable[[], None] | None = None) -> EnumerationStats:
     """``counts[pk] += n`` over the free-lattice walks whose first step
     crosses with sign +1 (the empty walk included).  The axis jobs run in
     this process or, for ``workers`` > 1, one per task on a pool of at most
-    that many processes.  The returned ``walks`` is the number of walks
-    visited."""
+    that many processes; ``meanwhile`` is then called in this process
+    while the pool searches, before the jobs' counts are collected.  The
+    returned ``walks`` is the number of walks visited."""
     # checks the budget before any pool starts, and counts the empty walk
     stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(),
                                  counts=counts)
@@ -774,9 +776,13 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # leaving the block joins the pool, also when ``meanwhile`` raises
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = list(pool.map(_free_job, [(n_max, lens, orient, [job])
-                                              for job in jobs]))
+            parts = pool.map(_free_job, [(n_max, lens, orient, [job])
+                                         for job in jobs])
+            if meanwhile is not None:
+                meanwhile()
+            parts = list(parts)
     else:
         parts = [_free_job((n_max, lens, orient, jobs))]
     for part, walks in parts:
@@ -818,28 +824,44 @@ def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
 
 
 def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
-                                 orient: str = "H", workers: int = 1) -> dict:
+                                 orient: str = "H", workers: int = 1, *,
+                                 meanwhile: Callable[[], None] | None = None
+                                 ) -> dict:
     """``free_walk_aggregate`` with its axis jobs mapped over a pool of at
     most ``workers`` processes, for any rule; one worker gets the cached
     aggregate.  The parent checks the budget before the pool starts, sums
     the jobs' counts and adds the mirror, so the result equals the
-    sequential one, keys in the same order."""
+    sequential one, keys in the same order.
+
+    ``meanwhile``, if given, is the parent's own work: it is called once
+    the jobs are on the pool, while the pool searches, and before their
+    counts are collected; with one worker, after the cached aggregate.
+    Its exception propagates once the pool is joined."""
     if workers <= 1:
-        return free_walk_aggregate(n_max, rule, orient)
+        agg = free_walk_aggregate(n_max, rule, orient)
+        if meanwhile is not None:
+            meanwhile()
+        return agg
     counts: dict = {}
-    _free_counts(n_max, rule, orient, counts, workers)
+    _free_counts(n_max, rule, orient, counts, workers, meanwhile)
     return _both_signs(counts, rule)
 
 
 def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,
                          rule: LengthRule = UNIT_RULE, orient: str = "H",
-                         workers: int = 1) -> list[float]:
-    """Sum of walk weights per exact length 0..n_max on the free lattice."""
+                         workers: int = 1, *,
+                         meanwhile: Callable[[], None] | None = None
+                         ) -> list[float]:
+    """Sum of walk weights per exact length 0..n_max on the free lattice.
+
+    ``meanwhile`` is passed to ``free_walk_aggregate_parallel``: with
+    ``workers`` > 1 it runs in this process while the pool searches."""
     from .weights import critical_weights
 
     if w is None:
         w = critical_weights(theta)
-    agg = free_walk_aggregate_parallel(n_max, rule, orient, workers)
+    agg = free_walk_aggregate_parallel(n_max, rule, orient, workers,
+                                       meanwhile=meanwhile)
     sums = [0.0] * (n_max + 1)
     for (rlen,), x in _weigh(_group(agg), w).items():
         sums[rlen] = x

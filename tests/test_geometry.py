@@ -12,6 +12,7 @@ from skewsaw.geometry import (
     ParallelogramDomain,
     Rhombus,
     Step,
+    _side_position,
     step_candidates,
 )
 
@@ -81,6 +82,36 @@ def test_each_midedge_borders_two_rhombi_and_rhombus_has_four_midedges():
     assert len(set(mids)) == 4
     for m in mids:
         assert r in m.rhombi()
+
+
+def test_side_position_equals_index_in_mid_edges():
+    for i in range(-3, 4):
+        for j in range(-3, 4):
+            r = Rhombus(i, j)
+            sides = r.mid_edges()
+            for k, m in enumerate(sides):
+                assert _side_position(r, m) == sides.index(m) == k
+            # the sides of the neighbouring rhombi, and their neighbours
+            for di in range(-2, 3):
+                for dj in range(-2, 3):
+                    for orient in "HV":
+                        m = MidEdge(i + di, j + dj, orient)
+                        if m in sides:
+                            continue
+                        with pytest.raises(ValueError, match="is not a mid-edge"):
+                            _side_position(r, m)
+
+
+def test_step_rejects_a_foreign_mid_edge():
+    r = Rhombus(2, -1)
+    bottom, _, top, _ = r.mid_edges()
+    # a side of each neighbouring rhombus that is not a side of r
+    for foreign in (MidEdge(3, -1, "H"), MidEdge(2, 1, "H"),
+                    MidEdge(4, -1, "V"), MidEdge(1, -1, "V")):
+        with pytest.raises(ValueError, match="is not a mid-edge"):
+            Step(r, bottom, foreign)
+        with pytest.raises(ValueError, match="is not a mid-edge"):
+            Step(r, foreign, top)
 
 
 def test_step_candidates_free_lattice():

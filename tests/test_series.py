@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import pytest
 
 from oracles import naive_midedge_saws
+from skewsaw import series
 from skewsaw.geometry import MidEdge
 from skewsaw.honeycomb import _neighbours, count_midedge_saws
 from skewsaw.series import (
@@ -11,7 +13,13 @@ from skewsaw.series import (
     series_report,
     triangle_path,
 )
-from skewsaw.walks import HONEYCOMB_RULE, LengthRule, UNIT_RULE, enumerate_walks
+from skewsaw.walks import (
+    HONEYCOMB_RULE,
+    LengthRule,
+    UNIT_RULE,
+    enumerate_walks,
+    weight_of,
+)
 from skewsaw.weights import critical_weights
 
 
@@ -97,6 +105,61 @@ def test_honeycomb_crosscheck_exact():
     w = critical_weights(math.pi / 3)
     for n, cnt in enumerate(rep.oracle_counts):
         assert rep.weighted_sums[n] == pytest.approx(w.u1 ** n * cnt, rel=1e-12)
+
+
+def test_crosscheck_with_a_pool_equals_one_process():
+    one = honeycomb_crosscheck(12, workers=1)
+    two = honeycomb_crosscheck(12, workers=2)
+    assert two.weighted_sums == one.weighted_sums
+    assert two.oracle_counts == one.oracle_counts
+    assert two.expected_sums == one.expected_sums
+    assert two.images_checked == one.images_checked == 325
+    assert two.images_valid and one.images_valid
+
+
+def test_crosscheck_leaves_no_process_running(monkeypatch):
+    honeycomb_crosscheck(10, workers=2)
+    assert multiprocessing.active_children() == []
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("oracle failed")
+
+    # the oracle runs in the parent while the pool searches
+    monkeypatch.setattr(series, "count_midedge_saws", fail)
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        honeycomb_crosscheck(10, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_crosscheck_reports_a_rejected_image(monkeypatch):
+    # the image check runs in the parent while the pool searches, and its
+    # flag still reaches the report
+    monkeypatch.setattr(series, "is_valid_hex_image", lambda walk: False)
+    rep = honeycomb_crosscheck(8, workers=2)
+    assert rep.images_checked > 0
+    assert not rep.images_valid
+    assert rep.max_relative_error() < 1e-12
+
+
+def test_double_pi_minus_theta_walks_have_no_hexagonal_image():
+    # at pi/3 a double-(pi - theta) rhombus weighs w2 = 0; both of its arcs
+    # cross the diagonal, so the walk visits each of its triangles twice
+    w = critical_weights(math.pi / 3)
+    assert w.w2 == pytest.approx(0.0, abs=1e-12)
+    doubles = []
+
+    def visit(wk):
+        if wk.profile()[4] > 0:
+            doubles.append(wk)
+        else:
+            assert is_valid_hex_image(wk)
+
+    enumerate_walks(MidEdge(0, 0, "V"), 11, HONEYCOMB_RULE, visitor=visit,
+                    signs=(-1,))
+    assert doubles
+    for wk in doubles:
+        assert not is_valid_hex_image(wk)
+        assert weight_of(wk, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triangle_images_are_hexagonal_saws():

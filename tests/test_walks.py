@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -323,6 +325,25 @@ def test_prefix_parallel_matches_sequential():
         par = free_walk_aggregate_parallel(n_max, rule, orient, workers=2)
         assert list(par.items()) == list(seq.items())
         assert list(seq) == sorted(seq)
+
+
+def test_parallel_aggregate_calls_meanwhile_in_the_parent():
+    seen = []
+
+    def meanwhile():
+        seen.append((os.getpid(), len(multiprocessing.active_children())))
+
+    seq = free_walk_aggregate(12, HONEYCOMB_RULE, "V")
+    assert free_walk_aggregate_parallel(12, HONEYCOMB_RULE, "V", 1,
+                                        meanwhile=meanwhile) == seq
+    # two workers: the pool is up while the parent's work runs, joined after
+    par = free_walk_aggregate_parallel(12, HONEYCOMB_RULE, "V", 2,
+                                       meanwhile=meanwhile)
+    assert list(par.items()) == list(seq.items())
+    assert seen[0] == (os.getpid(), 0)
+    assert seen[1][0] == os.getpid() and seen[1][1] >= 1
+    assert len(seen) == 2
+    assert multiprocessing.active_children() == []
 
 
 @given(st.integers(0, 3), st.sampled_from(["H", "V"]))
