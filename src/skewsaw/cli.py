@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -350,7 +351,11 @@ def cmd_enumerate(args):
     return rows, COLUMNS["enumerate"], meta, True
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand's
+    ``fn`` default is the name of its ``cmd_*`` function, which ``main``
+    looks up in this module on every call."""
     parser = argparse.ArgumentParser(
         prog="skewsaw",
         description="weighted self-avoiding walks on the skewed square "
@@ -364,7 +369,6 @@ def main(argv=None) -> int:
                         help="add a timestamp header (off keeps output "
                              "byte-identical across runs)")
     parser.add_argument("--threads",
-                        default=os.environ.get("SKEWSAW_WORKERS", "1"),
                         help="worker processes for the free-lattice search, "
                              "which splits into one job per axis point and "
                              "arc, under any rule (default from "
@@ -377,7 +381,7 @@ def main(argv=None) -> int:
     def add(name, fn, **kw):
         p = sub.add_parser(
             name, epilog="CSV columns: " + ",".join(COLUMNS[name]), **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)
         return p
 
     p = add("weights", cmd_weights, help="print a weight family and its residuals")
@@ -440,15 +444,21 @@ def main(argv=None) -> int:
     p.add_argument("--orient", choices=("H", "V"), default="H")
     p.add_argument("--T", type=int)
     p.add_argument("--L", type=int, default=0)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        args.threads = os.environ.get("SKEWSAW_WORKERS", "1")
     if args.tol is None:
         args.tol = 1e-12 if args.command == "honeycomb" else 1e-10
     try:
         args.threads = parse_workers(args.threads)
         if args.output:
             check_output(args.output)
-        rows, cols, meta, ok = args.fn(args)
+        rows, cols, meta, ok = globals()[args.fn](args)
     except (ValueError, OverflowError) as exc:
         parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     try:

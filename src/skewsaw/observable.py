@@ -54,7 +54,7 @@ class ObservableTable:
 
 # Largest domain the exhaustive pass will attempt; beyond 24 rhombi the
 # walk tree outgrows a desk-scale run (a cold 8x1, 559,489 walks, takes
-# 0.44-0.58 s, search and sorting into the packed histogram, on one core
+# 0.34-0.43 s, search and sorting into the packed histogram, on one core
 # of a 2-vCPU Xeon VM under Python 3.11).
 DOMAIN_RHOMBUS_BUDGET = 24
 

@@ -6,11 +6,14 @@ opposite corners) is re-weighted as a double-arc state rather than a
 product of single arcs.  The enumerator is a depth-first backtracker
 over exact integer state:
 
-* the current and visited mid-edges as packed integers (a hash set for
-  the visited ones), each step adding a fixed offset,
-* per-rhombus plaquette states as small ints in a dict with undo; a
-  domain search starts with the ring of rhombi around the domain
-  blocked,
+* the current mid-edge as a packed integer, each step adding a fixed
+  offset, and no set of visited ones: a step onto a crossed mid-edge
+  passes a rhombus whose state refuses it, so only the start is
+  refused by name,
+* per-rhombus plaquette states as small ints in a dict, read once per
+  node (every step out of a crossing passes the same rhombus, and its
+  state selects the allowed steps) and restored once; a domain search
+  starts with the ring of rhombi around the domain blocked,
 * walk weight as the profile (c1, ..., c5), the counts of rhombi whose
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
@@ -255,31 +258,31 @@ _HV = {"H": 0, "V": 1}
 _HV_NAME = ("H", "V")
 
 
-# _PROMOTE_STEP[prev][state]: (double state, correction) when a single
-# state arrives in a rhombus holding prev, else None; the correction
-# turns a first visit's key increment into a move of prev's count to the
-# double state.  _BLOCKED marks a rhombus no walk may pass.
+# _BLOCKED marks a rhombus no walk may pass.
 _BLOCKED = len(_STATES)
-_PROMOTE_STEP = tuple(
-    tuple(None if (prev, code) not in _PROMOTE else
-          (_PROMOTE[(prev, code)],
-           _INC[_PROMOTE[(prev, code)]] - _INC[prev] - _INC[code])
-          for code in range(len(_STATES)))
-    for prev in range(len(_STATES) + 1))
 
 
 @lru_cache(maxsize=None)
 def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
-    """The steps out of a crossing (hv, sign) at the origin, in the order
-    of geometry.step_candidates, in the search's form for one length rule:
-    per crossing a list of (dmid, drho, state, length, dkey, next row, nsign).
-    dmid and drho are the offsets of the packed exit mid-edge and of the
-    packed rhombus passed from the packed current mid-edge (shifted right
-    by one for the rhombus); dkey is the key increment of a first visit,
-    with dmid and the turn units above the profile for domain keys.
+    """The steps out of a crossing (hv, sign) at the origin in the search's
+    form for one length rule: per crossing a row [drho, by_prev].
+
+    Every step out of a crossing passes the same rhombus, whose packed int
+    is the packed current mid-edge shifted right by one, plus drho.
+    by_prev[prev] lists the steps allowed when that rhombus holds state
+    code prev (``_BLOCKED`` included), in the order of
+    geometry.step_candidates, each as (dmid, state, length, dkey, next
+    row, nsign): dmid is the offset of the packed exit mid-edge from the
+    packed current one, state the rhombus's state after the step and dkey
+    the step's key increment, with dmid and the turn units above the
+    profile for domain keys.  A free rhombus admits the three first-visit
+    steps; a single arc admits at most the arc around the opposite corner,
+    whose dkey moves the first arc's count to the double state; any other
+    state admits none.
     """
     rows: dict = {(hv, sign): [] for hv in (0, 1) for sign in (1, -1)}
     for (hv, sign), row in rows.items():
+        first, drhos = [], set()
         for s in step_candidates(MidEdge(0, 0, _HV_NAME[hv]), sign=sign):
             nhv, nsign, state = _HV[s.dst.orient], s.exit_sign, s.state_code
             dmid = _pack_mid(s.dst.i, s.dst.j, nhv) - _pack_mid(0, 0, hv)
@@ -287,8 +290,20 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
             if domain_keys:
                 dkey += (_pack_domain_key(dmid, *s.turn_units, 0)
                          - _pack_domain_key(0, 0, 0, 0))
-            row.append((dmid, _pack_rho(s.rhombus.i, s.rhombus.j) - _pack_rho(0, 0),
-                        state, lens[_SLOT[state]], dkey, rows[(nhv, nsign)], nsign))
+            drhos.add(_pack_rho(s.rhombus.i, s.rhombus.j) - _pack_rho(0, 0))
+            first.append((dmid, state, lens[_SLOT[state]], dkey,
+                          rows[(nhv, nsign)], nsign))
+        (drho,) = drhos
+        by_prev = [tuple(first)]
+        for prev in range(1, _BLOCKED + 1):
+            steps = []
+            for dmid, state, slen, dkey, nrow, nsign in first:
+                double = _PROMOTE.get((prev, state))
+                if double is not None:
+                    steps.append((dmid, double, slen, dkey + _INC[double]
+                                  - _INC[prev] - _INC[state], nrow, nsign))
+            by_prev.append(tuple(steps))
+        row[:] = [drho, tuple(by_prev)]
     return rows
 
 
@@ -337,66 +352,54 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
     return max_steps
 
 
-def _searcher(max_length: int, lens: tuple[int, int, int], visited: set,
+def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
               occ: dict, counts: dict | None, emit: Callable | None,
               crossings: list, dead: frozenset = frozenset()) -> Callable:
     """The backtracking search as rec(cm, row, rlen, key) -> walks.
 
-    rec tries each step of ``row`` out of packed mid-edge ``cm``, reached
-    at length ``rlen`` with key ``key``, and every walk below it; it counts
-    and returns the walks it finds.  ``visited`` and ``occ`` (the packed
-    rhombi's state codes) hold the walk so far and are restored on return.
-    A walk that reaches a packed mid-edge in ``dead`` is counted and has
-    no children.  No walk passes one, so ``visited`` holds them too, and
-    only a step that meets ``visited`` looks them up.
+    rec tries each step of ``row`` (a ``_step_rows`` row) out of packed
+    mid-edge ``cm``, reached at length ``rlen`` with key ``key``, and every
+    walk below it; it counts and returns the walks it finds.  ``occ`` (the
+    packed rhombi's state codes) holds the walk so far and is restored on
+    return.  A walk that reaches a packed mid-edge in ``dead`` is counted
+    and has no children.
+
+    No visited set is kept.  Both rhombi of a mid-edge the walk has
+    crossed have been passed, so the one a step onto it would pass is
+    double, straight, or holds an arc through that mid-edge, and the row
+    offers no such step.  Only the packed ``start`` can be re-entered, by
+    its other rhombus, and rec refuses it by name.
     """
     # a walk longer than this has no step left in the budget
     leaf_len = max_length - min(lens)
-    visited.update(dead)
-    promote = _PROMOTE_STEP
     occ_get = occ.get
     count_get = counts.get if counts is not None else None
 
     def rec(cm, row, rlen, key):
+        drho, by_prev = row
+        rho = (cm >> 1) + drho
+        prev = occ_get(rho, 0)
         walks = 0
-        base = cm >> 1
-        for dmid, drho, comp, slen, dkey, nrow, nsign in row:
+        for dmid, state, slen, dkey, nrow, nsign in by_prev[prev]:
             nlen = rlen + slen
             if nlen > max_length:
                 continue
             nm = cm + dmid
-            if nm in visited:
-                if nm not in dead:
-                    continue
-                nlen = max_length  # a dead end: counted, not pushed
-            rho = base + drho
-            prev = occ_get(rho, 0)
-            if prev:
-                promoted = promote[prev][comp]
-                if promoted is None:
-                    continue
-                state, fix = promoted
-                nkey = key + dkey + fix
-            else:
-                state = comp
-                nkey = key + dkey
+            if nm == start:
+                continue
+            nkey = key + dkey
             walks += 1
             if counts is not None:
                 counts[nkey] = count_get(nkey, 0) + 1
             if emit is not None:
                 crossings.append((*_unpack_mid(nm), nsign))
                 emit(crossings)
-            if nlen <= leaf_len:  # else childless: nothing to push
+            if nlen <= leaf_len and nm not in dead:  # else childless
                 occ[rho] = state
-                visited.add(nm)
                 walks += rec(nm, nrow, nlen, nkey)
-                visited.remove(nm)
-                if prev:
-                    occ[rho] = prev
-                else:
-                    del occ[rho]
             if emit is not None:
                 crossings.pop()
+        occ[rho] = prev
         return walks
 
     return rec
@@ -439,7 +442,7 @@ def run_walk_enumeration(
         key0 = _pack_domain_key(smid, 0, 0, 0)
         dead = _dead_ends(domain, smid)
     crossings = [(si, sj, shv, 0)]
-    rec = _searcher(max_length, lens, {smid}, occ, counts, emit, crossings, dead)
+    rec = _searcher(max_length, lens, smid, occ, counts, emit, crossings, dead)
 
     # Empty walk.
     if counts is not None:
@@ -448,22 +451,13 @@ def run_walk_enumeration(
         emit(crossings)
     walks = 1
 
-    # Root candidates across the allowed crossing signs, outside the
-    # blocked ring, ordered like geometry.step_candidates (by rhombus, then
-    # exit edge: the packed ints order as their coordinates do).
-    roots = []
-    for sign in (1, -1):
-        if sign not in signs:
-            continue
-        for step in rows[(shv, sign)]:
-            rho = (smid >> 1) + step[1]
-            if rho not in occ:
-                roots.append((rho, smid + step[0], sign, step))
-    roots.sort()
-
-    for _, _, sign, step in roots:
+    # The first steps across the allowed crossing signs, ordered like
+    # geometry.step_candidates: by rhombus (each sign passes one), then by
+    # exit mid-edge, the order of a row's steps.
+    for sign in sorted((s for s in (1, -1) if s in signs),
+                       key=lambda s: rows[(shv, s)][0]):
         crossings[0] = (si, sj, shv, sign)  # crossing sign of the first step
-        walks += rec(smid, (step,), 0, key0)
+        walks += rec(smid, rows[(shv, sign)], 0, key0)
 
     return EnumerationStats(walks=walks)
 
@@ -496,7 +490,8 @@ def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
 
 
 def _straight(row: list) -> tuple:
-    return next(step for step in row if _SLOT[step[2]] == 2)
+    """The straight among a row's first-visit steps."""
+    return next(step for step in row[1][0] if _SLOT[step[1]] == 2)
 
 
 def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
@@ -506,21 +501,24 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
     by k; returns their number.  The axis is the line of straights out of
     packed mid-edge ``cm`` (empty-walk key ``key``, first steps ``row``);
     the job (k, arc) covers the walks that take k straights along it and
-    then leave it by arc number ``arc`` of ``row``."""
-    visited = {cm}
-    rec = _searcher(max_length, lens, visited, occ, counts, None, [], dead)
-    arcs = [step for step in row if _SLOT[step[2]] != 2]
-    dmid, drho, state, slen, dkey, _, _ = _straight(row)
+    then leave it by arc number ``arc`` of ``row``.  The rhombus ahead of
+    every axis point is free or blocked, so a job's row offers its arc to
+    a free rhombus alone."""
+    rec = _searcher(max_length, lens, cm, occ, counts, None, [], dead)
+    drho, by_prev = row
+    blocked = ((),) * (len(by_prev) - 1)
+    arcs = [[drho, ((step,), *blocked)]
+            for step in by_prev[0] if _SLOT[step[1]] != 2]
+    dmid, state, slen, dkey, _, _ = _straight(row)
     walks = rlen = laid = 0
     for k, arc in jobs:
         while laid < k:
             occ[(cm >> 1) + drho] = state
             cm += dmid
-            visited.add(cm)
             key += dkey
             rlen += slen
             laid += 1
-        walks += rec(cm, (arcs[arc],), rlen, key)
+        walks += rec(cm, arcs[arc], rlen, key)
     return walks
 
 
@@ -553,7 +551,7 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     key = _pack_domain_key(cm, 0, 0, 0)
     # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is blocked
     row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
-    points, straight = domain.T + 1, _straight(row)[4]
+    points, straight = domain.T + 1, _straight(row)[3]
     for k in range(points):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
     heads: dict = {}
@@ -768,7 +766,7 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
                                  counts=counts)
     lens = rule.as_tuple()
     points = n_max // rule.len_straight + 1
-    straight = _straight(_step_rows(lens, False)[(_HV[orient], 1)])[4]
+    straight = _straight(_step_rows(lens, False)[(_HV[orient], 1)])[3]
     for k in range(1, points):  # the walks of straights
         counts[k * straight] = counts.get(k * straight, 0) + 1
     stats.walks += points - 1
@@ -776,12 +774,17 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # leaving the block joins the pool, also when ``meanwhile`` raises
+        # leaving the block joins the pool; when ``meanwhile`` raises, the
+        # jobs no worker has started are cancelled first
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = pool.map(_free_job, [(n_max, lens, orient, [job])
                                          for job in jobs])
             if meanwhile is not None:
-                meanwhile()
+                try:
+                    meanwhile()
+                except BaseException:
+                    pool.shutdown(wait=True, cancel_futures=True)
+                    raise
             parts = list(parts)
     else:
         parts = [_free_job((n_max, lens, orient, jobs))]
@@ -836,7 +839,8 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     ``meanwhile``, if given, is the parent's own work: it is called once
     the jobs are on the pool, while the pool searches, and before their
     counts are collected; with one worker, after the cached aggregate.
-    Its exception propagates once the pool is joined."""
+    Its exception cancels the jobs not yet started and propagates once the
+    pool is joined."""
     if workers <= 1:
         agg = free_walk_aggregate(n_max, rule, orient)
         if meanwhile is not None:

@@ -66,8 +66,10 @@ def naive_length(steps: list[Step], rule=(1, 1, 1)) -> int:
     return total
 
 
-def naive_enumerate(start: MidEdge, max_length: int, rule=(1, 1, 1)):
-    """Yield every self-avoiding walk (as a step list) of length <= budget."""
+def naive_enumerate(start: MidEdge, max_length: int, rule=(1, 1, 1),
+                    domain=None):
+    """Every self-avoiding walk (as a step list) of length <= budget, inside
+    ``domain`` if one is given."""
     results: list[list[Step]] = []
 
     def grow(steps: list[Step], visited: list[MidEdge]):
@@ -75,10 +77,10 @@ def naive_enumerate(start: MidEdge, max_length: int, rule=(1, 1, 1)):
         if steps:
             cur = steps[-1].dst
             sign = steps[-1].exit_sign
-            candidates = step_candidates(cur, sign=sign)
+            candidates = step_candidates(cur, domain=domain, sign=sign)
         else:
             cur = start
-            candidates = step_candidates(cur)
+            candidates = step_candidates(cur, domain=domain)
         for cand in candidates:
             if cand.dst in visited:
                 continue

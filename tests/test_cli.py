@@ -283,3 +283,23 @@ def test_zero_fugacity_is_accepted(capsys):
                         "--x-over-xc", "0")
     assert code == 1  # the identity holds at x_c only
     assert out.splitlines()[1].startswith("2,1,")
+
+
+def test_parser_is_built_once_and_reads_the_worker_count_per_call(monkeypatch):
+    import skewsaw.cli as cli
+
+    seen = []
+
+    def record(args):
+        seen.append(args.threads)
+        return [], [], {"command": args.command}, True
+
+    monkeypatch.setattr(cli, "cmd_weights", record)
+    for env in ("2", "3"):
+        monkeypatch.setenv("SKEWSAW_WORKERS", env)
+        assert main(["weights"]) == 0
+    assert main(["--threads", "4", "weights"]) == 0
+    monkeypatch.delenv("SKEWSAW_WORKERS")
+    assert main(["weights"]) == 0
+    assert seen == [2, 3, 4, 1]
+    assert cli._parser() is cli._parser()

@@ -663,3 +663,96 @@ def test_grouped_reweight_sees_a_changed_count():
     assert other[key[:-1]] != sums[key[:-1]]
     del other[key[:-1]], sums[key[:-1]]
     assert other == sums
+
+
+# ---------------------------------------------------------------------------
+# The search keeps no visited set: a step the occupancy rules admit can
+# land on a mid-edge already on the walk only at the start.
+
+def _admitted_returns(start, max_length, domain=None):
+    """The admitted steps, over every walk of at most ``max_length`` steps
+    from ``start`` found by the oracle, that land on a mid-edge the walk
+    has already crossed or started from, as (walk, step) pairs."""
+    from skewsaw.geometry import step_candidates
+    from oracles import replay
+
+    out = []
+    for steps in naive_enumerate(start, max_length, domain=domain):
+        on_walk = {start, *(s.dst for s in steps)}
+        if steps:
+            cands = step_candidates(steps[-1].dst, domain=domain,
+                                    sign=steps[-1].exit_sign)
+        else:
+            cands = step_candidates(start, domain=domain)
+        out += [(steps, c) for c in cands
+                if c.dst in on_walk and replay(steps + [c]) is not None]
+    return out
+
+
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_an_admitted_step_onto_the_walk_lands_on_the_start(orient):
+    start = MidEdge(0, 0, orient)
+    returns = _admitted_returns(start, 8)
+    assert all(step.dst == start for _, step in returns)
+    # the start is re-entered through its other rhombus, so the search
+    # must refuse it by name
+    assert returns
+    assert all(step.rhombus != steps[0].rhombus for steps, step in returns)
+
+
+def test_no_admitted_step_in_a_domain_lands_on_the_walk():
+    # the rhombus behind a domain's origin is outside, so even the start
+    # cannot be re-entered
+    domain = ParallelogramDomain(3, 1, math.pi / 2)
+    assert _admitted_returns(domain.origin, 8, domain) == []
+
+
+@pytest.mark.parametrize("T,L", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (4, 1)])
+def test_oracle_equivalence_domain_histogram(T, L):
+    from skewsaw.walks import _domain_histogram
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    budget = 2 * domain.n_rhombi
+    counts: dict = {}
+    run_walk_enumeration(domain.origin, budget, UNIT_RULE, domain,
+                         counts=counts)
+    fast = _domain_histogram(counts, counts.values())
+    slow: Counter = Counter()
+    for steps in naive_enumerate(domain.origin, budget, domain=domain):
+        end = steps[-1].dst if steps else domain.origin
+        turns = [sum(s.turn_units[k] for s in steps) for k in (0, 1)]
+        slow[((end.i, end.j, 0 if end.orient == "H" else 1), *turns,
+              naive_profile(steps))] += 1
+    assert Counter(fast) == slow
+
+
+def test_pool_shutdown_cancels_pending_jobs_when_meanwhile_raises(monkeypatch):
+    import concurrent.futures
+
+    calls = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            calls.append(("start", max_workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            calls.append("exit")
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            calls.append(("shutdown", wait, cancel_futures))
+
+    def fail():
+        raise RuntimeError("parent work failed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    with pytest.raises(RuntimeError, match="parent work failed"):
+        free_walk_aggregate_parallel(6, HONEYCOMB_RULE, "V", workers=2,
+                                     meanwhile=fail)
+    assert calls == [("start", 2), ("shutdown", True, True), "exit"]
