@@ -14,6 +14,11 @@ Two verifiers are built on top:
 * the loop-weighted observable on a rectangular patch of the skewed
   lattice, which must satisfy the same rhombus contour relation as the
   walk-only observable when the spin is s + 1.
+
+Neither the configurations nor their loop counts depend on an angle or
+on s, only on which cells share which mids.  So both verifiers enumerate
+once per incidence structure (the cells' mids relabelled 0, 1, ...) and
+re-weight the cached configurations on every call.
 """
 
 from __future__ import annotations
@@ -234,6 +239,31 @@ def iter_consistent_configs(cells, boundary_mids=None,
     yield from rec(0, 0)
 
 
+def _structure(cells):
+    """Relabel the cells' mid keys 0, 1, ... in first-met order.
+
+    Returns the patch's shape (a label 4-tuple per cell) and the mid key
+    of each label.  The labels keep the order in which
+    iter_consistent_configs meets the mids, so configurations enumerated
+    on the shape map back to the sequence enumerated on the cells.
+    """
+    label: dict = {}
+    shape = tuple(tuple(label.setdefault(m, len(label)) for m in cell.mids)
+                  for cell in cells)
+    return shape, tuple(label)
+
+
+@lru_cache(maxsize=None)
+def _shape_configs(shape, free_labels, allow_open_interior):
+    """iter_consistent_configs over label-keyed cells, as tuples."""
+    cells = [Cell(key=ci, angle=0.0, mids=mids)
+             for ci, mids in enumerate(shape)]
+    return tuple(
+        (states, tuple(map(tuple, loops)), tuple(map(tuple, chains)))
+        for states, loops, chains in iter_consistent_configs(
+            cells, free_labels, allow_open_interior))
+
+
 # ---------------------------------------------------------------------------
 # Hexagon flip check.
 
@@ -338,26 +368,44 @@ def _closed_cycles(chain_pairs, outside_pairs) -> int:
     return cycles
 
 
-def _tiling_sums(cells, boundary, s: float):
-    """Aggregate per (occupied-boundary-subset): list of
-    (chain pairing, n-exponent base, weight product).  Strands end only
-    at the boundary mids, where an outside pairing can continue them."""
-    wcache: dict[float, WeightSet] = {}
+@lru_cache(maxsize=None)
+def _flip_terms(shape, boundary_labels):
+    """States of each configuration of one tiling and, per boundary
+    pattern, its (configuration index, exponent of n) terms.
 
-    def weights_for(cell: Cell) -> WeightSet:
-        if cell.angle not in wcache:
-            wcache[cell.angle], _ = on_weights(cell.angle, s)
-        return wcache[cell.angle]
-
+    Strands end only at the boundary mids, where the pattern's outside
+    pairing continues them; the exponent counts the closed loops plus
+    the cycles that pairing closes.
+    """
+    configs = _shape_configs(shape, frozenset(boundary_labels), 0)
     buckets: dict = {}
-    for states, loops, chains in iter_consistent_configs(cells, boundary):
+    for ci, (_, loops, chains) in enumerate(configs):
         chain_pairs = tuple((ch[0], ch[-1]) for ch in chains)
-        w = 1.0
-        for cell, st in zip(cells, states):
-            w *= cell_state_weight(st, weights_for(cell))
         occupied = frozenset(itertools.chain(*chain_pairs))
-        buckets.setdefault(occupied, []).append((chain_pairs, len(loops), w))
-    return buckets
+        buckets.setdefault(occupied, []).append((ci, chain_pairs, len(loops)))
+    terms = tuple(
+        tuple((ci, nloops + _closed_cycles(chain_pairs, pairing))
+              for ci, chain_pairs, nloops in buckets.get(subset, ()))
+        for subset, pairing in boundary_patterns(boundary_labels))
+    return tuple(states for states, _, _ in configs), terms
+
+
+def _tiling_terms(cells, boundary, s: float):
+    """Weight of each configuration of one tiling, and its flip terms."""
+    tables = []
+    for cell in cells:
+        w, _ = on_weights(cell.angle, s)
+        tables.append({name: cell_state_weight(name, w)
+                       for name in STATE_NAMES})
+    shape, mids = _structure(cells)
+    states, terms = _flip_terms(shape, tuple(map(mids.index, boundary)))
+    weights = []
+    for config in states:
+        w = 1.0
+        for table, st in zip(tables, config):
+            w *= table[st]
+        weights.append(w)
+    return weights, terms
 
 
 @dataclass(frozen=True)
@@ -375,17 +423,16 @@ def yang_baxter_residual(alpha: float, s: float) -> YangBaxterReport:
     patterns (occupied boundary mids plus their outside pairing)."""
     hexa = hexagon(alpha)
     n = loop_parameter(s)
-    b1 = _tiling_sums(hexa.tiling1, set(hexa.boundary), s)
-    b2 = _tiling_sums(hexa.tiling2, set(hexa.boundary), s)
+    tilings = [_tiling_terms(cells, hexa.boundary, s)
+               for cells in (hexa.tiling1, hexa.tiling2)]
     rows = []
     worst = 0.0
-    for pid, (subset, pairing) in enumerate(boundary_patterns(hexa.boundary)):
+    for pid in range(len(tilings[0][1])):
         sums = []
-        for buckets in (b1, b2):
+        for weights, terms in tilings:
             total = 0.0
-            for chain_pairs, nloops, w in buckets.get(subset, ()):
-                cyc = _closed_cycles(chain_pairs, pairing)
-                total += w * n ** (nloops + cyc)
+            for ci, e in terms[pid]:
+                total += weights[ci] * n ** e
             sums.append(total)
         diff = abs(sums[0] - sums[1])
         worst = max(worst, diff)
@@ -407,20 +454,22 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
     The profile counts cells by weight class (u1, u2, v, w1, w2), which
     is enough to weight any family at this uniform angle.  Windings are
     exact multiples of (theta, pi-theta), summed passage by passage.
+    The configurations are enumerated once per (cols, rows, j0) and
+    shared by every theta; only this aggregation repeats per angle.
     """
-    cells = tuple(rect_cells(theta, cols, rows, j0))
     a = MidEdge(0, j0 + rows // 2, "V")
+    shape, mids = _structure(rect_cells(theta, cols, rows, j0))
+    la = mids.index(a)
 
     counts: dict = {}
     # a is a mid of one cell only, so by parity every configuration is
     # loops avoiding a (standing in for the empty strand at the origin)
     # or loops plus one chain with a as an end
-    for states, loops, chains in iter_consistent_configs(
-            cells, boundary_mids={a}, allow_open_interior=1):
+    for states, loops, chains in _shape_configs(shape, frozenset((la,)), 1):
         if chains:
-            ch = chains[0] if chains[0][0] == a else chains[0][::-1]
-            z = ch[-1]
-            key_wind = _chain_turns(cells, states, ch)
+            ch = chains[0] if chains[0][0] == la else chains[0][::-1]
+            z = mids[ch[-1]]
+            key_wind = _chain_turns(shape, states, ch)
         else:
             z = a
             key_wind = (0, 0)
@@ -434,16 +483,17 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
     return counts, a
 
 
-def _chain_turns(cells, states, chain) -> tuple[int, int]:
+def _chain_turns(shape, states, chain) -> tuple[int, int]:
     """Total turn along a chain of mids in units of (theta, pi-theta).
 
-    Lattice cells only: their sides are numbered like geometry.PASSAGE.
+    ``shape`` holds each cell's mids.  Lattice cells only: their sides
+    are numbered like geometry.PASSAGE.
     """
     turns = {}
-    for cell, st in zip(cells, states):
+    for mids, st in zip(shape, states):
         for pair in state_pairs(st):
             for x, y in (pair, pair[::-1]):
-                turns[(cell.mids[x], cell.mids[y])] = PASSAGE[(x, y)][1:]
+                turns[(mids[x], mids[y])] = PASSAGE[(x, y)][1:]
     k1 = k2 = 0
     for segment in zip(chain, chain[1:]):
         dt, dp = turns[segment]

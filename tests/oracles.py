@@ -10,9 +10,18 @@ code as possible with skewsaw.walks.
 
 from __future__ import annotations
 
+import itertools
+
 from skewsaw.geometry import MidEdge, Step, step_candidates
 from skewsaw.honeycomb import _neighbours
-from skewsaw.weights import WeightSet
+from skewsaw.loops import (
+    _closed_cycles,
+    boundary_patterns,
+    cell_state_weight,
+    hexagon,
+    iter_consistent_configs,
+)
+from skewsaw.weights import WeightSet, loop_parameter, on_weights
 
 _OPPOSITE_ARCS = {frozenset(("sw", "ne")): "w1", frozenset(("se", "nw")): "w2"}
 _ARC_WEIGHT = {"sw": "u1", "ne": "u1", "se": "u2", "nw": "u2",
@@ -140,3 +149,41 @@ def naive_midedge_saws(n_max: int, start_class: int = 1,
     for first in (a0, b0):
         rec(first, 1)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Naive hexagon flip check: both tilings enumerated afresh on every call,
+# their configurations bucketed by occupied boundary subset, the cycles an
+# outside pairing closes counted per pattern, and the terms summed.  It
+# shares the enumeration and the pattern list with loops.py, not the
+# structure caches or the per-call re-weighting.
+
+
+def naive_yang_baxter_rows(alpha: float, s: float) -> tuple:
+    """Same rows as loops.yang_baxter_residual(alpha, s).rows."""
+    hexa = hexagon(alpha)
+    n = loop_parameter(s)
+
+    def buckets(cells):
+        out: dict = {}
+        for states, loops, chains in iter_consistent_configs(
+                cells, set(hexa.boundary)):
+            chain_pairs = tuple((ch[0], ch[-1]) for ch in chains)
+            w = 1.0
+            for cell, st in zip(cells, states):
+                w *= cell_state_weight(st, on_weights(cell.angle, s)[0])
+            occupied = frozenset(itertools.chain(*chain_pairs))
+            out.setdefault(occupied, []).append((chain_pairs, len(loops), w))
+        return out
+
+    tilings = (buckets(hexa.tiling1), buckets(hexa.tiling2))
+    rows = []
+    for pid, (subset, pairing) in enumerate(boundary_patterns(hexa.boundary)):
+        sums = []
+        for by_subset in tilings:
+            total = 0.0
+            for chain_pairs, nloops, w in by_subset.get(subset, ()):
+                total += w * n ** (nloops + _closed_cycles(chain_pairs, pairing))
+            sums.append(total)
+        rows.append((pid, sums[0], sums[1], abs(sums[0] - sums[1])))
+    return tuple(rows)

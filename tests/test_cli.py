@@ -264,6 +264,18 @@ def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
 
 
 
+def test_yangbaxter_at_a_vanishing_weight_is_a_config_error(capsys):
+    # s = 0 makes the loop weights divide by sin(pi*s/3)
+    with pytest.raises(SystemExit) as exc:
+        main(["yangbaxter", "--s", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:")
+    assert "sin(pi*s/3) vanishes" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["parallelogram", "--T", "5", "--L", "2"],
     ["verify-cr", "--T", "25", "--L", "0"],

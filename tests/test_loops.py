@@ -16,8 +16,11 @@ from skewsaw.loops import (
     rect_cells,
     yang_baxter_residual,
 )
+from skewsaw.cli import main
 from skewsaw.observable import observable
 from skewsaw.weights import critical_weights, on_weights
+
+from oracles import naive_yang_baxter_rows
 
 ALPHAS = [0.5, 0.65, 0.8, 0.95, 1.1]
 
@@ -265,3 +268,67 @@ def test_hexagon_strands_end_on_its_boundary():
         ends = {m for _, _, chains in configs for ch in chains
                 for m in (ch[0], ch[-1])}
         assert ends == boundary
+
+
+# the CLI's default grid, plus angles and loop parameters off it
+YB_CASES = ([(a, s) for a in ALPHAS for s in (-3 / 8, 0.5, 0.75)]
+            + [(a, s) for a in (0.3, 1.4) for s in (0.1, -0.9)])
+
+
+@pytest.mark.parametrize("alpha,s", YB_CASES)
+def test_yang_baxter_rows_equal_the_naive_oracle(alpha, s):
+    # exact: the cached terms re-weight to the very floats of a fresh pass
+    assert yang_baxter_residual(alpha, s).rows == naive_yang_baxter_rows(
+        alpha, s)
+
+
+def _relabelled_configs(cells, boundary_mids, allow_open_interior=0):
+    from skewsaw.loops import _shape_configs, _structure
+
+    shape, mids = _structure(cells)
+    free = frozenset(mids.index(m) for m in boundary_mids)
+    return [(states, [[mids[k] for k in lp] for lp in loops],
+             [[mids[k] for k in ch] for ch in chains])
+            for states, loops, chains in _shape_configs(
+                shape, free, allow_open_interior)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.1])
+def test_structure_cache_replays_the_hexagon_search(alpha):
+    hexa = hexagon(alpha)
+    for cells in (hexa.tiling1, hexa.tiling2):
+        assert _relabelled_configs(cells, hexa.boundary) == list(
+            iter_consistent_configs(cells, set(hexa.boundary)))
+
+
+@pytest.mark.parametrize("theta", [1.2, 1.9])
+@pytest.mark.parametrize("rows", [2, 3])
+def test_structure_cache_replays_the_patch_search(theta, rows):
+    cells = rect_cells(theta, 2, rows)
+    a = {MidEdge(0, rows // 2, "V")}
+    assert _relabelled_configs(cells, a, 1) == list(
+        iter_consistent_configs(cells, a, allow_open_interior=1))
+
+
+def test_hexagons_at_two_angles_share_one_structure():
+    from skewsaw.loops import _structure
+
+    for pick in (lambda h: h.tiling1, lambda h: h.tiling2):
+        shape1, mids1 = _structure(pick(hexagon(0.5)))
+        shape2, mids2 = _structure(pick(hexagon(0.95)))
+        assert mids1 != mids2
+        assert shape1 == shape2
+
+
+def test_each_structure_is_enumerated_once(capsys):
+    from skewsaw import loops as L
+
+    for cached in (L._shape_configs, L._flip_terms, L._patch_aggregate):
+        cached.cache_clear()
+    assert main(["yangbaxter"]) == 0
+    assert capsys.readouterr().out.count("\n") == 16  # header + 15 rows
+    # five hexagons, one structure per tiling
+    assert L._shape_configs.cache_info().misses == 2
+    for theta in (0.7, 1.2, 1.9):
+        L._patch_aggregate(theta, 2, 3, 0)
+    assert L._shape_configs.cache_info().misses == 3
