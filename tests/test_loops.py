@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from skewsaw.cli import main
 from skewsaw.geometry import MidEdge, ParallelogramDomain, Rhombus
 from skewsaw.loops import (
     LoopConfig,
@@ -16,7 +17,6 @@ from skewsaw.loops import (
     rect_cells,
     yang_baxter_residual,
 )
-from skewsaw.cli import main
 from skewsaw.observable import observable
 from skewsaw.weights import critical_weights, on_weights
 
