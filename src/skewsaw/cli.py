@@ -190,7 +190,7 @@ def cmd_weights(args):
         "max_local_residual": res.max_abs(),
     }
     rows.append(row)
-    ok = res.max_abs() < args.tol
+    ok = res.max_abs() <= args.tol
     return rows, COLUMNS["weights"], {"command": "weights", "theta": th}, ok
 
 
@@ -204,7 +204,7 @@ def cmd_verify_local(args):
         for sg in sigmas:
             w = sigma_weights(th, sg)
             r = local_residuals(w, sg, th).max_abs()
-            ok = ok and r < args.tol
+            ok = ok and r <= args.tol
             rows.append({"theta": th, "sigma": sg, "max_residual": r})
     meta = {"command": "verify-local", "grid": args.grid}
     return rows, COLUMNS["verify-local"], meta, ok
@@ -242,7 +242,7 @@ def cmd_verify_cr(args):
     worst = max_cr_residual(table)
     rows = [{"T": args.T, "L": args.L, "theta": args.theta,
              "sigma": args.sigma, "max_cr_residual": worst}]
-    ok = worst < args.tol
+    ok = worst <= args.tol
     return rows, COLUMNS["verify-cr"], {"command": "verify-cr"}, ok
 
 
@@ -260,7 +260,7 @@ def cmd_parallelogram(args):
     for T, L in pairs:
         x = args.x_over_xc * xc
         s = strip_sums(T, L, x, args.theta)
-        ok = ok and s.residual < args.tol
+        ok = ok and s.residual <= args.tol
         rows.append({"T": T, "L": L, "theta": args.theta, "x": x,
                      "A": s.A, "B": s.B, "D": s.D, "E": s.E,
                      "residual13": s.residual})
@@ -308,7 +308,7 @@ def cmd_series(args):
 def cmd_honeycomb(args):
     rep = honeycomb_crosscheck(args.n_max, workers=args.threads)
     rows = list(rep.rows())
-    ok = rep.max_relative_error() < args.tol and rep.images_valid
+    ok = rep.max_relative_error() <= args.tol and rep.images_valid
     meta = {"command": "honeycomb", "max_relative_error":
             rep.max_relative_error(), "images_valid": rep.images_valid}
     return rows, COLUMNS["honeycomb"], meta, ok
@@ -323,7 +323,7 @@ def cmd_yangbaxter(args):
     for alpha in alphas:
         for s in svals:
             rep = yang_baxter_residual(alpha, s)
-            ok = ok and rep.max_residual < args.tol
+            ok = ok and rep.max_residual <= args.tol
             rows.append({"alpha": alpha, "s": s, "n": rep.n,
                          "patterns": rep.pattern_count,
                          "max_residual": rep.max_residual})
@@ -373,9 +373,11 @@ def _parser() -> argparse.ArgumentParser:
                              "which splits into one job per axis point and "
                              "arc, under any rule (default from "
                              "SKEWSAW_WORKERS)")
-    parser.add_argument("--tol", type=parse_finite,
-                        help="verification tolerance (default 1e-12 for "
-                             "honeycomb, 1e-10 otherwise)")
+    parser.add_argument("--tol", type=parse_nonnegative,
+                        help="verification tolerance: a check passes when "
+                             "its residual is at most this, so 0 asks for an "
+                             "exact zero (default 1e-12 for honeycomb, 1e-10 "
+                             "otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -20,7 +20,7 @@ over exact integer state:
   pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
   histogram that ``_group`` (``_group_packed`` for packed domain keys)
   has grouped once by head (the key without its profile), each distinct
-  profile stored and weighed once.
+  profile stored once, as columns, and weighed once.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -48,8 +48,13 @@ through the axis swaps the theta- and (pi-theta)-corners of every
 rhombus, so it maps walks onto walks of the same length when the two
 arcs have the same length (``LengthRule.mirror_symmetric``, true of
 every domain search).  Such a search runs the jobs of the first arc
-alone and adds each of their keys mirrored as well; any other rule runs
-the jobs of both arcs.  ``run_walk_enumeration`` still searches every
+alone; any other rule runs the jobs of both arcs.  A free search adds
+each key of those jobs mirrored as well.  A domain search keeps its half,
+the straights and the first arc's jobs, and the mirror is applied where
+the half is read: ``_group_by_end`` folds it into each (side, profile)
+entry once, ``_weigh`` weighs a head's half again at its mirror image
+with the swapped weights, and ``_unfold`` gives the full histogram for
+the readers of tuple keys.  ``run_walk_enumeration`` still searches every
 walk, and is the oracle.
 """
 
@@ -59,10 +64,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
-from itertools import accumulate, repeat
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, repeat
 from operator import add, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import (
     PASSAGE,
@@ -194,12 +199,50 @@ def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
             (above & _TURN_MASK) - _TURN_BIAS)
 
 
+class _Grouped(NamedTuple):
+    """A histogram grouped for ``_weigh``.
+
+    ``columns`` holds the distinct profiles as five columns (the c1 of
+    each, ..., the c5 of each) and ``size`` their largest count.
+    ``heads`` maps each head to the list of its keys' profile indices and
+    the list of their counts, in key order.  The half of a mirror-halved
+    domain histogram also has ``mirrors``: the same lists, the straights
+    left out, under the mirror image of each head.
+    """
+
+    columns: tuple
+    size: int
+    heads: dict
+    mirrors: dict | None = None
+
+
+def _grouped(columns: tuple, heads: dict, mirrors: dict | None = None
+             ) -> _Grouped:
+    return _Grouped(columns, max(map(max, columns)) if columns[0] else 0,
+                    heads, mirrors)
+
+
+def _packed_columns(pks: Iterable[int]) -> tuple:
+    """The five columns of the packed profiles ``pks``."""
+    pks = list(pks)
+    return tuple([pk >> _SLOT_BITS * s & _SLOT_MAX for pk in pks]
+                 for s in range(4, -1, -1))
+
+
 def _group_packed(items: Iterable[tuple[int, int]],
-                  head: Callable[[int], tuple]) -> tuple[list, dict]:
+                  head: Callable[[int], tuple],
+                  mirror: Callable[[int], int] | None = None) -> _Grouped:
     """``_group`` of {(*head(key >> _PROFILE_BITS), profile): n} over the
     packed (key, n) ``items``, read straight off the ints: each distinct
     head and each distinct packed profile is decoded once, and no tuple
-    key is built.  This is the one decoder of packed domain keys."""
+    key is built.  This is the one decoder of packed domain keys.
+
+    Given ``mirror``, the map of a key's field above the profile to its
+    mirror image's, the items are the half a mirror-halved domain search
+    keeps, and each head's lists go to ``mirrors`` as well, under
+    head(mirror(above)) and without the straights (the walks with no
+    arc), which are their own mirror images.
+    """
     index: dict = {}
     groups: dict = {}
     for key, n in items:
@@ -213,43 +256,71 @@ def _group_packed(items: Iterable[tuple[int, int]],
             group = groups[above] = ([], [])
         group[0].append(k)
         group[1].append(n)
-    return (list(map(_unpack_profile, index)),
-            {head(above): group for above, group in groups.items()})
+    mirrors = None
+    if mirror is not None:
+        straights = {k for pk, k in index.items() if not pk & ~_C3_FIELD}
+        mirrors = {}
+        for above, group in groups.items():
+            if not straights.isdisjoint(group[0]):
+                group = [(k, n) for k, n in zip(*group) if k not in straights]
+                if not group:
+                    continue
+                group = tuple(map(list, zip(*group)))
+            mirrors[head(mirror(above))] = group
+    return _grouped(_packed_columns(index),
+                    {head(above): group for above, group in groups.items()},
+                    mirrors)
 
 
 def _group_by_end(keys: Sequence[int], counts: Sequence[int],
                   label: Callable[[tuple[int, int, int]], object]
-                  ) -> tuple[list, dict]:
-    """``_group`` of counts[(label(end), profile)] over sorted packed domain
-    keys and their counts, the turns summed out and the ends labelled
-    None left out; heads and profiles in first-met order.
+                  ) -> _Grouped:
+    """``_group`` of counts[(label(end), profile)] over the full histogram
+    of a mirror-halved domain search, read off the half it keeps: sorted
+    packed domain keys and their counts.  The turns are summed out and
+    the ends labelled None left out; heads come in first-met order.
 
-    Sorted keys hold each end's walks in one run, so each end is decoded
-    and labelled once and the runs of ends left out are skipped whole.
+    Sorted keys hold each end's walks in one run, so each end and its
+    mirror image are labelled once, and the runs of ends left out are
+    skipped whole.  With the turns summed out, each (label, profile)
+    entry of the half is folded into its mirror image once: the mirror
+    end's label and the mirrored profile, the straights aside.
     """
-    labels: list = []
-    out: dict = {}
+    # per (label, label of the mirror image), the half's counts by profile
+    halves: dict = {}
     lo = 0
     while lo < len(keys):
         end = keys[lo] >> _END_SHIFT
         hi = bisect_left(keys, end + 1 << _END_SHIFT, lo)
-        name = label(_unpack_mid(end))
+        mid = _unpack_mid(end)
+        name = label(mid)
         if name is not None:
-            if name not in labels:
-                labels.append(name)
-            head = labels.index(name) << _PROFILE_BITS
+            half = halves.setdefault((name, label(_mirror_mid(*mid))), {})
             for key, n in zip(keys[lo:hi], counts[lo:hi]):
-                key = head | key & _PROFILE_MASK
-                out[key] = out.get(key, 0) + n
+                key &= _PROFILE_MASK
+                half[key] = half.get(key, 0) + n
         lo = hi
-    return _group_packed(out.items(), lambda k: (labels[k],))
+    out: dict = {}
+    for (name, image), half in halves.items():
+        direct = out.setdefault(name, {})
+        mirrored = out.setdefault(image, {})
+        for pk, n in half.items():
+            direct[pk] = direct.get(pk, 0) + n
+            if pk & ~_C3_FIELD:
+                pk = _mirror_profile(pk)
+                mirrored[pk] = mirrored.get(pk, 0) + n
+    index = {pk: k for k, pk in enumerate(dict.fromkeys(chain(*out.values())))}
+    return _grouped(_packed_columns(index),
+                    {(name,): (list(map(index.__getitem__, by)), list(by.values()))
+                     for name, by in out.items() if by})
 
 
 def _domain_histogram(keys: Iterable[int], counts: Iterable[int]) -> dict:
     """counts[(end, dtheta, dpmt, profile)] over packed domain keys and
     their counts, decoded by ``_group_packed``, which leaves both
     unchanged.  Sorted keys give the tuples in sorted order."""
-    profiles, heads = _group_packed(zip(keys, counts), _unpack_head)
+    columns, _, heads, _ = _group_packed(zip(keys, counts), _unpack_head)
+    profiles = list(zip(*columns))
     return {(*head, profiles[k]): n
             for head, (idx, ns) in heads.items() for k, n in zip(idx, ns)}
 
@@ -476,11 +547,21 @@ def _mirror_profile(pk: int) -> int:
             | pk & _C3_FIELD)
 
 
+def _mirror_mid(i: int, j: int, hv: int) -> tuple[int, int, int]:
+    """The mirror image of the mid-edge (i, j, hv) of a domain."""
+    return i, -j if hv else 1 - j, hv
+
+
 def _mirror_head(above: int) -> int:
     """The mirror of a domain key's (end, dtheta, dpmt) field ``above``, as
     a key with a zero profile."""
-    (i, j, hv), dth, dpm = _unpack_head(above)
-    return _pack_domain_key(_pack_mid(i, -j if hv else 1 - j, hv), -dpm, -dth, 0)
+    mid, dth, dpm = _unpack_head(above)
+    return _pack_domain_key(_pack_mid(*_mirror_mid(*mid)), -dpm, -dth, 0)
+
+
+def _mirror_above(above: int) -> int:
+    """The mirror of a domain key's field ``above`` the profile."""
+    return _mirror_head(above) >> _PROFILE_BITS
 
 
 def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
@@ -532,13 +613,16 @@ def _add(counts: dict, part: dict, mirror: Callable[[int], int] | None) -> None:
 
 
 def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
-    """``counts[key] += n`` over every walk in ``domain`` from its origin,
-    keyed like ``run_walk_enumeration``'s, while searching about half.
+    """``counts[key] += 1`` over the half of the walks in ``domain`` from
+    its origin that a mirror-halved search visits, keyed like
+    ``run_walk_enumeration``'s.
 
     The walks of k straights along the axis, k = 0..T, are their own
-    mirror images and are counted once.  Every other walk leaves the axis
-    first by the bottom or the top arc of some R(k, 0); the axis jobs of
-    the first search those and add each of their keys mirrored as well.
+    mirror images.  Every other walk leaves the axis first by the bottom
+    or the top arc of some R(k, 0), and the mirror maps the one set onto
+    the other.  So this counts the straights and the walks of the bottom
+    arc's axis jobs; ``_unfold`` gives every walk's count from those.  The
+    straights are the only walks counted with no arc in their profile.
     The returned ``walks`` is the number of walks visited.
     """
     max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
@@ -554,34 +638,44 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     points, straight = domain.T + 1, _straight(row)[3]
     for k in range(points):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
-    heads: dict = {}
-
-    def mirror(key):
-        above = key >> _PROFILE_BITS
-        head = heads.get(above)
-        if head is None:
-            head = heads[above] = _mirror_head(above)
-        return head | _mirror_profile(key & _PROFILE_MASK)
-
-    half: dict = {}
     walks = _axis_walks(max_steps, lens, row, cm, key,
                         dict.fromkeys(_ring(domain), _BLOCKED),
-                        _axis_jobs(points, True), half, _dead_ends(domain, cm))
-    _add(counts, half, mirror)
+                        _axis_jobs(points, True), counts, _dead_ends(domain, cm))
     return EnumerationStats(walks=points + walks)
 
 
+def _unfold(items: Iterable[tuple[int, int]]) -> dict:
+    """The full histogram {key: n} of the (key, n) ``items`` that
+    ``domain_counts`` counts: each key, and the mirror image of each key
+    with an arc in its profile."""
+    full: dict = {}
+    heads: dict = {}
+    for key, n in items:
+        full[key] = full.get(key, 0) + n
+        pk = key & _PROFILE_MASK
+        if pk & ~_C3_FIELD:
+            above = key >> _PROFILE_BITS
+            head = heads.get(above)
+            if head is None:
+                head = heads[above] = _mirror_head(above)
+            key = head | _mirror_profile(pk)
+            full[key] = full.get(key, 0) + n
+    return full
+
+
 def profile_weight(profile, tables) -> float:
+    """The weight of one profile from power tables; ``_weigh`` multiplies
+    its columns in this order."""
     t1, t2, t3, t4, t5 = tables
     return (t1[profile[0]] * t2[profile[1]] * t3[profile[2]]
             * t4[profile[3]] * t5[profile[4]])
 
 
-def _group(hist: Mapping) -> tuple[list, dict]:
+def _group(hist: Mapping) -> _Grouped:
     """A histogram whose keys end with the profile (c1, ..., c5), grouped
-    for ``_weigh`` as (profiles, heads): the distinct profiles once each,
-    and per head ``key[:-1]``, in first-met order, the list of its keys'
-    profile indices and the list of their counts, in key order."""
+    for ``_weigh``: the distinct profiles once each, and per head
+    ``key[:-1]``, in first-met order, the list of its keys' profile
+    indices and the list of their counts, in key order."""
     index: dict = {}
     heads: dict = {}
     for key, n in hist.items():
@@ -591,26 +685,45 @@ def _group(hist: Mapping) -> tuple[list, dict]:
             group = heads[key[:-1]] = ([], [])
         group[0].append(k)
         group[1].append(n)
-    return list(index), heads
+    return _grouped(tuple(zip(*index)) or ((),) * 5, heads)
 
 
-def _weigh(grouped: tuple[list, dict], w: WeightSet) -> dict:
+def _head_sums(columns: tuple, size: int, heads: dict, w: WeightSet) -> dict:
+    """{head: sum of n * weight(profile)} over ``heads``, the profiles
+    given by ``columns`` and weighed by w."""
+    tables = (list(accumulate(repeat(x, size), mul, initial=1.0))
+              for x in w.as_tuple())
+    # t1[c1] * t2[c2] * ... * t5[c5] per profile, in profile_weight's order
+    weight = list(reduce(partial(map, mul),
+                         map(map, (t.__getitem__ for t in tables), columns)))
+    weight = weight.__getitem__
+    return {head: reduce(add, map(mul, counts, map(weight, idx)), 0.0)
+            for head, (idx, counts) in heads.items()}
+
+
+def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
     """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group``, heads in its order.
+    ``_group`` or ``_group_packed``, heads in its order.
 
-    Each distinct profile is weighed once, by power tables as long as the
-    largest count in any profile.  Each head adds its terms from 0.0 in
+    Each distinct profile is weighed once, column by column from power
+    tables as long as its grouped form's largest count, and as
+    ``profile_weight`` multiplies.  Each head adds its terms from 0.0 in
     key order, as a fold over the histogram's keys would, so the sums are
     the same bit for bit; ``reduce`` keeps that order on every Python,
     where ``sum`` compensates float sums from 3.12 on.
+
+    The half of a mirror-halved domain histogram is weighed again with
+    ``w.swapped()`` under its ``mirrors`` heads, since the mirror swaps
+    the theta and (pi-theta) slots of every profile.  A head's sum is
+    then the sum of its half's terms plus the sum of its mirror image's,
+    equal to the fold over the full histogram up to rounding.
     """
-    profiles, heads = grouped
-    size = max(map(max, profiles), default=0)
-    tables = [list(accumulate(repeat(x, size), mul, initial=1.0))
-              for x in w.as_tuple()]
-    weight = [profile_weight(p, tables) for p in profiles].__getitem__
-    return {head: reduce(add, map(mul, counts, map(weight, idx)), 0.0)
-            for head, (idx, counts) in heads.items()}
+    columns, size, heads, mirrors = grouped
+    out = _head_sums(columns, size, heads, w)
+    if mirrors is not None:
+        for head, x in _head_sums(columns, size, mirrors, w.swapped()).items():
+            out[head] = out.get(head, 0.0) + x
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def test_parallelogram_fails_off_critical(capsys):
     assert code == 1
 
 
+def test_zero_tolerance_asks_for_an_exact_zero(capsys):
+    # the 1 x 0 identity at pi/2 comes out exactly 1; the weights' local
+    # residuals are of the order of 1e-16
+    code, out = run_cli(capsys, "--tol", "0", "parallelogram", "--theta",
+                        "pi/2", "--T", "1", "--L", "0")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",0.0")
+    code, _ = run_cli(capsys, "--tol", "0", "weights")
+    assert code == 1
+
+
 def test_config_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weights", "--theta", "pi/4"])  # out of range
@@ -253,6 +264,7 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     ["yangbaxter", "--alpha", "0.8", "--s", "nan"],
     ["yangbaxter", "--alpha", "0", "--s", "0.5"],
     ["--tol", "nan", "weights"],
+    ["--tol", "-1", "weights"],
 ], ids=" ".join)
 def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

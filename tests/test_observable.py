@@ -376,6 +376,103 @@ def test_tuple_histogram_reuses_the_search(monkeypatch):
     hist = domain_walk_aggregate(4, 1)
     observable(ParallelogramDomain(4, 1, theta), 5 / 8)
     assert len(calls) == 1
-    assert sum(hist.values()) == sum(_domain_packed(4, 1)[1])
+    # the packed half: the T + 1 straights once, half of the other walks
+    assert sum(hist.values()) == 2 * sum(_domain_packed(4, 1)[1]) - (4 + 1)
     # the perfbench gate reads all 39 shapes of budget 20 after the run
     assert _domain_packed.cache_info().maxsize >= 39
+
+
+# ---------------------------------------------------------------------------
+# The packed half: every reading of it equals the fold over the full
+# histogram, whose mirror half it applies as it reads.
+
+BUDGET_SHAPES = [(T, L) for T in range(1, 21) for L in range(20)
+                 if (2 * L + 1) * T <= 20]
+
+
+def _folded_readings(T, L, theta, x, sigma):
+    """Strip sums, observable values, the alpha split and the real-part
+    diagnostic, each folded key by key over ``domain_walk_aggregate``."""
+    from skewsaw.observable import domain_walk_aggregate
+
+    weights = critical_weights(theta).at_fugacity(x).as_tuple()
+    domain = ParallelogramDomain(T, L, theta)
+    pmt = math.pi - theta
+    sides = {"alpha": 0.0, "beta": 0.0, "delta": 0.0, "epsilon": 0.0}
+    split = {(1, 1): 0.0, (-1, -1): 0.0}
+    values: dict = {}
+    heads: dict = {}
+    for (*head, profile), n in domain_walk_aggregate(T, L).items():
+        head = tuple(head)
+        heads[head] = heads.get(head, 0.0) + n * math.prod(
+            map(pow, weights, profile))
+    for ((i, j, hv), dth, dpm), weight in heads.items():
+        end = MidEdge(i, j, "HV"[hv])
+        phase = cmath.exp(-1j * sigma * (dth * theta + dpm * pmt))
+        values[end] = values.get(end, 0j) + weight * phase
+        side = domain.side_of(end)
+        if end != domain.origin and side in sides:
+            sides[side] += weight
+            if side == "alpha":
+                split[(dth, dpm)] += weight
+    terms = (math.sin(3 * theta / 8) * sides["delta"],
+             -math.cos((math.pi + 3 * theta) / 8) * sides["epsilon"],
+             math.sin(5 * math.pi / 8) * split[(-1, -1)],
+             -math.sin(5 * math.pi / 8) * split[(1, 1)])
+    return sides, values, (split[(1, 1)], split[(-1, -1)]), terms
+
+
+def _assert_readings_agree(T, L, theta, x, sigma=5 / 8):
+    from skewsaw.observable import real_part_diagnostic
+
+    sides, values, split, terms = _folded_readings(T, L, theta, x, sigma)
+    s = strip_sums(T, L, x, theta)
+    assert (s.A, s.B, s.D, s.E) == pytest.approx(
+        (sides["alpha"], sides["beta"], sides["delta"], sides["epsilon"]),
+        rel=1e-12, abs=0.0)
+    assert alpha_winding_split(T, L, x, theta) == pytest.approx(
+        split, rel=1e-12, abs=0.0)
+    w = critical_weights(theta).at_fugacity(x)
+    table = observable(ParallelogramDomain(T, L, theta), sigma, w)
+    assert table.values.keys() == values.keys()
+    for m, value in values.items():
+        assert table.values[m] == pytest.approx(value, rel=1e-12, abs=0.0), m
+    # the diagnostic cancels at x_c: compare it on the scale of its terms
+    diag = real_part_diagnostic(T, L, theta, x)
+    assert abs(diag - math.fsum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("x_ratio", [1.0, 0.8])
+@pytest.mark.parametrize("theta", [math.pi / 3, 1.2, 2 * math.pi / 3])
+def test_packed_half_readings_equal_the_per_key_fold(theta, x_ratio):
+    x = x_ratio * critical_weights(theta).x_c
+    assert len(BUDGET_SHAPES) == 39
+    for T, L in BUDGET_SHAPES + [(8, 1)]:
+        _assert_readings_agree(T, L, theta, x)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 3, 1.2, math.pi / 2,
+                                   2 * math.pi / 3])
+def test_mirror_heads_need_the_swapped_weights(monkeypatch, theta):
+    # the mirror image of a walk swaps its theta and (pi - theta) slots,
+    # which carry equal weights only at pi/2
+    x = critical_weights(theta).x_c
+    _assert_readings_agree(4, 2, theta, x)
+    monkeypatch.setattr(WeightSet, "swapped", lambda self: self)
+    if theta == math.pi / 2:
+        _assert_readings_agree(4, 2, theta, x)
+    else:
+        with pytest.raises(AssertionError):
+            _assert_readings_agree(4, 2, theta, x)
+    # the side sums fold the mirror when they are grouped, not per angle
+    sides = _folded_readings(4, 2, theta, x, 5 / 8)[0]
+    assert strip_sums(4, 2, x, theta).A == pytest.approx(sides["alpha"],
+                                                         rel=1e-12)
+
+
+def test_budget_shapes_store_the_half_of_their_keys():
+    from skewsaw.observable import _domain_packed, domain_walk_aggregate
+
+    packed = sum(len(_domain_packed(T, L)[0]) for T, L in BUDGET_SHAPES)
+    full = sum(len(domain_walk_aggregate(T, L)) for T, L in BUDGET_SHAPES)
+    assert (packed, full) == (34_873, 56_384)

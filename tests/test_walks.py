@@ -276,7 +276,8 @@ def test_step_cap_refuses_steps_beyond_profile_slots():
 
 @pytest.mark.parametrize("T,L", [(1, 11), (24, 0)])
 def test_domain_key_round_trips_at_its_extremes(T, L):
-    from skewsaw.walks import _HV, _domain_histogram, _pack_domain_key, _pack_mid
+    from skewsaw.walks import (_HV, _domain_histogram, _pack_domain_key,
+                               _pack_mid, _unfold)
 
     mids = ParallelogramDomain(T, L, math.pi / 2).mid_edges()
     corners = set()
@@ -299,6 +300,16 @@ def test_domain_key_round_trips_at_its_extremes(T, L):
                     key = _pack_domain_key(_pack_mid(*mid), dth, dpm, pk)
                     assert _domain_histogram([key], [1]) == {record: 1}
                     keys[key] = record
+                    # the mirror image of a key with an arc decodes as such
+                    i, j, hv = mid
+                    c1, c2, c3, c4, c5 = profile
+                    image = ((i, -j if hv else 1 - j, hv), -dpm, -dth,
+                             (c2, c1, c3, c5, c4))
+                    full = sorted(_unfold([(key, 1)]).items())
+                    want = {record: 1}
+                    if profile != (0, 0, profile[2], 0, 0):
+                        want[image] = want.get(image, 0) + 1
+                    assert _domain_histogram(*zip(*full)) == want
     assert len(keys) == 6 * 9 * 3
     # sorted keys come in the order of their tuples
     assert (list(_domain_histogram(sorted(keys), [1] * len(keys)))
@@ -495,13 +506,15 @@ def _full_domain_counts(domain):
 
 @pytest.mark.parametrize("T,L", MIRROR_SHAPES)
 def test_mirrored_domain_search_equals_the_full_search(T, L):
-    from skewsaw.walks import domain_counts
+    from skewsaw.walks import _C3_FIELD, _PROFILE_MASK, _unfold, domain_counts
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
     full, n_full = _full_domain_counts(domain)
     counts: dict = {}
     visited = domain_counts(domain, counts).walks
-    assert counts == full
+    assert _unfold(counts.items()) == full
+    # the half holds the T + 1 straights, the only keys without an arc
+    assert sum(not k & _PROFILE_MASK & ~_C3_FIELD for k in counts) == T + 1
     # the T + 1 axis walks once, half of the others
     assert visited == (n_full - (T + 1)) // 2 + (T + 1)
     assert (n_full - (T + 1)) % 2 == 0
@@ -625,6 +638,14 @@ def test_grouped_reweight_equals_the_per_key_fold(case):
         assert list(sums) == list(ref)
 
 
+def _ungroup(grouped):
+    """The histogram {(*head, profile): n} of a grouped form, in its order."""
+    profiles = list(zip(*grouped.columns))
+    return {(*head, profiles[k]): n
+            for head, (idx, ns) in grouped.heads.items()
+            for k, n in zip(idx, ns)}
+
+
 def test_every_side_marginal_reweights_as_the_per_key_fold():
     from skewsaw.observable import _side_marginal
     from skewsaw.walks import _weigh
@@ -633,7 +654,11 @@ def test_every_side_marginal_reweights_as_the_per_key_fold():
               if (2 * L + 1) * T <= 20]
     assert len(shapes) == 39
     for T, L in shapes:
-        hist = _side_marginal_hist(T, L)
+        # the half with its mirror folded in holds the full histogram's
+        # (side, profile) counts ...
+        hist = _ungroup(_side_marginal(T, L))
+        assert hist == _side_marginal_hist(T, L), (T, L)
+        # ... and weighs as the fold over its keys, bit for bit
         for w in _weight_sets():
             sums = _weigh(_side_marginal(T, L), w)
             ref = _fold(hist, w)
@@ -646,8 +671,10 @@ def test_group_keeps_first_met_heads_and_distinct_profiles():
 
     p, q = (1, 0, 0, 0, 0), (0, 2, 0, 1, 0)
     hist = {("b", p): 3, ("a", q): 5, ("b", q): 7, ("a", p): 11}
-    assert _group(hist) == ([p, q], {("b",): ([0, 1], [3, 7]),
-                                     ("a",): ([1, 0], [5, 11])})
+    # the profiles p, q as five columns, and their largest count
+    assert _group(hist) == (((1, 0), (0, 2), (0, 0), (0, 1), (0, 0)), 2,
+                            {("b",): ([0, 1], [3, 7]),
+                             ("a",): ([1, 0], [5, 11])}, None)
 
 
 def test_grouped_reweight_sees_a_changed_count():
@@ -709,6 +736,7 @@ def test_no_admitted_step_in_a_domain_lands_on_the_walk():
 
 @pytest.mark.parametrize("T,L", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (4, 1)])
 def test_oracle_equivalence_domain_histogram(T, L):
+    from skewsaw.observable import domain_walk_aggregate
     from skewsaw.walks import _domain_histogram
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
@@ -724,6 +752,8 @@ def test_oracle_equivalence_domain_histogram(T, L):
         slow[((end.i, end.j, 0 if end.orient == "H" else 1), *turns,
               naive_profile(steps))] += 1
     assert Counter(fast) == slow
+    # the mirror-halved search, decoded with its mirror
+    assert Counter(domain_walk_aggregate(T, L)) == slow
 
 
 def test_pool_shutdown_cancels_pending_jobs_when_meanwhile_raises(monkeypatch):
