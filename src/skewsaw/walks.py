@@ -284,7 +284,9 @@ def _group_by_end(keys: Sequence[int], counts: Sequence[int],
     mirror image are labelled once, and the runs of ends left out are
     skipped whole.  With the turns summed out, each (label, profile)
     entry of the half is folded into its mirror image once: the mirror
-    end's label and the mirrored profile, the straights aside.
+    end's label and the mirrored profile, the straights aside.  So
+    ``label`` must leave out an end exactly when it leaves out its mirror
+    image, as a domain's sides do.
     """
     # per (label, label of the mirror image), the half's counts by profile
     halves: dict = {}
