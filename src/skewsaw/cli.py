@@ -62,11 +62,10 @@ def parse_angle(text: str) -> float:
     if m:
         num = int(m.group(1)) if m.group(1) else 1
         den = int(m.group(2)) if m.group(2) else 1
+        if not den:
+            raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
         return num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}")
+    return parse_finite(s)
 
 
 def parse_rule(text: str) -> LengthRule:
@@ -151,7 +150,8 @@ def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
 
 COLUMNS = {
     "weights": ("theta", "family", "sigma", "u1", "u2", "v", "w1", "w2",
-                "inv_u1", "max_local_residual"),
+                "inv_u1", "max_local_residual", "margin_u1sq_w1",
+                "margin_u2sq_w2"),
     "verify-local": ("theta", "sigma", "max_residual"),
     "solve-system": ("sigma", "theta", "residual", "rank", "rank_deficiency",
                      "match_formula"),
@@ -188,6 +188,7 @@ def cmd_weights(args):
         "u1": w.u1, "u2": w.u2, "v": w.v, "w1": w.w1, "w2": w.w2,
         "inv_u1": 1.0 / w.u1 if w.u1 else math.inf,
         "max_local_residual": res.max_abs(),
+        "margin_u1sq_w1": w.u1 ** 2 - w.w1, "margin_u2sq_w2": w.u2 ** 2 - w.w2,
     }
     rows.append(row)
     ok = res.max_abs() <= args.tol
@@ -363,7 +364,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="output format (CSV columns are fixed per "
-                             "subcommand; JSON mirrors them under 'rows')")
+                             "subcommand; JSON holds them under 'rows')")
     parser.add_argument("--output", help="write to this path instead of stdout")
     parser.add_argument("--stamp", action="store_true",
                         help="add a timestamp header (off keeps output "

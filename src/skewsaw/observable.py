@@ -103,7 +103,7 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
 @lru_cache(maxsize=128)
 def _domain_groups(T: int, L: int):
     """The packed half grouped for ``_weigh`` by head (end, dtheta, dpmt),
-    with each head's mirror image mapped once: ``_weigh`` of it equals
+    with the mirror folded in once: ``_weigh`` of it equals
     ``_weigh(_group(domain_walk_aggregate(T, L)))`` up to rounding, heads
     in another order."""
     return _group_packed(zip(*_domain_packed(T, L)), _unpack_head,

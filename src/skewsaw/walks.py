@@ -52,10 +52,10 @@ alone; any other rule runs the jobs of both arcs.  A free search adds
 each key of those jobs mirrored as well.  A domain search keeps its half,
 the straights and the first arc's jobs, and the mirror is applied where
 the half is read: ``_group_by_end`` folds it into each (side, profile)
-entry once, ``_weigh`` weighs a head's half again at its mirror image
-with the swapped weights, and ``_unfold`` gives the full histogram for
-the readers of tuple keys.  ``run_walk_enumeration`` still searches every
-walk, and is the oracle.
+entry once, ``_group_packed`` appends each head's lists, their profiles
+mirrored, to its mirror image's, and ``_unfold`` gives the full
+histogram for the readers of tuple keys.  ``run_walk_enumeration`` still
+searches every walk, and is the oracle.
 """
 
 from __future__ import annotations
@@ -205,21 +205,17 @@ class _Grouped(NamedTuple):
     ``columns`` holds the distinct profiles as five columns (the c1 of
     each, ..., the c5 of each) and ``size`` their largest count.
     ``heads`` maps each head to the list of its keys' profile indices and
-    the list of their counts, in key order.  The half of a mirror-halved
-    domain histogram also has ``mirrors``: the same lists, the straights
-    left out, under the mirror image of each head.
+    the list of their counts, in key order.
     """
 
     columns: tuple
     size: int
     heads: dict
-    mirrors: dict | None = None
 
 
-def _grouped(columns: tuple, heads: dict, mirrors: dict | None = None
-             ) -> _Grouped:
+def _grouped(columns: tuple, heads: dict) -> _Grouped:
     return _Grouped(columns, max(map(max, columns)) if columns[0] else 0,
-                    heads, mirrors)
+                    heads)
 
 
 def _packed_columns(pks: Iterable[int]) -> tuple:
@@ -239,9 +235,11 @@ def _group_packed(items: Iterable[tuple[int, int]],
 
     Given ``mirror``, the map of a key's field above the profile to its
     mirror image's, the items are the half a mirror-halved domain search
-    keeps, and each head's lists go to ``mirrors`` as well, under
-    head(mirror(above)) and without the straights (the walks with no
-    arc), which are their own mirror images.
+    keeps, and the mirror is folded in: each head's lists are appended,
+    without the straights (the walks with no arc, which are their own
+    mirror images), to the lists of head(mirror(above)), each profile
+    index replaced by its mirror image's.  The mirrored profiles join the
+    columns, so one weight set weighs the half and its mirror image.
     """
     index: dict = {}
     groups: dict = {}
@@ -256,20 +254,31 @@ def _group_packed(items: Iterable[tuple[int, int]],
             group = groups[above] = ([], [])
         group[0].append(k)
         group[1].append(n)
-    mirrors = None
+    heads = {head(above): group for above, group in groups.items()}
     if mirror is not None:
         straights = {k for pk, k in index.items() if not pk & ~_C3_FIELD}
-        mirrors = {}
-        for above, group in groups.items():
-            if not straights.isdisjoint(group[0]):
-                group = [(k, n) for k, n in zip(*group) if k not in straights]
-                if not group:
+        # the index of each profile's mirror image, new ones appended
+        image = [index.setdefault(_mirror_profile(pk), len(index))
+                 for pk in list(index)]
+        # every mirrored list is built before any head's lists grow, since
+        # ``heads`` shares its lists with ``groups``
+        moved = []
+        for above, (idx, ns) in groups.items():
+            if not straights.isdisjoint(idx):
+                pairs = [(k, n) for k, n in zip(idx, ns) if k not in straights]
+                if not pairs:
                     continue
-                group = tuple(map(list, zip(*group)))
-            mirrors[head(mirror(above))] = group
-    return _grouped(_packed_columns(index),
-                    {head(above): group for above, group in groups.items()},
-                    mirrors)
+                idx, ns = zip(*pairs)
+            moved.append((head(mirror(above)),
+                          list(map(image.__getitem__, idx)), list(ns)))
+        for name, idx, ns in moved:
+            group = heads.get(name)
+            if group is None:
+                heads[name] = (idx, ns)
+            else:
+                group[0].extend(idx)
+                group[1].extend(ns)
+    return _grouped(_packed_columns(index), heads)
 
 
 def _group_by_end(keys: Sequence[int], counts: Sequence[int],
@@ -321,7 +330,7 @@ def _domain_histogram(keys: Iterable[int], counts: Iterable[int]) -> dict:
     """counts[(end, dtheta, dpmt, profile)] over packed domain keys and
     their counts, decoded by ``_group_packed``, which leaves both
     unchanged.  Sorted keys give the tuples in sorted order."""
-    columns, _, heads, _ = _group_packed(zip(keys, counts), _unpack_head)
+    columns, _, heads = _group_packed(zip(keys, counts), _unpack_head)
     profiles = list(zip(*columns))
     return {(*head, profiles[k]): n
             for head, (idx, ns) in heads.items() for k, n in zip(idx, ns)}
@@ -690,9 +699,21 @@ def _group(hist: Mapping) -> _Grouped:
     return _grouped(tuple(zip(*index)) or ((),) * 5, heads)
 
 
-def _head_sums(columns: tuple, size: int, heads: dict, w: WeightSet) -> dict:
-    """{head: sum of n * weight(profile)} over ``heads``, the profiles
-    given by ``columns`` and weighed by w."""
+def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
+    """{head: sum of n * weight(profile)} over a histogram grouped by
+    ``_group`` or ``_group_packed``, heads in its order.
+
+    Each distinct profile is weighed once, column by column from power
+    tables as long as its grouped form's largest count, and as
+    ``profile_weight`` multiplies.  Each head adds its terms from 0.0 in
+    the order of its lists; ``reduce`` keeps that order on every Python,
+    where ``sum`` compensates float sums from 3.12 on.  For ``_group``
+    that is key order, so the sums equal a fold over the histogram's keys
+    bit for bit.  A head of a mirror-folded domain half adds its half's
+    terms first, then its mirror image's, so its sum equals that fold up
+    to rounding.
+    """
+    columns, size, heads = grouped
     tables = (list(accumulate(repeat(x, size), mul, initial=1.0))
               for x in w.as_tuple())
     # t1[c1] * t2[c2] * ... * t5[c5] per profile, in profile_weight's order
@@ -701,31 +722,6 @@ def _head_sums(columns: tuple, size: int, heads: dict, w: WeightSet) -> dict:
     weight = weight.__getitem__
     return {head: reduce(add, map(mul, counts, map(weight, idx)), 0.0)
             for head, (idx, counts) in heads.items()}
-
-
-def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
-    """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group`` or ``_group_packed``, heads in its order.
-
-    Each distinct profile is weighed once, column by column from power
-    tables as long as its grouped form's largest count, and as
-    ``profile_weight`` multiplies.  Each head adds its terms from 0.0 in
-    key order, as a fold over the histogram's keys would, so the sums are
-    the same bit for bit; ``reduce`` keeps that order on every Python,
-    where ``sum`` compensates float sums from 3.12 on.
-
-    The half of a mirror-halved domain histogram is weighed again with
-    ``w.swapped()`` under its ``mirrors`` heads, since the mirror swaps
-    the theta and (pi-theta) slots of every profile.  A head's sum is
-    then the sum of its half's terms plus the sum of its mirror image's,
-    equal to the fold over the full histogram up to rounding.
-    """
-    columns, size, heads, mirrors = grouped
-    out = _head_sums(columns, size, heads, w)
-    if mirrors is not None:
-        for head, x in _head_sums(columns, size, mirrors, w.swapped()).items():
-            out[head] = out.get(head, 0.0) + x
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,34 @@ def test_weights_subcommand_json(capsys):
     assert row["max_local_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("family", ["critical", "sigma", "sigma-one", "on"])
+def test_weights_prints_the_positivity_margins(capsys, family):
+    code, out = run_cli(capsys, "--format", "json", "weights",
+                        "--theta", "1.2", "--family", family)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["margin_u1sq_w1"] == row["u1"] ** 2 - row["w1"]
+    assert row["margin_u2sq_w2"] == row["u2"] ** 2 - row["w2"]
+
+
+def test_weights_margins_leave_the_exit_code_alone(capsys):
+    # at pi/4 the sigma = 5/8 family has u1^2 < w1: criterion 4's window
+    code, out = run_cli(capsys, "--format", "json", "weights", "--theta",
+                        "pi/4", "--family", "sigma", "--sigma", "0.625")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    margins = (row["margin_u1sq_w1"], row["margin_u2sq_w2"])
+    assert sum(m < 0 for m in margins) == 1
+
+
+def test_weights_help_lists_the_margins(capsys):
+    with pytest.raises(SystemExit):
+        main(["weights", "--help"])
+    # argparse wraps the epilog at the terminal width, inside a name too
+    out = "".join(capsys.readouterr().out.split())
+    assert out.endswith("max_local_residual,margin_u1sq_w1,margin_u2sq_w2")
+
+
 def test_parallelogram_subcommand_passes(capsys):
     code, out = run_cli(capsys, "parallelogram", "--theta", "pi/3",
                         "--T", "2", "--L", "1")
@@ -265,6 +293,10 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     ["yangbaxter", "--alpha", "0", "--s", "0.5"],
     ["--tol", "nan", "weights"],
     ["--tol", "-1", "weights"],
+    ["weights", "--theta", "2pi/0"],
+    ["weights", "--family", "sigma", "--theta", "nan"],
+    ["solve-system", "--theta", "inf"],
+    ["yangbaxter", "--alpha", "nan"],
 ], ids=" ".join)
 def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -455,19 +455,21 @@ def test_packed_half_readings_equal_the_per_key_fold(theta, x_ratio):
                                    2 * math.pi / 3])
 def test_mirror_heads_need_the_swapped_weights(monkeypatch, theta):
     # the mirror image of a walk swaps its theta and (pi - theta) slots,
-    # which carry equal weights only at pi/2
+    # which carry equal weights only at pi/2: with the profiles left
+    # unmirrored where the heads are folded, agreement holds there alone
+    obs, walks = sys.modules["skewsaw.observable"], sys.modules["skewsaw.walks"]
     x = critical_weights(theta).x_c
     _assert_readings_agree(4, 2, theta, x)
-    monkeypatch.setattr(WeightSet, "swapped", lambda self: self)
-    if theta == math.pi / 2:
-        _assert_readings_agree(4, 2, theta, x)
-    else:
-        with pytest.raises(AssertionError):
+    monkeypatch.setattr(walks, "_mirror_profile", lambda pk: pk)
+    obs._domain_groups.cache_clear()
+    try:
+        if theta == math.pi / 2:
             _assert_readings_agree(4, 2, theta, x)
-    # the side sums fold the mirror when they are grouped, not per angle
-    sides = _folded_readings(4, 2, theta, x, 5 / 8)[0]
-    assert strip_sums(4, 2, x, theta).A == pytest.approx(sides["alpha"],
-                                                         rel=1e-12)
+        else:
+            with pytest.raises(AssertionError):
+                _assert_readings_agree(4, 2, theta, x)
+    finally:
+        obs._domain_groups.cache_clear()
 
 
 def test_budget_shapes_store_the_half_of_their_keys():

@@ -674,7 +674,7 @@ def test_group_keeps_first_met_heads_and_distinct_profiles():
     # the profiles p, q as five columns, and their largest count
     assert _group(hist) == (((1, 0), (0, 2), (0, 0), (0, 1), (0, 0)), 2,
                             {("b",): ([0, 1], [3, 7]),
-                             ("a",): ([1, 0], [5, 11])}, None)
+                             ("a",): ([1, 0], [5, 11])})
 
 
 def test_grouped_reweight_sees_a_changed_count():
