@@ -382,8 +382,10 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
+        # the raw epilog keeps the columns on one line, a CSV header
         p = sub.add_parser(
-            name, epilog="CSV columns: " + ",".join(COLUMNS[name]), **kw)
+            name, epilog="CSV columns: " + ",".join(COLUMNS[name]),
+            formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
         p.set_defaults(fn=fn.__name__)
         return p
 

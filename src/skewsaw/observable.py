@@ -24,17 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import (
-    _HV_NAME,
-    _domain_histogram,
-    _group_by_end,
-    _group_packed,
-    _mirror_above,
-    _unfold,
-    _unpack_head,
-    _weigh,
-    domain_counts,
-)
+from .walks import _HV_NAME, _group_by_end, _group_packed, _weigh, domain_counts
 # not used here: the benchmark's tracer test reads observable.profile_weight
 # and observable.run_walk_enumeration
 from .walks import profile_weight, run_walk_enumeration  # noqa: F401
@@ -86,28 +76,33 @@ def _domain_packed(T: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=128)
+def _domain_groups(T: int, L: int):
+    """The packed half grouped for ``_weigh`` by head (end, dtheta, dpmt),
+    with the mirror folded in once: each head lists the profile index and
+    count of every walk it heads, the half's first, a profile possibly
+    twice.  ``_weigh`` of it equals a fold over the full histogram up to
+    rounding, heads in another order."""
+    return _group_packed(zip(*_domain_packed(T, L)))
+
+
+@lru_cache(maxsize=128)
 def domain_walk_aggregate(T: int, L: int) -> dict:
     """counts[(end, dtheta, dpmt, profile)] over all in-domain walks,
     with keys in sorted order.
 
-    Decoded on demand from ``_domain_packed`` (no second search) for the
-    readers of tuple keys, the mirror applied key by key by ``_unfold``;
-    the identities and the observable read the packed half instead.  The
-    empty walk appears as ((origin), 0, 0, zero-profile).
+    Summed per key on demand from ``_domain_groups`` (no second search),
+    the very form ``observable`` and ``alpha_winding_split`` weigh, for
+    the readers of tuple keys.  The empty walk appears as ((origin), 0,
+    0, zero-profile).
     """
-    full = _unfold(zip(*_domain_packed(T, L)))
-    keys = sorted(full)
-    return _domain_histogram(keys, map(full.__getitem__, keys))
-
-
-@lru_cache(maxsize=128)
-def _domain_groups(T: int, L: int):
-    """The packed half grouped for ``_weigh`` by head (end, dtheta, dpmt),
-    with the mirror folded in once: ``_weigh`` of it equals
-    ``_weigh(_group(domain_walk_aggregate(T, L)))`` up to rounding, heads
-    in another order."""
-    return _group_packed(zip(*_domain_packed(T, L)), _unpack_head,
-                         _mirror_above)
+    columns, _, heads = _domain_groups(T, L)
+    profiles = list(zip(*columns))
+    full: dict = {}
+    for head, (idx, ns) in heads.items():
+        for k, n in zip(idx, ns):
+            key = (*head, profiles[k])
+            full[key] = full.get(key, 0) + n
+    return dict(sorted(full.items()))
 
 
 def observable(domain: ParallelogramDomain, sigma: float,

@@ -18,9 +18,10 @@ over exact integer state:
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
   pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
-  histogram that ``_group`` (``_group_packed`` for packed domain keys)
-  has grouped once by head (the key without its profile), each distinct
-  profile stored once, as columns, and weighed once.
+  histogram that ``_group`` (``_group_packed`` or ``_group_by_end`` for
+  packed domain keys) has grouped once by head (the key without its
+  profile), each distinct profile stored once, as columns, and weighed
+  once.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -51,11 +52,11 @@ every domain search).  Such a search runs the jobs of the first arc
 alone; any other rule runs the jobs of both arcs.  A free search adds
 each key of those jobs mirrored as well.  A domain search keeps its half,
 the straights and the first arc's jobs, and the mirror is applied where
-the half is read: ``_group_by_end`` folds it into each (side, profile)
-entry once, ``_group_packed`` appends each head's lists, their profiles
-mirrored, to its mirror image's, and ``_unfold`` gives the full
-histogram for the readers of tuple keys.  ``run_walk_enumeration`` still
-searches every walk, and is the oracle.
+the half is grouped, once per grouped form: ``_group_by_end`` folds it
+into each (side, profile) entry once, and ``_group_packed`` appends each
+head's lists, their profiles mirrored, to its mirror image's.  The full
+histogram of tuple keys is summed from the latter.
+``run_walk_enumeration`` still searches every walk, and is the oracle.
 """
 
 from __future__ import annotations
@@ -225,21 +226,18 @@ def _packed_columns(pks: Iterable[int]) -> tuple:
                  for s in range(4, -1, -1))
 
 
-def _group_packed(items: Iterable[tuple[int, int]],
-                  head: Callable[[int], tuple],
-                  mirror: Callable[[int], int] | None = None) -> _Grouped:
-    """``_group`` of {(*head(key >> _PROFILE_BITS), profile): n} over the
-    packed (key, n) ``items``, read straight off the ints: each distinct
-    head and each distinct packed profile is decoded once, and no tuple
-    key is built.  This is the one decoder of packed domain keys.
+def _group_packed(items: Iterable[tuple[int, int]]) -> _Grouped:
+    """``_group`` of the full histogram {(end, dtheta, dpmt, profile): n}
+    of a mirror-halved domain search, read straight off the packed (key,
+    n) ``items`` of the half it keeps: each distinct head and each
+    distinct packed profile is decoded once, and no tuple key is built.
 
-    Given ``mirror``, the map of a key's field above the profile to its
-    mirror image's, the items are the half a mirror-halved domain search
-    keeps, and the mirror is folded in: each head's lists are appended,
-    without the straights (the walks with no arc, which are their own
-    mirror images), to the lists of head(mirror(above)), each profile
-    index replaced by its mirror image's.  The mirrored profiles join the
-    columns, so one weight set weighs the half and its mirror image.
+    The mirror is folded in: each head's lists are appended, without the
+    straights (the walks with no arc, which are their own mirror images),
+    to the lists of its mirror image's head, each profile index replaced
+    by its mirror image's.  The mirrored profiles join the columns, so one
+    weight set weighs the half and its mirror image.  A head may so list
+    one profile twice.
     """
     index: dict = {}
     groups: dict = {}
@@ -254,30 +252,29 @@ def _group_packed(items: Iterable[tuple[int, int]],
             group = groups[above] = ([], [])
         group[0].append(k)
         group[1].append(n)
-    heads = {head(above): group for above, group in groups.items()}
-    if mirror is not None:
-        straights = {k for pk, k in index.items() if not pk & ~_C3_FIELD}
-        # the index of each profile's mirror image, new ones appended
-        image = [index.setdefault(_mirror_profile(pk), len(index))
-                 for pk in list(index)]
-        # every mirrored list is built before any head's lists grow, since
-        # ``heads`` shares its lists with ``groups``
-        moved = []
-        for above, (idx, ns) in groups.items():
-            if not straights.isdisjoint(idx):
-                pairs = [(k, n) for k, n in zip(idx, ns) if k not in straights]
-                if not pairs:
-                    continue
-                idx, ns = zip(*pairs)
-            moved.append((head(mirror(above)),
-                          list(map(image.__getitem__, idx)), list(ns)))
-        for name, idx, ns in moved:
-            group = heads.get(name)
-            if group is None:
-                heads[name] = (idx, ns)
-            else:
-                group[0].extend(idx)
-                group[1].extend(ns)
+    heads = {_unpack_head(above): group for above, group in groups.items()}
+    straights = {k for pk, k in index.items() if not pk & ~_C3_FIELD}
+    # the index of each profile's mirror image, new ones appended
+    image = [index.setdefault(_mirror_profile(pk), len(index))
+             for pk in list(index)]
+    # every mirrored list is built before any head's lists grow, since
+    # ``heads`` shares its lists with ``groups``
+    moved = []
+    for above, (idx, ns) in groups.items():
+        if not straights.isdisjoint(idx):
+            pairs = [(k, n) for k, n in zip(idx, ns) if k not in straights]
+            if not pairs:
+                continue
+            idx, ns = zip(*pairs)
+        moved.append((_unpack_head(_mirror_above(above)),
+                      list(map(image.__getitem__, idx)), list(ns)))
+    for name, idx, ns in moved:
+        group = heads.get(name)
+        if group is None:
+            heads[name] = (idx, ns)
+        else:
+            group[0].extend(idx)
+            group[1].extend(ns)
     return _grouped(_packed_columns(index), heads)
 
 
@@ -324,16 +321,6 @@ def _group_by_end(keys: Sequence[int], counts: Sequence[int],
     return _grouped(_packed_columns(index),
                     {(name,): (list(map(index.__getitem__, by)), list(by.values()))
                      for name, by in out.items() if by})
-
-
-def _domain_histogram(keys: Iterable[int], counts: Iterable[int]) -> dict:
-    """counts[(end, dtheta, dpmt, profile)] over packed domain keys and
-    their counts, decoded by ``_group_packed``, which leaves both
-    unchanged.  Sorted keys give the tuples in sorted order."""
-    columns, _, heads = _group_packed(zip(keys, counts), _unpack_head)
-    profiles = list(zip(*columns))
-    return {(*head, profiles[k]): n
-            for head, (idx, ns) in heads.items() for k, n in zip(idx, ns)}
 
 
 _HV = {"H": 0, "V": 1}
@@ -502,7 +489,7 @@ def run_walk_enumeration(
 
     ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
     packed as the module docstring says (see ``_unpack_profile`` and
-    ``_domain_histogram``).  ``emit`` (if given) gets each walk's
+    ``_unpack_head``).  ``emit`` (if given) gets each walk's
     crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
     change.  This full search is the axis-job searches' oracle.
     """
@@ -563,16 +550,12 @@ def _mirror_mid(i: int, j: int, hv: int) -> tuple[int, int, int]:
     return i, -j if hv else 1 - j, hv
 
 
-def _mirror_head(above: int) -> int:
-    """The mirror of a domain key's (end, dtheta, dpmt) field ``above``, as
-    a key with a zero profile."""
-    mid, dth, dpm = _unpack_head(above)
-    return _pack_domain_key(_pack_mid(*_mirror_mid(*mid)), -dpm, -dth, 0)
-
-
 def _mirror_above(above: int) -> int:
-    """The mirror of a domain key's field ``above`` the profile."""
-    return _mirror_head(above) >> _PROFILE_BITS
+    """The mirror of a domain key's (end, dtheta, dpmt) field ``above`` the
+    profile."""
+    mid, dth, dpm = _unpack_head(above)
+    return (_pack_domain_key(_pack_mid(*_mirror_mid(*mid)), -dpm, -dth, 0)
+            >> _PROFILE_BITS)
 
 
 def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
@@ -632,8 +615,8 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     mirror images.  Every other walk leaves the axis first by the bottom
     or the top arc of some R(k, 0), and the mirror maps the one set onto
     the other.  So this counts the straights and the walks of the bottom
-    arc's axis jobs; ``_unfold`` gives every walk's count from those.  The
-    straights are the only walks counted with no arc in their profile.
+    arc's axis jobs; ``_group_packed`` folds in the other half's counts.
+    The straights are the only walks counted with no arc in their profile.
     The returned ``walks`` is the number of walks visited.
     """
     max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
@@ -653,25 +636,6 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
                         dict.fromkeys(_ring(domain), _BLOCKED),
                         _axis_jobs(points, True), counts, _dead_ends(domain, cm))
     return EnumerationStats(walks=points + walks)
-
-
-def _unfold(items: Iterable[tuple[int, int]]) -> dict:
-    """The full histogram {key: n} of the (key, n) ``items`` that
-    ``domain_counts`` counts: each key, and the mirror image of each key
-    with an arc in its profile."""
-    full: dict = {}
-    heads: dict = {}
-    for key, n in items:
-        full[key] = full.get(key, 0) + n
-        pk = key & _PROFILE_MASK
-        if pk & ~_C3_FIELD:
-            above = key >> _PROFILE_BITS
-            head = heads.get(above)
-            if head is None:
-                head = heads[above] = _mirror_head(above)
-            key = head | _mirror_profile(pk)
-            full[key] = full.get(key, 0) + n
-    return full
 
 
 def profile_weight(profile, tables) -> float:
@@ -701,7 +665,7 @@ def _group(hist: Mapping) -> _Grouped:
 
 def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
     """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group`` or ``_group_packed``, heads in its order.
+    ``_group``, ``_group_packed`` or ``_group_by_end``, heads in its order.
 
     Each distinct profile is weighed once, column by column from power
     tables as long as its grouped form's largest count, and as
@@ -709,7 +673,7 @@ def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
     the order of its lists; ``reduce`` keeps that order on every Python,
     where ``sum`` compensates float sums from 3.12 on.  For ``_group``
     that is key order, so the sums equal a fold over the histogram's keys
-    bit for bit.  A head of a mirror-folded domain half adds its half's
+    bit for bit.  A head grouped by ``_group_packed`` adds its half's
     terms first, then its mirror image's, so its sum equals that fold up
     to rounding.
     """

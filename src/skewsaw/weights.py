@@ -52,10 +52,6 @@ class WeightSet:
             w2=x * x * self.w2 / (xc * xc),
         )
 
-    def swapped(self) -> "WeightSet":
-        """u1<->u2, w1<->w2 (the theta <-> pi-theta counterpart)."""
-        return replace(self, u1=self.u2, u2=self.u1, w1=self.w2, w2=self.w1)
-
 
 def critical_weights(theta) -> WeightSet:
     """The critical weight family on [pi/3, 2pi/3].

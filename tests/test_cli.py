@@ -64,12 +64,25 @@ def test_weights_margins_leave_the_exit_code_alone(capsys):
     assert sum(m < 0 for m in margins) == 1
 
 
-def test_weights_help_lists_the_margins(capsys):
+def _help_lines(capsys, name):
     with pytest.raises(SystemExit):
-        main(["weights", "--help"])
-    # argparse wraps the epilog at the terminal width, inside a name too
-    out = "".join(capsys.readouterr().out.split())
-    assert out.endswith("max_local_residual,margin_u1sq_w1,margin_u2sq_w2")
+        main([name, "--help"])
+    return capsys.readouterr().out.splitlines()
+
+
+def test_weights_help_lists_the_margins(capsys):
+    assert _help_lines(capsys, "weights")[-1].endswith(
+        ",max_local_residual,margin_u1sq_w1,margin_u2sq_w2")
+
+
+def test_help_ends_with_the_csv_header_unwrapped(capsys, monkeypatch):
+    from skewsaw.cli import COLUMNS
+
+    # narrower than every header: argparse would wrap a formatted epilog
+    monkeypatch.setenv("COLUMNS", "60")
+    for name, columns in COLUMNS.items():
+        assert (_help_lines(capsys, name)[-1]
+                == "CSV columns: " + ",".join(columns)), name
 
 
 def test_parallelogram_subcommand_passes(capsys):

@@ -342,8 +342,6 @@ def test_identities_build_no_tuple_histogram(monkeypatch):
         raise AssertionError("a tuple-keyed domain histogram was built")
 
     _clear_domain_caches()
-    for module in (obs, walks):
-        monkeypatch.setattr(module, "_domain_histogram", refuse)
     monkeypatch.setattr(obs, "domain_walk_aggregate", refuse)
     monkeypatch.setattr(walks, "_group", refuse)
     theta = 1.2
@@ -390,11 +388,26 @@ BUDGET_SHAPES = [(T, L) for T in range(1, 21) for L in range(20)
                  if (2 * L + 1) * T <= 20]
 
 
+@functools.lru_cache(maxsize=None)
+def _full_search(T, L):
+    """(end, dtheta, dpmt, profile), n over every walk in the T x L domain,
+    from the full search, with no mirror applied."""
+    from skewsaw.walks import (_PROFILE_BITS, _unpack_head, _unpack_profile,
+                               run_walk_enumeration)
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    cap = 2 * domain.n_rhombi  # each rhombus is passed at most twice
+    counts: dict = {}
+    run_walk_enumeration(domain.origin, cap, domain=domain,
+                         signs=(domain.origin_sign,), step_cap=cap,
+                         counts=counts)
+    return tuple(((*_unpack_head(key >> _PROFILE_BITS), _unpack_profile(key)), n)
+                 for key, n in sorted(counts.items()))
+
+
 def _folded_readings(T, L, theta, x, sigma):
     """Strip sums, observable values, the alpha split and the real-part
-    diagnostic, each folded key by key over ``domain_walk_aggregate``."""
-    from skewsaw.observable import domain_walk_aggregate
-
+    diagnostic, each folded key by key over the full search."""
     weights = critical_weights(theta).at_fugacity(x).as_tuple()
     domain = ParallelogramDomain(T, L, theta)
     pmt = math.pi - theta
@@ -402,7 +415,7 @@ def _folded_readings(T, L, theta, x, sigma):
     split = {(1, 1): 0.0, (-1, -1): 0.0}
     values: dict = {}
     heads: dict = {}
-    for (*head, profile), n in domain_walk_aggregate(T, L).items():
+    for (*head, profile), n in _full_search(T, L):
         head = tuple(head)
         heads[head] = heads.get(head, 0.0) + n * math.prod(
             map(pow, weights, profile))
@@ -469,7 +482,9 @@ def test_mirror_heads_need_the_swapped_weights(monkeypatch, theta):
             with pytest.raises(AssertionError):
                 _assert_readings_agree(4, 2, theta, x)
     finally:
+        # the tuple histogram is summed from the grouped form
         obs._domain_groups.cache_clear()
+        obs.domain_walk_aggregate.cache_clear()
 
 
 def test_budget_shapes_store_the_half_of_their_keys():

@@ -274,10 +274,22 @@ def test_step_cap_refuses_steps_beyond_profile_slots():
                              LengthRule(2, 2, 2), step_cap=100)
 
 
+def _decoded_key(key):
+    """The tuple (end, dtheta, dpmt, profile) of a packed domain key."""
+    from skewsaw.walks import _PROFILE_BITS, _unpack_head, _unpack_profile
+
+    return (*_unpack_head(key >> _PROFILE_BITS), _unpack_profile(key))
+
+
+def _decoded(counts):
+    """The tuple histogram of packed domain ``counts``, keys sorted."""
+    return dict(sorted((_decoded_key(k), n) for k, n in counts.items()))
+
+
 @pytest.mark.parametrize("T,L", [(1, 11), (24, 0)])
 def test_domain_key_round_trips_at_its_extremes(T, L):
-    from skewsaw.walks import (_HV, _domain_histogram, _pack_domain_key,
-                               _pack_mid, _unfold)
+    from skewsaw.walks import (_HV, _PROFILE_BITS, _mirror_above,
+                               _mirror_profile, _pack_domain_key, _pack_mid)
 
     mids = ParallelogramDomain(T, L, math.pi / 2).mid_edges()
     corners = set()
@@ -298,22 +310,21 @@ def test_domain_key_round_trips_at_its_extremes(T, L):
                     pk = sum(c << 6 * (4 - s) for s, c in enumerate(profile))
                     record = (mid, dth, dpm, profile)
                     key = _pack_domain_key(_pack_mid(*mid), dth, dpm, pk)
-                    assert _domain_histogram([key], [1]) == {record: 1}
+                    assert _decoded_key(key) == record
                     keys[key] = record
-                    # the mirror image of a key with an arc decodes as such
+                    # the mirror image of the key decodes as such
                     i, j, hv = mid
                     c1, c2, c3, c4, c5 = profile
                     image = ((i, -j if hv else 1 - j, hv), -dpm, -dth,
                              (c2, c1, c3, c5, c4))
-                    full = sorted(_unfold([(key, 1)]).items())
-                    want = {record: 1}
-                    if profile != (0, 0, profile[2], 0, 0):
-                        want[image] = want.get(image, 0) + 1
-                    assert _domain_histogram(*zip(*full)) == want
+                    above = _mirror_above(key >> _PROFILE_BITS)
+                    assert _mirror_above(above) == key >> _PROFILE_BITS
+                    assert _mirror_profile(_mirror_profile(pk)) == pk
+                    assert (_decoded_key(above << _PROFILE_BITS
+                                         | _mirror_profile(pk)) == image)
     assert len(keys) == 6 * 9 * 3
     # sorted keys come in the order of their tuples
-    assert (list(_domain_histogram(sorted(keys), [1] * len(keys)))
-            == sorted(keys.values()))
+    assert list(map(_decoded_key, sorted(keys))) == sorted(keys.values())
 
 
 def test_honeycomb_rule_lengths():
@@ -506,13 +517,19 @@ def _full_domain_counts(domain):
 
 @pytest.mark.parametrize("T,L", MIRROR_SHAPES)
 def test_mirrored_domain_search_equals_the_full_search(T, L):
-    from skewsaw.walks import _C3_FIELD, _PROFILE_MASK, _unfold, domain_counts
+    from skewsaw.observable import _domain_packed, domain_walk_aggregate
+    from skewsaw.walks import _C3_FIELD, _PROFILE_MASK, domain_counts
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
     full, n_full = _full_domain_counts(domain)
     counts: dict = {}
     visited = domain_counts(domain, counts).walks
-    assert _unfold(counts.items()) == full
+    assert sorted(counts.items()) == list(zip(*_domain_packed(T, L)))
+    # the half, with the mirror folded in, sums to the full search key for
+    # key, keys in the same order
+    want, got = _decoded(full), domain_walk_aggregate(T, L)
+    assert got == want
+    assert list(got) == list(want)
     # the half holds the T + 1 straights, the only keys without an arc
     assert sum(not k & _PROFILE_MASK & ~_C3_FIELD for k in counts) == T + 1
     # the T + 1 axis walks once, half of the others
@@ -523,12 +540,12 @@ def test_mirrored_domain_search_equals_the_full_search(T, L):
 @pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (1, 3), (4, 2)])
 def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     from skewsaw.walks import (_BLOCKED, _HV, _PROFILE_BITS, _PROFILE_MASK,
-                               _axis_walks, _dead_ends, _mirror_head,
+                               _axis_walks, _dead_ends, _mirror_above,
                                _mirror_profile, _pack_domain_key, _pack_mid,
                                _ring, _step_rows)
 
     def mirror(key):
-        return (_mirror_head(key >> _PROFILE_BITS)
+        return (_mirror_above(key >> _PROFILE_BITS) << _PROFILE_BITS
                 | _mirror_profile(key & _PROFILE_MASK))
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
@@ -737,14 +754,13 @@ def test_no_admitted_step_in_a_domain_lands_on_the_walk():
 @pytest.mark.parametrize("T,L", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (4, 1)])
 def test_oracle_equivalence_domain_histogram(T, L):
     from skewsaw.observable import domain_walk_aggregate
-    from skewsaw.walks import _domain_histogram
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
     budget = 2 * domain.n_rhombi
     counts: dict = {}
     run_walk_enumeration(domain.origin, budget, UNIT_RULE, domain,
                          counts=counts)
-    fast = _domain_histogram(counts, counts.values())
+    fast = _decoded(counts)
     slow: Counter = Counter()
     for steps in naive_enumerate(domain.origin, budget, domain=domain):
         end = steps[-1].dst if steps else domain.origin
