@@ -174,7 +174,7 @@ def cmd_weights(args):
         w = sigma_weights(th, args.sigma)
         sigma = args.sigma
     elif args.family == "sigma-one":
-        w = sigma_one_family(args.u1, th)
+        w = sigma_one_family(args.u1)
         sigma = 1.0
     elif args.family == "on":
         w, n = on_weights(th, args.s)

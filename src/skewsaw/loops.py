@@ -133,12 +133,9 @@ def loop_weight(config: LoopConfig, weights_for_cell, n: float) -> float:
 
 
 def _strand_edges(cells, states):
-    """Half-strand segments as (mid_key_a, mid_key_b, cell_idx, pair)."""
-    out = []
-    for ci, (cell, st) in enumerate(zip(cells, states)):
-        for (a, b) in state_pairs(st):
-            out.append((cell.mids[a], cell.mids[b], ci, (a, b)))
-    return out
+    """Half-strand segments as (mid_key_a, mid_key_b) pairs."""
+    return [(cell.mids[a], cell.mids[b])
+            for cell, st in zip(cells, states) for a, b in state_pairs(st)]
 
 
 def _trace(cells, states):
@@ -151,7 +148,7 @@ def _trace(cells, states):
     """
     edges = _strand_edges(cells, states)
     by_mid: dict = {}
-    for idx, (a, b, _, _) in enumerate(edges):
+    for idx, (a, b) in enumerate(edges):
         for m in (a, b):
             by_mid.setdefault(m, []).append(idx)
             if len(by_mid[m]) > 2:
@@ -165,7 +162,7 @@ def _trace(cells, states):
         cur_edge, cur_mid = idx, start_mid
         while True:
             seen[cur_edge] = True
-            a, b, _, _ = edges[cur_edge]
+            a, b = edges[cur_edge]
             nxt_mid = b if a == cur_mid else a
             seq.append(nxt_mid)
             options = [e for e in by_mid[nxt_mid] if not seen[e]]
@@ -180,9 +177,7 @@ def _trace(cells, states):
     # what remains are loops
     for idx in range(len(edges)):
         if not seen[idx]:
-            a, _, _, _ = edges[idx]
-            seq = walk_from(idx, a)
-            loops.append(seq)
+            loops.append(walk_from(idx, edges[idx][0]))
     return loops, chains
 
 
@@ -273,7 +268,6 @@ class HexagonInstance:
     """Symmetric equilateral hexagon spanned by unit vectors at angles
     -alpha, 0, +alpha, with its two rhombic tilings."""
 
-    alpha: float
     tiling1: tuple[Cell, Cell, Cell]
     tiling2: tuple[Cell, Cell, Cell]
     boundary: tuple  # 6 boundary mid keys in cyclic order
@@ -304,8 +298,7 @@ def hexagon(alpha: float) -> HexagonInstance:
     for cells in (t1, t2):
         mids = set(itertools.chain.from_iterable(c.mids for c in cells))
         assert set(boundary) <= mids
-    return HexagonInstance(alpha=alpha, tiling1=t1, tiling2=t2,
-                           boundary=boundary)
+    return HexagonInstance(tiling1=t1, tiling2=t2, boundary=boundary)
 
 
 def noncrossing_pairings(points: tuple):
@@ -410,8 +403,6 @@ def _tiling_terms(cells, boundary, s: float):
 
 @dataclass(frozen=True)
 class YangBaxterReport:
-    alpha: float
-    s: float
     n: float
     pattern_count: int
     max_residual: float
@@ -437,8 +428,7 @@ def yang_baxter_residual(alpha: float, s: float) -> YangBaxterReport:
         diff = abs(sums[0] - sums[1])
         worst = max(worst, diff)
         rows.append((pid, sums[0], sums[1], diff))
-    return YangBaxterReport(alpha=alpha, s=s, n=n,
-                            pattern_count=len(rows),
+    return YangBaxterReport(n=n, pattern_count=len(rows),
                             max_residual=worst, rows=tuple(rows))
 
 

@@ -36,8 +36,6 @@ class ObservableTable:
     """Observable values F_a(z) over the mid-edges of a domain."""
 
     domain: ParallelogramDomain
-    origin: MidEdge
-    sigma: float
     values: dict  # MidEdge -> complex
 
     def value(self, m: MidEdge) -> complex:
@@ -118,8 +116,7 @@ def observable(domain: ParallelogramDomain, sigma: float,
         phase = cmath.exp(-1j * sigma * (dth * theta + dpm * pmt))
         m = MidEdge(i, j, _HV_NAME[hv])
         values[m] = values.get(m, 0.0 + 0.0j) + weight * phase
-    return ObservableTable(domain=domain, origin=domain.origin,
-                           sigma=sigma, values=values)
+    return ObservableTable(domain=domain, values=values)
 
 
 def cr_residual(table: ObservableTable, r: Rhombus) -> complex:
@@ -174,17 +171,15 @@ def domain_contour_integral(table: ObservableTable) -> complex:
 
 @dataclass(frozen=True)
 class StripSums:
-    """Side-resolved weight sums at fugacity x.
+    """Side-resolved weight sums at one fugacity; ``theta`` gives the
+    side coefficients of ``residual``.
 
     A excludes the empty walk: in the boundary identity the empty walk
     carries the constant 1 on the right-hand side, not the alpha
     coefficient.
     """
 
-    T: int
-    L: int
     theta: float
-    x: float
     A: float
     B: float
     D: float
@@ -239,7 +234,7 @@ def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
     w = critical_weights(th).at_fugacity(x)
     sums = _weigh(_side_marginal(T, L), w)
     A, B, D, E = (sums.get((side,), 0.0) for side in _SIDES)
-    return StripSums(T=T, L=L, theta=th, x=x, A=A, B=B, D=D, E=E)
+    return StripSums(theta=th, A=A, B=B, D=D, E=E)
 
 
 def parallelogram_identity_residual(T: int, L: int, theta,
@@ -304,8 +299,6 @@ def bridge_constant(theta: float, T: int) -> float:
 
 @dataclass(frozen=True)
 class StripLimitsReport:
-    T: int
-    theta: float
     x: float
     L_values: tuple[int, ...]
     A: tuple[float, ...]
@@ -329,8 +322,7 @@ def strip_limits(T: int, x: float, theta, L_max: int) -> StripLimitsReport:
         for L in range(L_max)
     )
     return StripLimitsReport(
-        T=T, theta=th, x=x,
-        L_values=tuple(range(L_max + 1)),
+        x=x, L_values=tuple(range(L_max + 1)),
         A=tuple(r.A for r in rows),
         B=tuple(r.B for r in rows),
         ED=tuple(r.E + r.D for r in rows),
@@ -340,18 +332,18 @@ def strip_limits(T: int, x: float, theta, L_max: int) -> StripLimitsReport:
 
 @dataclass(frozen=True)
 class BridgeChainReport:
-    theta: float
-    T_values: tuple[int, ...]
-    B: tuple[float, ...]               # B_{T, L_max}(x_c)
+    B: tuple[float, ...]               # B_{T, L_max}(x_c), T = 1..T_max
     chain_floor: float                 # c = x_c u2 / c_alpha
     floor_margins: tuple[float, ...]   # B_T - min(B_1, c)/T
     recursion_margins: tuple[float, ...]  # B_{T+1} - bound(B_T)
-    subcritical_x: float
     subcritical_margins: tuple[float, ...]  # (x/x_c)^T - B_T(x)
 
 
-def bridge_chain_check(theta, T_max: int, L_max: int,
-                       x_ratio: float = 0.8) -> BridgeChainReport:
+# x/x_c of the subcritical fugacity at which bridge_chain_check checks decay.
+SUBCRITICAL_X_RATIO = 0.8
+
+
+def bridge_chain_check(theta, T_max: int, L_max: int) -> BridgeChainReport:
     """Bridge-sum lower bounds along the strip-width chain.
 
     Uses B_{T,L_max} as the measured stand-in for B_T; margins are
@@ -366,18 +358,16 @@ def bridge_chain_check(theta, T_max: int, L_max: int,
     B_sub = []
     for T in range(1, T_max + 1):
         B.append(strip_sums(T, L_max, xc, th).B)
-        B_sub.append(strip_sums(T, L_max, x_ratio * xc, th).B)
+        B_sub.append(strip_sums(T, L_max, SUBCRITICAL_X_RATIO * xc, th).B)
     floor_margins = tuple(B[T - 1] - min(B[0], c) / T for T in range(1, T_max + 1))
     rec_margins = tuple(
         B[T] - 0.5 * (-c + math.sqrt(c * c + 4.0 * c * B[T - 1]))
         for T in range(1, T_max)
     )
     sub_margins = tuple(
-        x_ratio ** T - B_sub[T - 1] for T in range(1, T_max + 1)
+        SUBCRITICAL_X_RATIO ** T - B_sub[T - 1] for T in range(1, T_max + 1)
     )
     return BridgeChainReport(
-        theta=th, T_values=tuple(range(1, T_max + 1)), B=tuple(B),
-        chain_floor=c, floor_margins=floor_margins,
-        recursion_margins=rec_margins, subcritical_x=x_ratio,
-        subcritical_margins=sub_margins,
+        B=tuple(B), chain_floor=c, floor_margins=floor_margins,
+        recursion_margins=rec_margins, subcritical_margins=sub_margins,
     )

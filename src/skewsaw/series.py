@@ -26,12 +26,11 @@ from .weights import critical_weights
 
 @dataclass(frozen=True)
 class SeriesReport:
-    theta: float
-    rule: LengthRule
     n_max: int
     c_tilde: tuple[float, ...]
     root_estimates: tuple[float, ...]    # c_n^(1/n), n >= 1
-    ratio_estimates: tuple[float, ...]   # c_{n+1}/c_n
+    # c_n/c_{n-1}, n >= 1, or None where c_{n-1} = 0
+    ratio_estimates: tuple[float | None, ...]
     lower_brackets: tuple[float, ...]    # per-n analytic floor for the roots
     upper_bracket: float | None          # c_1 (unit rule only, see below)
     target: float                        # 1/u1
@@ -43,7 +42,7 @@ class SeriesReport:
                 "c_tilde": self.c_tilde[n],
                 "root_estimate": self.root_estimates[n - 1] if n >= 1 else "",
                 "ratio_estimate": self.ratio_estimates[n - 1]
-                if 1 <= n <= len(self.ratio_estimates) else "",
+                if n >= 1 and self.ratio_estimates[n - 1] is not None else "",
                 "lower_bracket": self.lower_brackets[n - 1] if n >= 1 else "",
                 "upper_bracket": self.upper_bracket
                 if self.upper_bracket is not None else "",
@@ -73,7 +72,7 @@ def _lower_bound_sequence(theta: float, rule: LengthRule, n_max: int) -> list[fl
 
 
 def series_report(theta, rule: LengthRule = UNIT_RULE, n_max: int = 10,
-                  orient: str = "H", workers: int = 1) -> SeriesReport:
+                  workers: int = 1) -> SeriesReport:
     """Exact c_0..c_{n_max} with root/ratio estimators and brackets.
 
     The upper bracket c_1 relies on submultiplicativity, which needs
@@ -82,16 +81,17 @@ def series_report(theta, rule: LengthRule = UNIT_RULE, n_max: int = 10,
     other rules no upper bracket is reported.
     """
     w = critical_weights(theta)
-    sums = weighted_length_sums(n_max, theta, w, rule, orient, workers)
+    sums = weighted_length_sums(n_max, w, rule, workers=workers)
     c = [sums[n] / w.u1 ** n for n in range(n_max + 1)]
     roots = tuple(c[n] ** (1.0 / n) if c[n] > 0 else 0.0
                   for n in range(1, n_max + 1))
-    ratios = tuple(c[n + 1] / c[n] for n in range(n_max) if c[n] > 0)
+    ratios = tuple(c[n] / c[n - 1] if c[n - 1] > 0 else None
+                   for n in range(1, n_max + 1))
     g = _lower_bound_sequence(theta, rule, n_max)
     lower = tuple((g[n] / w.u1 ** n) ** (1.0 / n) for n in range(1, n_max + 1))
     upper = c[1] if rule == UNIT_RULE and n_max >= 1 else None
     return SeriesReport(
-        theta=float(theta), rule=rule, n_max=n_max, c_tilde=tuple(c),
+        n_max=n_max, c_tilde=tuple(c),
         root_estimates=roots, ratio_estimates=ratios,
         lower_brackets=lower, upper_bracket=upper,
         target=1.0 / w.u1,
@@ -207,7 +207,7 @@ def honeycomb_crosscheck(n_max: int, workers: int = 1) -> HoneycombComparison:
         enumerate_walks(MidEdge(0, 0, "V"), image_budget, HONEYCOMB_RULE,
                         visitor=visit)
 
-    sums = weighted_length_sums(n_max, theta, w, HONEYCOMB_RULE, "V", workers,
+    sums = weighted_length_sums(n_max, w, HONEYCOMB_RULE, "V", workers,
                                 meanwhile=parent_work)
     expected = [w.u1 ** n * oracle[n] for n in range(n_max + 1)]
     return HoneycombComparison(

@@ -699,7 +699,6 @@ class Walk:
     start: MidEdge
     steps: tuple[Step, ...]
     occupancy: Mapping[Rhombus, PlaquetteState]
-    visited: frozenset[MidEdge]
 
     @property
     def end(self) -> MidEdge:
@@ -763,8 +762,7 @@ def build_walk(start: MidEdge, steps: Iterable[Step]) -> Walk:
         if a.exit_sign != b.entry_sign or a.dst != b.src:
             raise ValueError(f"steps {a} -> {b} reverse direction")
     occ = occupancy_from_steps(steps)
-    return Walk(start=start, steps=steps, occupancy=occ,
-                visited=frozenset(visited))
+    return Walk(start=start, steps=steps, occupancy=occ)
 
 
 def weight_of(walk: Walk, w: WeightSet) -> float:
@@ -926,7 +924,7 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     return _both_signs(counts, rule)
 
 
-def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,
+def weighted_length_sums(n_max: int, w: WeightSet,
                          rule: LengthRule = UNIT_RULE, orient: str = "H",
                          workers: int = 1, *,
                          meanwhile: Callable[[], None] | None = None
@@ -935,10 +933,6 @@ def weighted_length_sums(n_max: int, theta: float, w: WeightSet | None = None,
 
     ``meanwhile`` is passed to ``free_walk_aggregate_parallel``: with
     ``workers`` > 1 it runs in this process while the pool searches."""
-    from .weights import critical_weights
-
-    if w is None:
-        w = critical_weights(theta)
     agg = free_walk_aggregate_parallel(n_max, rule, orient, workers,
                                        meanwhile=meanwhile)
     sums = [0.0] * (n_max + 1)
@@ -953,7 +947,7 @@ def c_tilde(n: int, theta: float, rule: LengthRule = UNIT_RULE,
     from .weights import critical_weights
 
     w = critical_weights(theta)
-    sums = weighted_length_sums(n, theta, w, rule, orient, workers)
+    sums = weighted_length_sums(n, w, rule, orient, workers)
     return sums[n] / w.u1 ** n
 
 

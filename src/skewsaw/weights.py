@@ -5,8 +5,8 @@ arc of angle theta, ``u2`` for a single arc of angle pi - theta, ``v``
 for a straight passage, ``w1``/``w2`` for the two-arc states.  The
 closed forms below are trigonometric products in theta and a family
 parameter (a spin sigma or a loop parameter s); ``local_residuals``
-evaluates the eight linear relations those weights are defined to
-satisfy, and ``solve_local_system`` recovers the weights from the
+evaluates the four complex linear relations those weights are defined
+to satisfy, and ``solve_local_system`` recovers the weights from the
 relations numerically.
 """
 
@@ -21,16 +21,13 @@ from .geometry import as_theta
 
 @dataclass(frozen=True)
 class WeightSet:
-    """The five plaquette weights plus the parameters that produced them."""
+    """The five plaquette weights."""
 
     u1: float
     u2: float
     v: float
     w1: float
     w2: float
-    theta: float | None = None
-    family: str = ""
-    param: float | None = None
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.u1, self.u2, self.v, self.w1, self.w2)
@@ -71,9 +68,6 @@ def critical_weights(theta) -> WeightSet:
         v=math.sin(b + q) * math.sin(-q) / denom,
         w1=math.sin(b + q) * math.sin(a - q) / denom,
         w2=math.sin(15.0 * math.pi / 8.0 + q) * math.sin(-q) / denom,
-        theta=th,
-        family="critical",
-        param=5.0 / 8.0,
     )
 
 
@@ -108,24 +102,13 @@ def sigma_weights(theta: float, sigma: float) -> WeightSet:
         v=st * sp / t,
         w1=sp * math.sin(s1 * (2.0 * math.pi + th)) / t,
         w2=st * math.sin(s1 * (3.0 * math.pi - th)) / t,
-        theta=th,
-        family="sigma",
-        param=sigma,
     )
 
 
-def sigma_one_family(u1: float, theta: float | None = None) -> WeightSet:
-    """The one-parameter family at spin 1: no straights, u1 + u2 = 1."""
-    return WeightSet(
-        u1=u1,
-        u2=1.0 - u1,
-        v=0.0,
-        w1=u1,
-        w2=1.0 - u1,
-        theta=theta,
-        family="sigma_one",
-        param=u1,
-    )
+def sigma_one_family(u1: float) -> WeightSet:
+    """The one-parameter family at spin 1: no straights, u1 + u2 = 1.
+    The same weights solve the local relations at every angle."""
+    return WeightSet(u1=u1, u2=1.0 - u1, v=0.0, w1=u1, w2=1.0 - u1)
 
 
 def loop_parameter(s: float) -> float:
@@ -158,29 +141,23 @@ def on_weights(theta: float, s: float) -> tuple[WeightSet, float]:
         v=st * sp / t,
         w1=math.sin((2.0 * math.pi / 3.0 - th) * s) * sp / t,
         w2=math.sin((th - math.pi / 3.0) * s) * st / t,
-        theta=th,
-        family="on",
-        param=s,
     )
     return ws, loop_parameter(s)
 
 
 @dataclass(frozen=True)
 class LocalResiduals:
-    """Residuals of the four local relations and their conjugates."""
+    """Residuals of the four complex local relations.  For real weights
+    each relation's conjugate is its residual conjugated, so it is not
+    evaluated separately."""
 
     r1: complex
     r2: complex
     r3: complex
     r4: complex
-    rc1: complex
-    rc2: complex
-    rc3: complex
-    rc4: complex
 
     def all(self) -> tuple[complex, ...]:
-        return (self.r1, self.r2, self.r3, self.r4,
-                self.rc1, self.rc2, self.rc3, self.rc4)
+        return (self.r1, self.r2, self.r3, self.r4)
 
     def max_abs(self) -> float:
         return max(abs(z) for z in self.all())
@@ -207,18 +184,12 @@ def _local_coefficient_rows(sigma: float, theta: float):
 
 
 def local_residuals(w: WeightSet, sigma: float, theta: float) -> LocalResiduals:
-    """Evaluate the eight local relations at the given spin and angle."""
+    """Evaluate the four complex local relations at the given spin and
+    angle."""
     rows = _local_coefficient_rows(sigma, float(theta))
-    vals = []
-    for coeffs, const in rows:
-        vals.append(const + sum(c * x for c, x in zip(coeffs, w.as_tuple())))
-    conj_vals = []
-    for coeffs, const in rows:
-        conj_vals.append(
-            complex(const).conjugate()
-            + sum(complex(c).conjugate() * x for c, x in zip(coeffs, w.as_tuple()))
-        )
-    return LocalResiduals(*vals, *conj_vals)
+    return LocalResiduals(*(
+        const + sum(c * x for c, x in zip(coeffs, w.as_tuple()))
+        for coeffs, const in rows))
 
 
 @dataclass(frozen=True)
@@ -235,8 +206,11 @@ class SystemSolution:
         return 5 - self.rank
 
 
-def solve_local_system(sigma: float, theta: float,
-                       residual_tol: float = 1e-9) -> SystemSolution:
+# Largest least-squares residual ``solve_local_system`` accepts as a solution.
+SOLVE_RESIDUAL_TOL = 1e-9
+
+
+def solve_local_system(sigma: float, theta: float) -> SystemSolution:
     """Solve the eight real-linearized local relations for the weights.
 
     The four complex relations are affine in the five real weights;
@@ -262,9 +236,8 @@ def solve_local_system(sigma: float, theta: float,
     nullspace = tuple(tuple(float(v) for v in vt[k])
                       for k in range(5) if k >= rank)
     weights = None
-    if residual < residual_tol:
-        weights = WeightSet(*[float(v) for v in x], theta=float(theta),
-                            family="solved", param=sigma)
+    if residual < SOLVE_RESIDUAL_TOL:
+        weights = WeightSet(*[float(v) for v in x])
     return SystemSolution(weights=weights, residual=residual,
                           rank=int(rank), nullspace=nullspace)
 

@@ -147,7 +147,7 @@ def test_criterion_07_strip_behaviour():
         ok = ok and all(b < a for a, b in zip(rep.ED, rep.ED[1:]))
         ok = ok and all(m >= -1e-12 for m in rep.growth_margins)
         detail.append(f"T={T} ED_last={rep.ED[-1]:.3g}")
-    chain = bridge_chain_check(th, 3, budgets[3], x_ratio=0.8)
+    chain = bridge_chain_check(th, 3, budgets[3])
     ok = ok and all(m > 0 for m in chain.floor_margins)
     ok = ok and all(m > 0 for m in chain.subcritical_margins)
     report("7 strip behaviour", ok, "; ".join(detail))

@@ -68,7 +68,7 @@ def test_cr_residual_critical_family(theta):
 def test_cr_residual_sigma_one_family(theta):
     for u1 in (0.3, 0.7):
         tab = observable(ParallelogramDomain(2, 1, theta), 1.0,
-                         sigma_one_family(u1, theta))
+                         sigma_one_family(u1))
         assert max_cr_residual(tab) < 1e-10
 
 

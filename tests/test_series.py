@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 
@@ -72,6 +73,20 @@ def test_rule_change_keeps_target_and_lower_bracket():
     # c_2 = 6 > c_1^2 = 4 already violates it
     assert rep.upper_bracket is None
     assert rep.c_tilde[2] > rep.c_tilde[1] ** 2
+
+
+@pytest.mark.parametrize(
+    "rule", [LengthRule(*r) for r in itertools.product((1, 2, 3), repeat=3)],
+    ids=lambda r: ",".join(map(str, r.as_tuple())))
+def test_ratio_rows_stay_aligned_when_a_term_is_zero(rule):
+    # rules with only even lengths, or none of length 1, have c_n = 0 for
+    # some n; a ratio over such a term has no value and its row stays empty
+    rows = list(series_report(math.pi / 2, rule, 7).rows())
+    assert rows[0]["ratio_estimate"] == ""
+    for prev, row in zip(rows, rows[1:]):
+        c_prev = prev["c_tilde"]
+        want = row["c_tilde"] / c_prev if c_prev > 0 else ""
+        assert row["ratio_estimate"] == want, f"row {row['n']}"
 
 
 def test_honeycomb_counts_small():
