@@ -79,8 +79,8 @@ def test_rule_change_keeps_target_and_lower_bracket():
     "rule", [LengthRule(*r) for r in itertools.product((1, 2, 3), repeat=3)],
     ids=lambda r: ",".join(map(str, r.as_tuple())))
 def test_ratio_rows_stay_aligned_when_a_term_is_zero(rule):
-    # rules with only even lengths, or none of length 1, have c_n = 0 for
-    # some n; a ratio over such a term has no value and its row stays empty
+    # with no passage of length 1, c_1 = 0 (with only even lengths, every
+    # odd c_n = 0); a ratio over a zero term has no value: its row is empty
     rows = list(series_report(math.pi / 2, rule, 7).rows())
     assert rows[0]["ratio_estimate"] == ""
     for prev, row in zip(rows, rows[1:]):
