@@ -9,7 +9,6 @@ specialisation.
 __version__ = "0.1.0"
 
 from .geometry import (
-    LatticeAngle,
     MidEdge,
     ParallelogramDomain,
     Rhombus,
@@ -23,7 +22,6 @@ from .walks import (
     UNIT_RULE,
     Walk,
     build_walk,
-    c_tilde,
     enumerate_walks,
     walk_from_dump,
     walk_to_dump,
@@ -47,16 +45,13 @@ from .observable import (
     cr_residual,
     max_cr_residual,
     observable,
-    parallelogram_identity_residual,
     side_coefficients,
     strip_limits,
     strip_sums,
 )
 from .loops import (
     HexagonInstance,
-    LoopConfig,
     hexagon,
-    loop_weight,
     on_observable,
     on_observable_cr_check,
     yang_baxter_residual,

@@ -128,7 +128,7 @@ def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
         text = buf.getvalue()
     else:
         echo = {k: v for k, v in sorted(vars(args).items())
-                if k not in ("fn", "output") and v is not None}
+                if k != "output" and v is not None}
         echo["rule"] = getattr(args, "rule", None) and args.rule.as_tuple()
         if echo["rule"] is None:
             del echo["rule"]
@@ -145,8 +145,9 @@ def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (rows, columns, meta, ok), its columns taken
-# from this table, which also writes the --help epilogs.
+# Subcommands.  Each returns (rows, meta, ok); ``main`` writes the rows
+# under the command's columns in this table, which also writes the --help
+# epilogs, and puts the command's name first in ``meta``.
 
 COLUMNS = {
     "weights": ("theta", "family", "sigma", "u1", "u2", "v", "w1", "w2",
@@ -192,7 +193,7 @@ def cmd_weights(args):
     }
     rows.append(row)
     ok = res.max_abs() <= args.tol
-    return rows, COLUMNS["weights"], {"command": "weights", "theta": th}, ok
+    return rows, {"theta": th}, ok
 
 
 def cmd_verify_local(args):
@@ -207,8 +208,7 @@ def cmd_verify_local(args):
             r = local_residuals(w, sg, th).max_abs()
             ok = ok and r <= args.tol
             rows.append({"theta": th, "sigma": sg, "max_residual": r})
-    meta = {"command": "verify-local", "grid": args.grid}
-    return rows, COLUMNS["verify-local"], meta, ok
+    return rows, {"grid": args.grid}, ok
 
 
 def cmd_solve_system(args):
@@ -233,8 +233,7 @@ def cmd_solve_system(args):
         elif solvable:
             ok = False
         rows.append(row)
-    meta = {"command": "solve-system", "theta": args.theta}
-    return rows, COLUMNS["solve-system"], meta, ok
+    return rows, {"theta": args.theta}, ok
 
 
 def cmd_verify_cr(args):
@@ -244,7 +243,7 @@ def cmd_verify_cr(args):
     rows = [{"T": args.T, "L": args.L, "theta": args.theta,
              "sigma": args.sigma, "max_cr_residual": worst}]
     ok = worst <= args.tol
-    return rows, COLUMNS["verify-cr"], {"command": "verify-cr"}, ok
+    return rows, {}, ok
 
 
 def cmd_parallelogram(args):
@@ -265,7 +264,7 @@ def cmd_parallelogram(args):
         rows.append({"T": T, "L": L, "theta": args.theta, "x": x,
                      "A": s.A, "B": s.B, "D": s.D, "E": s.E,
                      "residual13": s.residual})
-    return rows, COLUMNS["parallelogram"], {"command": "parallelogram"}, ok
+    return rows, {}, ok
 
 
 def cmd_strip(args):
@@ -281,14 +280,15 @@ def cmd_strip(args):
             "growth_margin": rep.growth_margins[idx]
             if idx < len(rep.growth_margins) else "",
         })
+    # the floor and recursion bounds hold in the strip limit, not at a
+    # finite width, so only the growth and subcritical margins gate
     ok = all(m >= -1e-12 for m in rep.growth_margins)
-    ok = ok and all(x >= -1e-12 for x in chain.floor_margins)
     ok = ok and all(x >= -1e-12 for x in chain.subcritical_margins)
-    meta = {"command": "strip", "bridge_floor": chain.chain_floor,
+    meta = {"bridge_floor": chain.chain_floor,
             "floor_margins": list(chain.floor_margins),
             "recursion_margins": list(chain.recursion_margins),
             "subcritical_margins": list(chain.subcritical_margins)}
-    return rows, COLUMNS["strip"], meta, ok
+    return rows, meta, ok
 
 
 def cmd_series(args):
@@ -302,17 +302,16 @@ def cmd_series(args):
         if rep.upper_bracket is not None and \
                 rep.root_estimates[n - 1] > rep.upper_bracket + 1e-9:
             ok = False
-    meta = {"command": "series", "target": rep.target}
-    return rows, COLUMNS["series"], meta, ok
+    return rows, {"target": rep.target}, ok
 
 
 def cmd_honeycomb(args):
     rep = honeycomb_crosscheck(args.n_max, workers=args.threads)
     rows = list(rep.rows())
     ok = rep.max_relative_error() <= args.tol and rep.images_valid
-    meta = {"command": "honeycomb", "max_relative_error":
-            rep.max_relative_error(), "images_valid": rep.images_valid}
-    return rows, COLUMNS["honeycomb"], meta, ok
+    meta = {"max_relative_error": rep.max_relative_error(),
+            "images_valid": rep.images_valid}
+    return rows, meta, ok
 
 
 def cmd_yangbaxter(args):
@@ -328,7 +327,7 @@ def cmd_yangbaxter(args):
             rows.append({"alpha": alpha, "s": s, "n": rep.n,
                          "patterns": rep.pattern_count,
                          "max_residual": rep.max_residual})
-    return rows, COLUMNS["yangbaxter"], {"command": "yangbaxter"}, ok
+    return rows, {}, ok
 
 
 def cmd_enumerate(args):
@@ -348,15 +347,12 @@ def cmd_enumerate(args):
         })
 
     enumerate_walks(start, args.n_max, args.rule, domain, visit)
-    meta = {"command": "enumerate", "walks": len(rows)}
-    return rows, COLUMNS["enumerate"], meta, True
+    return rows, {"walks": len(rows)}, True
 
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand's
-    ``fn`` default is the name of its ``cmd_*`` function, which ``main``
-    looks up in this module on every call."""
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="skewsaw",
         description="weighted self-avoiding walks on the skewed square "
@@ -381,15 +377,13 @@ def _parser() -> argparse.ArgumentParser:
                              "otherwise)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, **kw):
         # the raw epilog keeps the columns on one line, a CSV header
-        p = sub.add_parser(
+        return sub.add_parser(
             name, epilog="CSV columns: " + ",".join(COLUMNS[name]),
             formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
-        p.set_defaults(fn=fn.__name__)
-        return p
 
-    p = add("weights", cmd_weights, help="print a weight family and its residuals")
+    p = add("weights", help="print a weight family and its residuals")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--family", choices=("critical", "sigma", "sigma-one", "on"),
                    default="critical")
@@ -397,25 +391,22 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--u1", type=parse_finite, default=0.5)
     p.add_argument("--s", type=parse_finite, default=-3 / 8)
 
-    p = add("verify-local", cmd_verify_local,
-            help="local-relation residuals over a theta grid")
+    p = add("verify-local", help="local-relation residuals over a theta grid")
     p.add_argument("--grid", type=int, default=13)
     p.add_argument("--sigma", type=parse_finite)
 
-    p = add("solve-system", cmd_solve_system,
-            help="least-squares solve of the local relations")
+    p = add("solve-system", help="least-squares solve of the local relations")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--sigma", type=parse_finite)
 
-    p = add("verify-cr", cmd_verify_cr,
+    p = add("verify-cr",
             help="contour residuals of the observable on a domain")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--T", type=int, default=3)
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--sigma", type=parse_finite, default=5 / 8)
 
-    p = add("parallelogram", cmd_parallelogram,
-            help="boundary identity residuals over (T, L)")
+    p = add("parallelogram", help="boundary identity residuals over (T, L)")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--T", type=int)
     p.add_argument("--L", type=int, default=0)
@@ -423,26 +414,26 @@ def _parser() -> argparse.ArgumentParser:
                    help="max rhombus count when scanning all (T, L)")
     p.add_argument("--x-over-xc", type=parse_nonnegative, default=1.0)
 
-    p = add("strip", cmd_strip, help="strip sums, tail bounds and bridge chain")
+    p = add("strip", help="strip sums, tail bounds and bridge chain")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--T", type=int, default=2)
     p.add_argument("--L", type=int, default=4)
     p.add_argument("--x-over-xc", type=parse_nonnegative, default=1.0)
 
-    p = add("series", cmd_series, help="growth-constant series report")
+    p = add("series", help="growth-constant series report")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
 
-    p = add("honeycomb", cmd_honeycomb,
+    p = add("honeycomb",
             help="pi/3 cross-check against the hexagonal-lattice oracle")
     p.add_argument("--n-max", type=int, default=8)
 
-    p = add("yangbaxter", cmd_yangbaxter, help="hexagon flip residuals")
+    p = add("yangbaxter", help="hexagon flip residuals")
     p.add_argument("--alpha", type=parse_angle)
     p.add_argument("--s", type=parse_finite)
 
-    p = add("enumerate", cmd_enumerate, help="dump walks with weight and length")
+    p = add("enumerate", help="dump walks with weight and length")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
@@ -463,11 +454,14 @@ def main(argv=None) -> int:
         args.threads = parse_workers(args.threads)
         if args.output:
             check_output(args.output)
-        rows, cols, meta, ok = globals()[args.fn](args)
+        # looked up on every call, so a patched cmd_* is the one run
+        cmd = globals()["cmd_" + args.command.replace("-", "_")]
+        rows, meta, ok = cmd(args)
     except (ValueError, OverflowError) as exc:
         parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     try:
-        write_rows(rows, cols, args, meta)
+        write_rows(rows, COLUMNS[args.command], args,
+                   {"command": args.command, **meta})
     except OSError as exc:
         parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     return EXIT_OK if ok else EXIT_VERIFICATION

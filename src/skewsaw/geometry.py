@@ -35,28 +35,16 @@ THETA_MAX = 2 * math.pi / 3
 _RANGE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class LatticeAngle:
-    """Rhombus angle restricted to [pi/3, 2pi/3].
+def as_theta(theta) -> float:
+    """A rhombus angle as a float, restricted to [pi/3, 2pi/3].
 
     Outside this window one of the double-arc weights of the critical
     family goes negative, so domain-level code refuses such angles.
     """
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (THETA_MIN - _RANGE_SLACK <= self.theta <= THETA_MAX + _RANGE_SLACK):
-            raise ValueError(
-                f"lattice angle {self.theta!r} outside [pi/3, 2pi/3]"
-            )
-
-
-def as_theta(theta) -> float:
-    """Coerce a float or LatticeAngle to a validated angle value."""
-    if isinstance(theta, LatticeAngle):
-        return theta.theta
-    return LatticeAngle(float(theta)).theta
+    th = float(theta)
+    if not (THETA_MIN - _RANGE_SLACK <= th <= THETA_MAX + _RANGE_SLACK):
+        raise ValueError(f"lattice angle {th!r} outside [pi/3, 2pi/3]")
+    return th
 
 
 def basis(theta: float) -> tuple[complex, complex]:

@@ -105,33 +105,6 @@ def rect_cells(theta: float, cols: int, rows: int, j0: int = 0) -> list[Cell]:
 # Configuration enumeration and curve tracing.
 
 
-@dataclass(frozen=True)
-class LoopConfig:
-    """A consistent assignment of states with its traced decomposition."""
-
-    cells: tuple[Cell, ...]
-    states: tuple[str, ...]              # parallel to cells
-    loops: tuple[tuple, ...]             # each a tuple of mid keys
-    path: tuple | None                   # open strand (mid keys), if any
-
-    @property
-    def n_loops(self) -> int:
-        return len(self.loops)
-
-
-def loop_weight(config: LoopConfig, weights_for_cell, n: float) -> float:
-    """Product of cell-state weights times n^#loops.
-
-    ``weights_for_cell`` maps a Cell to the WeightSet for its angle, so
-    mixed-angle patches (the hexagon) weight each rhombus by its own
-    angle.  With n = 0 only loop-free configurations survive (0^0 = 1).
-    """
-    out = 1.0
-    for cell, st in zip(config.cells, config.states):
-        out *= cell_state_weight(st, weights_for_cell(cell))
-    return out * float(n) ** config.n_loops
-
-
 def _strand_edges(cells, states):
     """Half-strand segments as (mid_key_a, mid_key_b) pairs."""
     return [(cell.mids[a], cell.mids[b])

@@ -237,15 +237,6 @@ def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
     return StripSums(theta=th, A=A, B=B, D=D, E=E)
 
 
-def parallelogram_identity_residual(T: int, L: int, theta,
-                                    x: float | None = None) -> float:
-    """|c_alpha*A + B + c_delta*D + c_eps*E - 1| (zero only at x = x_c)."""
-    th = as_theta(theta)
-    if x is None:
-        x = critical_weights(th).x_c
-    return strip_sums(T, L, x, th).residual
-
-
 def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
     """Weight sums of walks back to the left side, split by winding sign.
 

@@ -941,16 +941,6 @@ def weighted_length_sums(n_max: int, w: WeightSet,
     return sums
 
 
-def c_tilde(n: int, theta: float, rule: LengthRule = UNIT_RULE,
-            orient: str = "H", workers: int = 1) -> float:
-    """Weight sum over walks of length exactly n, normalised by u1^n."""
-    from .weights import critical_weights
-
-    w = critical_weights(theta)
-    sums = weighted_length_sums(n, w, rule, orient, workers)
-    return sums[n] / w.u1 ** n
-
-
 # ---------------------------------------------------------------------------
 # Dump format: one walk per line, `start;step,step,...` with each step
 # written `i,j,orient>i,j,orient`.

@@ -159,6 +159,16 @@ def naive_midedge_saws(n_max: int, start_class: int = 1,
 # structure caches or the per-call re-weighting.
 
 
+def naive_config_weight(cells, states, nloops: int, w: WeightSet,
+                        n: float) -> float:
+    """Product of cell-state weights under one weight set, times
+    n^nloops; with n = 0 only loop-free configurations survive."""
+    out = 1.0
+    for cell, st in zip(cells, states):
+        out *= cell_state_weight(st, w)
+    return out * float(n) ** nloops
+
+
 def naive_yang_baxter_rows(alpha: float, s: float) -> tuple:
     """Same rows as loops.yang_baxter_residual(alpha, s).rows."""
     hexa = hexagon(alpha)

@@ -16,7 +16,6 @@ from skewsaw.observable import (
     bridge_chain_check,
     max_cr_residual,
     observable,
-    parallelogram_identity_residual,
     side_coefficients,
     strip_limits,
     strip_sums,
@@ -125,11 +124,12 @@ def test_criterion_06_parallelogram_identity():
     t0 = time.time()
     worst = 0.0
     for th in THETAS5:
+        xc = critical_weights(th).x_c
         for T in range(1, 13):
             for L in range(0, 6):
                 if (2 * L + 1) * T > 12:
                     continue
-                worst = max(worst, parallelogram_identity_residual(T, L, th))
+                worst = max(worst, strip_sums(T, L, xc, th).residual)
     elapsed = time.time() - t0
     report("6 parallelogram identity", worst < 1e-10 and elapsed < 300,
            f"max residual {worst:.2e}, {elapsed:.1f}s")

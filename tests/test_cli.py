@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -210,7 +211,7 @@ def test_tol_default_per_subcommand_and_explicit_value_kept(monkeypatch,
 
     def record(args):
         seen.append(args.tol)
-        return [], [], {"command": args.command}, True
+        return [], {}, True
 
     monkeypatch.setattr(cli, "cmd_honeycomb", record)
     monkeypatch.setattr(cli, "cmd_weights", record)
@@ -224,6 +225,39 @@ def test_strip_subcommand(capsys):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert all(m > 0 for m in meta["floor_margins"])
+
+
+def test_strip_exit_code_ignores_the_finite_width_floor(capsys):
+    # B_{T,L} - min(B_{1,L}, c)/T is a strip-limit bound: at L = 0 (and
+    # L = 1 for T = 5..8) it goes negative on correct code
+    negative_floor = 0
+    for theta in ("pi/3", "pi/2", "2pi/3"):
+        for T in range(1, 25):
+            for L in range(0, 12):
+                if (2 * L + 1) * T > 24:
+                    continue
+                code, out = run_cli(capsys, "--format", "json", "strip",
+                                    "--theta", theta, "--T", str(T),
+                                    "--L", str(L))
+                assert code == 0, (theta, T, L)
+                meta = json.loads(out)["meta"]
+                negative_floor += min(meta["floor_margins"]) < -1e-12
+    assert negative_floor == 81
+
+
+def test_strip_fails_on_a_negative_growth_margin(capsys, monkeypatch):
+    import skewsaw.cli as cli
+
+    real = cli.strip_limits
+
+    def worse(*args):
+        rep = real(*args)
+        return dataclasses.replace(
+            rep, growth_margins=(-1.0,) + tuple(rep.growth_margins[1:]))
+
+    monkeypatch.setattr(cli, "strip_limits", worse)
+    code, _ = run_cli(capsys, "strip", "--T", "2", "--L", "3")
+    assert code == 1
 
 
 def test_threads_flag_matches_sequential(capsys):
@@ -361,7 +395,7 @@ def test_parser_is_built_once_and_reads_the_worker_count_per_call(monkeypatch):
 
     def record(args):
         seen.append(args.threads)
-        return [], [], {"command": args.command}, True
+        return [], {}, True
 
     monkeypatch.setattr(cli, "cmd_weights", record)
     for env in ("2", "3"):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from skewsaw.geometry import (
     PASSAGE,
-    LatticeAngle,
     MidEdge,
     ParallelogramDomain,
     Rhombus,
     Step,
     _side_position,
+    as_theta,
     step_candidates,
 )
 
@@ -53,11 +53,11 @@ def _wrap_angle(x: float) -> float:
 
 def test_lattice_angle_rejects_out_of_range():
     with pytest.raises(ValueError):
-        LatticeAngle(math.pi / 4)
+        as_theta(math.pi / 4)
     with pytest.raises(ValueError):
-        LatticeAngle(3 * math.pi / 4)
-    LatticeAngle(math.pi / 3)
-    LatticeAngle(2 * math.pi / 3)
+        as_theta(3 * math.pi / 4)
+    as_theta(math.pi / 3)
+    as_theta(2 * math.pi / 3)
 
 
 def test_embeddings_distinct_within_window():

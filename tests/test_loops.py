@@ -6,11 +6,10 @@ import pytest
 from skewsaw.cli import main
 from skewsaw.geometry import MidEdge, ParallelogramDomain, Rhombus
 from skewsaw.loops import (
-    LoopConfig,
+    _trace,
     cell_from_rhombus,
     hexagon,
     iter_consistent_configs,
-    loop_weight,
     noncrossing_pairings,
     on_observable,
     on_observable_cr_check,
@@ -20,27 +19,19 @@ from skewsaw.loops import (
 from skewsaw.observable import observable
 from skewsaw.weights import critical_weights, on_weights
 
-from oracles import naive_yang_baxter_rows
+from oracles import naive_config_weight, naive_yang_baxter_rows
 
 ALPHAS = [0.5, 0.65, 0.8, 0.95, 1.1]
-
-
-def _config_from_states(cells, states):
-    from skewsaw.loops import _trace
-
-    loops, chains = _trace(cells, states)
-    return LoopConfig(cells=tuple(cells), states=tuple(states),
-                      loops=tuple(tuple(c) for c in loops),
-                      path=tuple(chains[0]) if chains else None)
 
 
 def test_empty_config_weight_is_one():
     th = math.pi / 2
     cells = rect_cells(th, 2, 2)
-    cfg = _config_from_states(cells, ["empty"] * 4)
+    states = ["empty"] * 4
+    loops, _ = _trace(cells, states)
     w = critical_weights(th)
-    assert loop_weight(cfg, lambda c: w, 2.0) == 1.0
-    assert cfg.n_loops == 0
+    assert naive_config_weight(cells, states, len(loops), w, 2.0) == 1.0
+    assert len(loops) == 0
 
 
 def test_hand_built_vertex_loop():
@@ -57,14 +48,16 @@ def test_hand_built_vertex_loop():
             ("R", 1, 0): "arc_c3",   # NW corner of R(1,0)
             ("R", 1, 1): "arc_c0",   # SW corner of R(1,1)
         }[c.key])
-    cfg = _config_from_states(cells, states)
-    assert cfg.n_loops == 1
-    assert cfg.path is None
+    loops, chains = _trace(cells, states)
+    assert len(loops) == 1
+    assert not chains
     w = critical_weights(th)
     n = 1.7
     expected = w.u1 ** 2 * w.u2 ** 2 * n
-    assert loop_weight(cfg, lambda c: w, n) == pytest.approx(expected)
-    assert loop_weight(cfg, lambda c: w, 0.0) == 0.0  # n=0 kills loops
+    weight = naive_config_weight(cells, states, len(loops), w, n)
+    assert weight == pytest.approx(expected)
+    # n=0 kills loops
+    assert naive_config_weight(cells, states, len(loops), w, 0.0) == 0.0
 
 
 def test_consistent_configs_decompose_cleanly():
@@ -87,14 +80,16 @@ def test_loop_count_invariant_under_cell_order():
     th = math.pi / 2
     cells = rect_cells(th, 2, 2)
     states = ["arc_c2", "arc_c1", "arc_c3", "arc_c0"]
-    cfg1 = _config_from_states(cells, states)
     perm = [2, 0, 3, 1]
-    cfg2 = _config_from_states([cells[k] for k in perm],
-                               [states[k] for k in perm])
-    assert cfg1.n_loops == cfg2.n_loops == 1
+    cells2 = [cells[k] for k in perm]
+    states2 = [states[k] for k in perm]
+    loops1, _ = _trace(cells, states)
+    loops2, _ = _trace(cells2, states2)
+    assert len(loops1) == len(loops2) == 1
     w = critical_weights(th)
-    assert loop_weight(cfg1, lambda c: w, 2.0) == pytest.approx(
-        loop_weight(cfg2, lambda c: w, 2.0))
+    weight1 = naive_config_weight(cells, states, len(loops1), w, 2.0)
+    weight2 = naive_config_weight(cells2, states2, len(loops2), w, 2.0)
+    assert weight1 == pytest.approx(weight2)
 
 
 def test_noncrossing_pairings_catalan():
@@ -197,9 +192,10 @@ def test_w2_states_carry_zero_weight_at_honeycomb_angle():
     w, n = on_weights(math.pi / 3, 0.5)
     assert w.w2 == pytest.approx(0.0, abs=1e-12)
     cells = rect_cells(math.pi / 3, 2, 2)
-    cfg_states = ["double_c1c3", "empty", "empty", "empty"]
-    cfg = _config_from_states(cells, cfg_states)
-    assert loop_weight(cfg, lambda c: w, n) == pytest.approx(0.0, abs=1e-12)
+    states = ["double_c1c3", "empty", "empty", "empty"]
+    loops, _ = _trace(cells, states)
+    assert naive_config_weight(cells, states, len(loops), w, n) == (
+        pytest.approx(0.0, abs=1e-12))
 
 
 def test_lattice_cell_orientation_matches_geometry():

@@ -13,7 +13,6 @@ from skewsaw.observable import (
     domain_contour_integral,
     max_cr_residual,
     observable,
-    parallelogram_identity_residual,
     side_coefficients,
     strip_limits,
     strip_sums,
@@ -147,21 +146,22 @@ def test_zero_fugacity_degenerates():
     s = strip_sums(2, 1, 0.0, math.pi / 2)
     assert (s.A, s.B, s.D, s.E) == (0.0, 0.0, 0.0, 0.0)
     # the identity is specific to x_c
-    assert parallelogram_identity_residual(2, 1, math.pi / 2, x=0.0) == 1.0
+    assert s.residual == 1.0
 
 
 @pytest.mark.parametrize("theta", THETAS5)
 def test_parallelogram_identity_budget_12(theta):
+    xc = critical_weights(theta).x_c
     for T in range(1, 13):
         for L in range(0, 6):
             if (2 * L + 1) * T > 12:
                 continue
-            assert parallelogram_identity_residual(T, L, theta) < 1e-10
+            assert strip_sums(T, L, xc, theta).residual < 1e-10
 
 
 def test_identity_fails_off_criticality():
     xc = critical_weights(math.pi / 2).x_c
-    r = parallelogram_identity_residual(2, 1, math.pi / 2, x=0.9 * xc)
+    r = strip_sums(2, 1, 0.9 * xc, math.pi / 2).residual
     assert r > 1e-3
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewsaw.geometry import MidEdge, ParallelogramDomain
+from skewsaw.series import series_report
 from skewsaw.walks import (
     HONEYCOMB_RULE,
     LengthRule,
     PlaquetteState,
     UNIT_RULE,
     build_walk,
-    c_tilde,
     enumerate_walks,
     free_walk_aggregate,
     free_walk_aggregate_parallel,
@@ -64,8 +64,9 @@ def test_one_step_walks_and_weights():
 def test_c_tilde_small_values():
     th = math.pi / 2
     w = critical_weights(th)
-    assert c_tilde(0, th) == 1.0
-    assert c_tilde(1, th) == pytest.approx((2 * w.u1 + 2 * w.u2 + 2 * w.v) / w.u1)
+    c = series_report(th, n_max=1).c_tilde
+    assert c[0] == 1.0
+    assert c[1] == pytest.approx((2 * w.u1 + 2 * w.u2 + 2 * w.v) / w.u1)
 
 
 @pytest.mark.parametrize("n_max", [2, 4, 6])
@@ -204,7 +205,7 @@ def test_dump_roundtrip_all_small_walks():
 def test_submultiplicativity_and_lower_bound():
     for th in THETAS3:
         w = critical_weights(th)
-        c = [c_tilde(n, th) for n in range(11)]
+        c = series_report(th, n_max=10).c_tilde
         for n in range(1, 10):
             for m in range(1, 11 - n):
                 assert c[n + m] <= c[n] * c[m] * (1 + 1e-12)
@@ -214,12 +215,14 @@ def test_submultiplicativity_and_lower_bound():
 
 
 def test_origin_orientation_gives_identical_series():
-    # the i <-> j lattice transposition maps H walks to V walks weight
-    # by weight, so the series agree exactly
-    th = 5 * math.pi / 12
-    for n in range(7):
-        assert c_tilde(n, th, orient="H") == pytest.approx(
-            c_tilde(n, th, orient="V"), rel=1e-12)
+    # the i <-> j lattice transposition maps H walks to V walks profile
+    # by profile, so the histograms agree exactly, keys in order too
+    for rule in (UNIT_RULE, HONEYCOMB_RULE, LengthRule(2, 1, 1)):
+        for n in range(10):
+            h = free_walk_aggregate(n, rule, "H")
+            v = free_walk_aggregate(n, rule, "V")
+            assert h == v
+            assert list(h) == list(v)
 
 
 def test_splitting_bound_every_split():
