@@ -332,9 +332,12 @@ def cmd_yangbaxter(args):
 
 def cmd_enumerate(args):
     rows = []
-    start = MidEdge(0, 0, args.orient)
+    start = MidEdge(0, 0, args.orient or "H")
     domain = None
     if args.T is not None:
+        if args.orient is not None:
+            raise ValueError("--orient sets the free-lattice start; domain "
+                             "walks start at the origin V(0, 0)")
         domain = ParallelogramDomain(args.T, args.L, args.theta)
         start = domain.origin
     w = critical_weights(args.theta)
@@ -437,7 +440,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
-    p.add_argument("--orient", choices=("H", "V"), default="H")
+    p.add_argument("--orient", choices=("H", "V"),
+                   help="start mid-edge at the origin on the free lattice "
+                        "(default H); not with --T")
     p.add_argument("--T", type=int)
     p.add_argument("--L", type=int, default=0)
     return parser

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import _HV_NAME, _group_by_end, _group_packed, _weigh, domain_counts
+from .walks import _HV_NAME, _group_packed, _weigh, domain_counts
 # not used here: the benchmark's tracer test reads observable.profile_weight
 # and observable.run_walk_enumeration
 from .walks import profile_weight, run_walk_enumeration  # noqa: F401
@@ -75,12 +75,12 @@ def _domain_packed(T: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=128)
 def _domain_groups(T: int, L: int):
-    """The packed half grouped for ``_weigh`` by head (end, dtheta, dpmt),
-    with the mirror folded in once: each head lists the profile index and
-    count of every walk it heads, the half's first, a profile possibly
-    twice.  ``_weigh`` of it equals a fold over the full histogram up to
-    rounding, heads in another order."""
-    return _group_packed(zip(*_domain_packed(T, L)))
+    """The full histogram grouped for ``_weigh`` by head (end, dtheta,
+    dpmt), read off the packed half with the mirror folded in: each head
+    lists each of its profiles once.  ``_weigh`` of it equals the fold over
+    its own entries bit for bit, heads in another order than the sorted
+    histogram's."""
+    return _group_packed(*_domain_packed(T, L), lambda head: head)
 
 
 @lru_cache(maxsize=128)
@@ -88,19 +88,16 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
     """counts[(end, dtheta, dpmt, profile)] over all in-domain walks,
     with keys in sorted order.
 
-    Summed per key on demand from ``_domain_groups`` (no second search),
-    the very form ``observable`` and ``alpha_winding_split`` weigh, for
-    the readers of tuple keys.  The empty walk appears as ((origin), 0,
-    0, zero-profile).
+    Read entry by entry on demand off ``_domain_groups`` (no second
+    search), the very form ``observable`` and ``alpha_winding_split``
+    weigh, for the readers of tuple keys.  The empty walk appears as
+    ((origin), 0, 0, zero-profile).
     """
     columns, _, heads = _domain_groups(T, L)
     profiles = list(zip(*columns))
-    full: dict = {}
-    for head, (idx, ns) in heads.items():
-        for k, n in zip(idx, ns):
-            key = (*head, profiles[k])
-            full[key] = full.get(key, 0) + n
-    return dict(sorted(full.items()))
+    return dict(sorted(((*head, profiles[k]), n)
+                       for head, (idx, ns) in heads.items()
+                       for k, n in zip(idx, ns)))
 
 
 def observable(domain: ParallelogramDomain, sigma: float,
@@ -211,21 +208,21 @@ def _side_marginal(T: int, L: int):
     ``domain_walk_aggregate`` with the turns summed out and each end
     replaced by its side, in value.
 
-    Read straight off the packed half by ``_group_by_end``, which folds
-    each (side, profile) entry into its mirror image once (delta and
-    epsilon swap, alpha and beta keep their side), so a re-weight costs
-    as many terms as over the full histogram and no tuple histogram is
-    built.
+    Read straight off the packed half by ``_group_packed``, which folds
+    each entry into its mirror image's side (delta and epsilon swap, alpha
+    and beta keep their side), so a re-weight costs as many terms as over
+    the full histogram and no tuple histogram is built.
     """
     domain = ParallelogramDomain(T, L, math.pi / 2)
 
-    def side(end):
-        m = MidEdge(end[0], end[1], _HV_NAME[end[2]])
+    def side(head):
+        (i, j, hv), _, _ = head
+        m = MidEdge(i, j, _HV_NAME[hv])
         # the empty walk is the only walk that ends at its start
         name = None if m == domain.origin else domain.side_of(m)
-        return name if name in _SIDES else None
+        return (name,) if name in _SIDES else None
 
-    return _group_by_end(*_domain_packed(T, L), side)
+    return _group_packed(*_domain_packed(T, L), side)
 
 
 def strip_sums(T: int, L: int, x: float, theta) -> StripSums:

@@ -18,10 +18,9 @@ over exact integer state:
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
   pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
-  histogram that ``_group`` (``_group_packed`` or ``_group_by_end`` for
-  packed domain keys) has grouped once by head (the key without its
-  profile), each distinct profile stored once, as columns, and weighed
-  once.
+  histogram that ``_group`` (``_group_packed`` for packed domain keys)
+  has grouped once by head (the key without its profile), each distinct
+  profile stored once, as columns, and weighed once.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -51,11 +50,10 @@ arcs have the same length (``LengthRule.mirror_symmetric``, true of
 every domain search).  Such a search runs the jobs of the first arc
 alone; any other rule runs the jobs of both arcs.  A free search adds
 each key of those jobs mirrored as well.  A domain search keeps its half,
-the straights and the first arc's jobs, and the mirror is applied where
-the half is grouped, once per grouped form: ``_group_by_end`` folds it
-into each (side, profile) entry once, and ``_group_packed`` appends each
-head's lists, their profiles mirrored, to its mirror image's.  The full
-histogram of tuple keys is summed from the latter.
+the straights and the first arc's jobs, and ``_group_packed`` applies
+the mirror where the half is grouped: each (head, profile) entry of a
+grouped form sums its count from the half and from its mirror image.
+The full histogram of tuple keys is read off the grouped form by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
 """
 
@@ -66,7 +64,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -189,10 +187,6 @@ def _pack_domain_key(mid: int, dth: int, dpm: int, pk: int) -> int:
             + dpm + _TURN_BIAS << _PROFILE_BITS) + pk
 
 
-# a domain key shifted right by _END_SHIFT holds its end mid-edge alone
-_END_SHIFT = _PROFILE_BITS + 2 * _TURN_BITS
-
-
 def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
     """(end, dtheta, dpmt) from a domain key shifted right by the profile."""
     return (_unpack_mid(above >> 2 * _TURN_BITS),
@@ -226,101 +220,54 @@ def _packed_columns(pks: Iterable[int]) -> tuple:
                  for s in range(4, -1, -1))
 
 
-def _group_packed(items: Iterable[tuple[int, int]]) -> _Grouped:
-    """``_group`` of the full histogram {(end, dtheta, dpmt, profile): n}
-    of a mirror-halved domain search, read straight off the packed (key,
-    n) ``items`` of the half it keeps: each distinct head and each
-    distinct packed profile is decoded once, and no tuple key is built.
-
-    The mirror is folded in: each head's lists are appended, without the
-    straights (the walks with no arc, which are their own mirror images),
-    to the lists of its mirror image's head, each profile index replaced
-    by its mirror image's.  The mirrored profiles join the columns, so one
-    weight set weighs the half and its mirror image.  A head may so list
-    one profile twice.
-    """
-    index: dict = {}
-    groups: dict = {}
-    for key, n in items:
-        pk = key & _PROFILE_MASK
-        k = index.get(pk)
-        if k is None:
-            k = index[pk] = len(index)
-        above = key >> _PROFILE_BITS
-        group = groups.get(above)
-        if group is None:
-            group = groups[above] = ([], [])
-        group[0].append(k)
-        group[1].append(n)
-    heads = {_unpack_head(above): group for above, group in groups.items()}
-    straights = {k for pk, k in index.items() if not pk & ~_C3_FIELD}
-    # the index of each profile's mirror image, new ones appended
-    image = [index.setdefault(_mirror_profile(pk), len(index))
-             for pk in list(index)]
-    # every mirrored list is built before any head's lists grow, since
-    # ``heads`` shares its lists with ``groups``
-    moved = []
-    for above, (idx, ns) in groups.items():
-        if not straights.isdisjoint(idx):
-            pairs = [(k, n) for k, n in zip(idx, ns) if k not in straights]
-            if not pairs:
-                continue
-            idx, ns = zip(*pairs)
-        moved.append((_unpack_head(_mirror_above(above)),
-                      list(map(image.__getitem__, idx)), list(ns)))
-    for name, idx, ns in moved:
-        group = heads.get(name)
-        if group is None:
-            heads[name] = (idx, ns)
-        else:
-            group[0].extend(idx)
-            group[1].extend(ns)
-    return _grouped(_packed_columns(index), heads)
-
-
-def _group_by_end(keys: Sequence[int], counts: Sequence[int],
-                  label: Callable[[tuple[int, int, int]], object]
-                  ) -> _Grouped:
-    """``_group`` of counts[(label(end), profile)] over the full histogram
+def _group_packed(keys: Sequence[int], counts: Sequence[int],
+                  label: Callable[[tuple], object]) -> _Grouped:
+    """``_group`` of counts[(label(head), profile)] over the full histogram
     of a mirror-halved domain search, read off the half it keeps: sorted
-    packed domain keys and their counts.  The turns are summed out and
-    the ends labelled None left out; heads come in first-met order.
+    packed domain keys and their counts.  The heads (end, dtheta, dpmt)
+    labelled None are left out; the others come in first-met order.
 
-    Sorted keys hold each end's walks in one run, so each end and its
-    mirror image are labelled once, and the runs of ends left out are
-    skipped whole.  With the turns summed out, each (label, profile)
-    entry of the half is folded into its mirror image once: the mirror
-    end's label and the mirrored profile, the straights aside.  So
-    ``label`` must leave out an end exactly when it leaves out its mirror
-    image, as a domain's sides do.
+    Sorted keys hold each head's walks in one run, so each head and its
+    mirror image are labelled once, and the runs of heads left out are
+    skipped whole.  Each label is finished with its mirror image's: every
+    entry of the half is added at its own label and profile, and at its
+    mirror image's label and mirrored profile, the straights aside (the
+    walks with no arc, their own mirror images).  So each (label, profile)
+    is listed once, its count summed.  ``label`` must give the mirror
+    images of one label's heads one label, and leave out a head exactly
+    when it leaves out its mirror image, as a domain's sides do.
     """
-    # per (label, label of the mirror image), the half's counts by profile
-    halves: dict = {}
+    # the half's runs per (label, label of the mirror image)
+    runs: dict = {}
     lo = 0
     while lo < len(keys):
-        end = keys[lo] >> _END_SHIFT
-        hi = bisect_left(keys, end + 1 << _END_SHIFT, lo)
-        mid = _unpack_mid(end)
-        name = label(mid)
+        above = keys[lo] >> _PROFILE_BITS
+        hi = bisect_left(keys, above + 1 << _PROFILE_BITS, lo)
+        name = label(_unpack_head(above))
         if name is not None:
-            half = halves.setdefault((name, label(_mirror_mid(*mid))), {})
-            for key, n in zip(keys[lo:hi], counts[lo:hi]):
-                key &= _PROFILE_MASK
-                half[key] = half.get(key, 0) + n
+            image = label(_unpack_head(_mirror_above(above)))
+            runs.setdefault((name, image), []).append((lo, hi))
         lo = hi
-    out: dict = {}
-    for (name, image), half in halves.items():
-        direct = out.setdefault(name, {})
-        mirrored = out.setdefault(image, {})
-        for pk, n in half.items():
-            direct[pk] = direct.get(pk, 0) + n
-            if pk & ~_C3_FIELD:
-                pk = _mirror_profile(pk)
-                mirrored[pk] = mirrored.get(pk, 0) + n
-    index = {pk: k for k, pk in enumerate(dict.fromkeys(chain(*out.values())))}
-    return _grouped(_packed_columns(index),
-                    {(name,): (list(map(index.__getitem__, by)), list(by.values()))
-                     for name, by in out.items() if by})
+    index: dict = {}
+    heads: dict = {}
+    for name, image in runs:
+        if name in heads:
+            continue
+        # one tally and one pair when the label is its own mirror image
+        tallies = {name: {}, image: {}}
+        for pair in dict.fromkeys([(name, image), (image, name)]):
+            here, there = map(tallies.__getitem__, pair)
+            for lo, hi in runs.get(pair, ()):
+                for pk, n in zip(keys[lo:hi], counts[lo:hi]):
+                    pk &= _PROFILE_MASK
+                    here[pk] = here.get(pk, 0) + n
+                    if pk & ~_C3_FIELD:
+                        pk = _mirror_profile(pk)
+                        there[pk] = there.get(pk, 0) + n
+        for head, tally in tallies.items():
+            heads[head] = ([index.setdefault(pk, len(index)) for pk in tally],
+                           list(tally.values()))
+    return _grouped(_packed_columns(index), heads)
 
 
 _HV = {"H": 0, "V": 1}
@@ -545,16 +492,11 @@ def _mirror_profile(pk: int) -> int:
             | pk & _C3_FIELD)
 
 
-def _mirror_mid(i: int, j: int, hv: int) -> tuple[int, int, int]:
-    """The mirror image of the mid-edge (i, j, hv) of a domain."""
-    return i, -j if hv else 1 - j, hv
-
-
 def _mirror_above(above: int) -> int:
     """The mirror of a domain key's (end, dtheta, dpmt) field ``above`` the
     profile."""
-    mid, dth, dpm = _unpack_head(above)
-    return (_pack_domain_key(_pack_mid(*_mirror_mid(*mid)), -dpm, -dth, 0)
+    (i, j, hv), dth, dpm = _unpack_head(above)
+    return (_pack_domain_key(_pack_mid(i, -j if hv else 1 - j, hv), -dpm, -dth, 0)
             >> _PROFILE_BITS)
 
 
@@ -665,17 +607,15 @@ def _group(hist: Mapping) -> _Grouped:
 
 def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
     """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group``, ``_group_packed`` or ``_group_by_end``, heads in its order.
+    ``_group`` or ``_group_packed``, heads in its order.
 
     Each distinct profile is weighed once, column by column from power
     tables as long as its grouped form's largest count, and as
     ``profile_weight`` multiplies.  Each head adds its terms from 0.0 in
     the order of its lists; ``reduce`` keeps that order on every Python,
-    where ``sum`` compensates float sums from 3.12 on.  For ``_group``
-    that is key order, so the sums equal a fold over the histogram's keys
-    bit for bit.  A head grouped by ``_group_packed`` adds its half's
-    terms first, then its mirror image's, so its sum equals that fold up
-    to rounding.
+    where ``sum`` compensates float sums from 3.12 on.  So every grouped
+    form weighs as a fold over its own entries, bit for bit; for
+    ``_group`` those are the histogram's keys.
     """
     columns, size, heads = grouped
     tables = (list(accumulate(repeat(x, size), mul, initial=1.0))

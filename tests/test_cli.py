@@ -152,6 +152,27 @@ def test_enumerate_dump_roundtrip(capsys):
         assert walk.length() <= 2
 
 
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_enumerate_refuses_an_orientation_in_a_domain(capsys, orient):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--T", "1", "--L", "0", "--orient", orient])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --orient sets the free-lattice start; "
+                            "domain walks start at the origin V(0, 0)\n")
+
+    def starts(*argv):
+        _, out = run_cli(capsys, "--format", "json", "enumerate", *argv)
+        return {row["walk"].split(";")[0] for row in json.loads(out)["rows"]}
+
+    # without --orient a domain dump starts at the origin, and a free one
+    # at H(0, 0) unless told otherwise
+    assert starts("--T", "1", "--L", "0") == {"0,0,V"}
+    assert starts("--n-max", "1", "--orient", orient) == {f"0,0,{orient}"}
+    assert starts("--n-max", "1") == {"0,0,H"}
+
+
 def test_yangbaxter_subcommand(capsys):
     code, out = run_cli(capsys, "yangbaxter", "--alpha", "0.8", "--s", "0.5")
     assert code == 0

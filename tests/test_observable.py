@@ -473,18 +473,26 @@ def test_mirror_heads_need_the_swapped_weights(monkeypatch, theta):
     obs, walks = sys.modules["skewsaw.observable"], sys.modules["skewsaw.walks"]
     x = critical_weights(theta).x_c
     _assert_readings_agree(4, 2, theta, x)
+    # both grouped forms apply the mirror, and the tuple histogram is read
+    # off the observable's
+    cached = (obs._domain_groups, obs._side_marginal, obs.domain_walk_aggregate)
     monkeypatch.setattr(walks, "_mirror_profile", lambda pk: pk)
-    obs._domain_groups.cache_clear()
+    for grouped in cached:
+        grouped.cache_clear()
     try:
+        # the strip sums alone see it
+        sides = _folded_readings(4, 2, theta, x, 5 / 8)[0]
+        s = strip_sums(4, 2, x, theta)
+        assert ((s.A, s.B, s.D, s.E) == pytest.approx(
+            tuple(sides.values()), rel=1e-12, abs=0.0)) == (theta == math.pi / 2)
         if theta == math.pi / 2:
             _assert_readings_agree(4, 2, theta, x)
         else:
             with pytest.raises(AssertionError):
                 _assert_readings_agree(4, 2, theta, x)
     finally:
-        # the tuple histogram is summed from the grouped form
-        obs._domain_groups.cache_clear()
-        obs.domain_walk_aggregate.cache_clear()
+        for grouped in cached:
+            grouped.cache_clear()
 
 
 def test_budget_shapes_store_the_half_of_their_keys():

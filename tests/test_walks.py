@@ -667,23 +667,29 @@ def _ungroup(grouped):
 
 
 def test_every_side_marginal_reweights_as_the_per_key_fold():
-    from skewsaw.observable import _side_marginal
+    # and so does every domain grouped form, the observable's too
+    from skewsaw.observable import (_domain_groups, _side_marginal,
+                                    domain_walk_aggregate)
     from skewsaw.walks import _weigh
 
     shapes = [(T, L) for T in range(1, 21) for L in range(20)
               if (2 * L + 1) * T <= 20]
     assert len(shapes) == 39
-    for T, L in shapes:
-        # the half with its mirror folded in holds the full histogram's
-        # (side, profile) counts ...
-        hist = _ungroup(_side_marginal(T, L))
-        assert hist == _side_marginal_hist(T, L), (T, L)
-        # ... and weighs as the fold over its keys, bit for bit
-        for w in _weight_sets():
-            sums = _weigh(_side_marginal(T, L), w)
-            ref = _fold(hist, w)
-            assert sums == ref, (T, L)
-            assert list(sums) == list(ref), (T, L)
+    for T, L in shapes + [(8, 1)]:
+        for grouped, full in ((_side_marginal(T, L), _side_marginal_hist),
+                              (_domain_groups(T, L), domain_walk_aggregate)):
+            # the half with its mirror folded in lists each (head,
+            # profile) of the full histogram once, with its count ...
+            hist = _ungroup(grouped)
+            assert sum(map(len, (idx for idx, _ in grouped.heads.values()))
+                       ) == len(hist), (T, L)
+            assert hist == full(T, L), (T, L)
+            # ... and weighs as the fold over its entries, bit for bit
+            for w in _weight_sets():
+                sums = _weigh(grouped, w)
+                ref = _fold(hist, w)
+                assert sums == ref, (T, L)
+                assert list(sums) == list(ref), (T, L)
 
 
 def test_group_keeps_first_met_heads_and_distinct_profiles():
