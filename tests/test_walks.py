@@ -681,8 +681,8 @@ def test_every_side_marginal_reweights_as_the_per_key_fold():
             # the half with its mirror folded in lists each (head,
             # profile) of the full histogram once, with its count ...
             hist = _ungroup(grouped)
-            assert sum(map(len, (idx for idx, _ in grouped.heads.values()))
-                       ) == len(hist), (T, L)
+            entries = sum(len(idx) for idx, _ in grouped.heads.values())
+            assert entries == len(hist), (T, L)
             assert hist == full(T, L), (T, L)
             # ... and weighs as the fold over its entries, bit for bit
             for w in _weight_sets():
