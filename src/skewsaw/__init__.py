@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .geometry import (
     MidEdge,
     ParallelogramDomain,
+    PlaquetteState,
     Rhombus,
     Step,
     step_candidates,
@@ -18,7 +19,6 @@ from .geometry import (
 from .walks import (
     HONEYCOMB_RULE,
     LengthRule,
-    PlaquetteState,
     UNIT_RULE,
     Walk,
     build_walk,

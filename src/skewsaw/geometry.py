@@ -18,8 +18,9 @@ Conventions fixed here and relied on everywhere else:
   turns by +-theta, around a (pi-theta)-corner by +-(pi-theta), and a
   straight passage turns by 0.  Turn totals are tracked exactly as
   integer multiples (n_theta, n_pi_minus_theta).
-* ``PLAQUETTE_STATES`` lists the nine states a rhombus can hold; the
-  passage table here, the walk search's transitions and the loop
+* ``PLAQUETTE_STATES`` lists the nine states a rhombus can hold, and a
+  state's code is its row index: ``PlaquetteState`` names the codes, and
+  the passage table here, the walk search's transitions and the loop
   model's cell states are all derived from it.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 THETA_MIN = math.pi / 3
 THETA_MAX = 2 * math.pi / 3
@@ -129,8 +131,16 @@ PLAQUETTE_STATES = (
     ("double_pi_minus_theta", ((0, 1), (2, 3)), 4),
 )
 
-# Step.kind by the weight slot of a single state
-_KINDS = ("arc_theta", "arc_pi_minus_theta", "straight")
+# The state codes by name: EMPTY = 0, ARC_SW = 1, ..., DOUBLE_PI_MINUS_THETA.
+PlaquetteState = IntEnum(
+    "PlaquetteState",
+    [(row[0].upper(), code) for code, row in enumerate(PLAQUETTE_STATES)],
+    module=__name__,
+)
+
+# side pairs and weight slot per state code
+STATE_PAIRS = tuple(pairs for _, pairs, _ in PLAQUETTE_STATES)
+STATE_SLOT = tuple(slot for _, _, slot in PLAQUETTE_STATES)
 
 
 def _passages() -> dict:
@@ -141,7 +151,7 @@ def _passages() -> dict:
     pi - theta at c1 and c3.  The reverse passage turns back by as much.
     """
     out = {}
-    for code, (_, pairs, _) in enumerate(PLAQUETTE_STATES):
+    for code, pairs in enumerate(STATE_PAIRS):
         if len(pairs) != 1:
             continue
         (a, b), = pairs
@@ -200,10 +210,6 @@ class Step:
     def component(self) -> str:
         """The corner an arc surrounds ('sw', ...) or the straight ('bt', 'lr')."""
         return PLAQUETTE_STATES[self.state_code][0].partition("_")[2]
-
-    @property
-    def kind(self) -> str:
-        return _KINDS[PLAQUETTE_STATES[self.state_code][2]]
 
     @property
     def turn_units(self) -> tuple[int, int]:

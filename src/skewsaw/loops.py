@@ -29,36 +29,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .geometry import PASSAGE, PLAQUETTE_STATES, MidEdge, Rhombus
+from .geometry import PASSAGE, STATE_PAIRS, STATE_SLOT, MidEdge, Rhombus
 from .observable import _rhombus_contour
 from .walks import _group, _weigh
 from .weights import WeightSet, loop_parameter, on_weights
 
-def _cell_state_name(pairs) -> str:
-    """Loop-model name of a state of geometry.PLAQUETTE_STATES: arcs by
-    the corners they surround (an arc around c_k joins sides k-1 and k),
-    straights by the sides they join."""
-    if not pairs:
-        return "empty"
-    if len(pairs) == 1 and (pairs[0][1] - pairs[0][0]) % 4 == 2:
-        return "straight_%d%d" % pairs[0]
-    corners = "".join(f"c{k}" for _, k in pairs)
-    return ("arc_" if len(pairs) == 1 else "double_") + corners
 
-
-# name -> (side pairs, weight slot), in state-code order
-_CELL_STATES = {_cell_state_name(pairs): (pairs, slot)
-                for _, pairs, slot in PLAQUETTE_STATES}
-
-STATE_NAMES = tuple(_CELL_STATES)
-
-
-def state_pairs(name: str):
-    return _CELL_STATES[name][0]
-
-
-def cell_state_weight(name: str, w: WeightSet) -> float:
-    slot = _CELL_STATES[name][1]
+def cell_state_weight(state: int, w: WeightSet) -> float:
+    """The weight of a cell in the state of code ``state``."""
+    slot = STATE_SLOT[state]
     return 1.0 if slot is None else w.as_tuple()[slot]
 
 
@@ -67,7 +46,7 @@ class Cell:
     """A rhombus cell with hashable mid-edge keys.
 
     ``mids`` are the midpoints of sides 0..3, counter-clockwise, and the
-    angle sits at corners 0 and 2, so arc_c0/arc_c2 are the u1 arcs of
+    angle sits at corners 0 and 2, so ARC_SW/ARC_NE are the u1 arcs of
     this cell.
     """
 
@@ -108,7 +87,7 @@ def rect_cells(theta: float, cols: int, rows: int, j0: int = 0) -> list[Cell]:
 def _strand_edges(cells, states):
     """Half-strand segments as (mid_key_a, mid_key_b) pairs."""
     return [(cell.mids[a], cell.mids[b])
-            for cell, st in zip(cells, states) for a, b in state_pairs(st)]
+            for cell, st in zip(cells, states) for a, b in STATE_PAIRS[st]]
 
 
 def _trace(cells, states):
@@ -156,7 +135,8 @@ def _trace(cells, states):
 
 def iter_consistent_configs(cells, boundary_mids=None,
                             allow_open_interior=0):
-    """Yield (states, loops, chains) over all consistent assignments.
+    """Yield (states, loops, chains) over all consistent assignments, the
+    states as a tuple of state codes, one per cell.
 
     A strand ends at a mid that the cells around it occupy once.  It may
     end at the mids in ``boundary_mids`` at no cost (default: every mid
@@ -178,12 +158,11 @@ def iter_consistent_configs(cells, boundary_mids=None,
         partner = own[0] if len(own) == 2 else None
         closes[ci].append((k, partner, m in boundary_mids))
 
-    occupied = {
-        name: frozenset(itertools.chain.from_iterable(state_pairs(name)))
-        for name in STATE_NAMES
-    }
+    # the sides each state code occupies
+    occupied = [frozenset(itertools.chain.from_iterable(pairs))
+                for pairs in STATE_PAIRS]
     n = len(cells)
-    states = [""] * n
+    states = [0] * n
 
     def rec(ci, open_ends):
         if ci == n:
@@ -191,8 +170,7 @@ def iter_consistent_configs(cells, boundary_mids=None,
             if traced is not None:
                 yield tuple(states), traced[0], traced[1]
             return
-        for name in STATE_NAMES:
-            occ = occupied[name]
+        for code, occ in enumerate(occupied):
             ends = open_ends
             for k, partner, free in closes[ci]:
                 there = (partner is not None
@@ -201,7 +179,7 @@ def iter_consistent_configs(cells, boundary_mids=None,
                     ends += 1
             if ends > allow_open_interior:
                 continue
-            states[ci] = name
+            states[ci] = code
             yield from rec(ci + 1, ends)
 
     yield from rec(0, 0)
@@ -361,8 +339,8 @@ def _tiling_terms(cells, boundary, s: float):
     tables = []
     for cell in cells:
         w, _ = on_weights(cell.angle, s)
-        tables.append({name: cell_state_weight(name, w)
-                       for name in STATE_NAMES})
+        tables.append([cell_state_weight(code, w)
+                       for code in range(len(STATE_SLOT))])
     shape, mids = _structure(cells)
     states, terms = _flip_terms(shape, tuple(map(mids.index, boundary)))
     weights = []
@@ -438,7 +416,7 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
             key_wind = (0, 0)
         profile = [0, 0, 0, 0, 0]
         for st in states:
-            slot = _CELL_STATES[st][1]
+            slot = STATE_SLOT[st]
             if slot is not None:
                 profile[slot] += 1
         key = (z, key_wind, tuple(profile), len(loops))
@@ -454,7 +432,7 @@ def _chain_turns(shape, states, chain) -> tuple[int, int]:
     """
     turns = {}
     for mids, st in zip(shape, states):
-        for pair in state_pairs(st):
+        for pair in STATE_PAIRS[st]:
             for x, y in (pair, pair[::-1]):
                 turns[(mids[x], mids[y])] = PASSAGE[(x, y)][1:]
     k1 = k2 = 0

@@ -48,11 +48,11 @@ through the axis swaps the theta- and (pi-theta)-corners of every
 rhombus, so it maps walks onto walks of the same length when the two
 arcs have the same length (``LengthRule.mirror_symmetric``, true of
 every domain search).  Such a search runs the jobs of the first arc
-alone; any other rule runs the jobs of both arcs.  A free search adds
-each key of those jobs mirrored as well.  A domain search keeps its half,
-the straights and the first arc's jobs, and ``_group_packed`` applies
-the mirror where the half is grouped: each (head, profile) entry of a
-grouped form sums its count from the half and from its mirror image.
+alone; any other rule runs the jobs of both arcs.  Either search keeps
+its half, the straights and the first arc's jobs, and applies the mirror
+where the half is read: ``_both_signs`` adds each free key with an arc at
+its mirror image too, and in ``_group_packed`` each (head, profile) entry
+of a grouped form sums its count from the half and from its mirror image.
 The full histogram of tuple keys is read off the grouped form by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
 """
@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, repeat
 from operator import add, mul
@@ -70,9 +69,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import (
     PASSAGE,
-    PLAQUETTE_STATES,
+    STATE_PAIRS,
+    STATE_SLOT,
     MidEdge,
     ParallelogramDomain,
+    PlaquetteState,
     Rhombus,
     Step,
     step_candidates,
@@ -81,24 +82,11 @@ from .weights import WeightSet
 
 DEFAULT_STEP_CAP = 40
 
-# Members in state-code order: EMPTY, ARC_SW, ..., DOUBLE_PI_MINUS_THETA.
-PlaquetteState = Enum(
-    "PlaquetteState",
-    [(name.upper(), name) for name, _, _ in PLAQUETTE_STATES],
-    module=__name__,
-)
-
-_STATES = tuple(PlaquetteState)
-_CODE = {state: code for code, state in enumerate(_STATES)}
-
-# weight-profile slot per state code (a promotion moves a count from the
-# single slot to the double slot)
-_SLOT = tuple(slot for _, _, slot in PLAQUETTE_STATES)
-
-# (previous state, arriving single state) -> double state
+# (previous state, arriving single state) -> double state; a promotion
+# moves a count from the single state's weight slot to the double's
 _PROMOTE = {
     (PASSAGE[p][0], PASSAGE[q][0]): code
-    for code, (_, pairs, _) in enumerate(PLAQUETTE_STATES) if len(pairs) == 2
+    for code, pairs in enumerate(STATE_PAIRS) if len(pairs) == 2
     for p, q in (pairs, pairs[::-1])
 }
 
@@ -160,7 +148,8 @@ _SLOT_BITS = 6
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
 _PROFILE_BITS = 5 * _SLOT_BITS
 _PROFILE_MASK = (1 << _PROFILE_BITS) - 1
-_INC = tuple(0 if s is None else 1 << _SLOT_BITS * (4 - s) for s in _SLOT)
+_INC = tuple(0 if s is None else 1 << _SLOT_BITS * (4 - s)
+             for s in STATE_SLOT)
 
 
 def _unpack_profile(key: int) -> tuple[int, int, int, int, int]:
@@ -275,7 +264,7 @@ _HV_NAME = ("H", "V")
 
 
 # _BLOCKED marks a rhombus no walk may pass.
-_BLOCKED = len(_STATES)
+_BLOCKED = len(PlaquetteState)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +296,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                 dkey += (_pack_domain_key(dmid, *s.turn_units, 0)
                          - _pack_domain_key(0, 0, 0, 0))
             drhos.add(_pack_rho(s.rhombus.i, s.rhombus.j) - _pack_rho(0, 0))
-            first.append((dmid, state, lens[_SLOT[state]], dkey,
+            first.append((dmid, state, lens[STATE_SLOT[state]], dkey,
                           rows[(nhv, nsign)], nsign))
         (drho,) = drhos
         by_prev = [tuple(first)]
@@ -508,7 +497,7 @@ def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
 
 def _straight(row: list) -> tuple:
     """The straight among a row's first-visit steps."""
-    return next(step for step in row[1][0] if _SLOT[step[1]] == 2)
+    return next(step for step in row[1][0] if STATE_SLOT[step[1]] == 2)
 
 
 def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
@@ -525,7 +514,7 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
     drho, by_prev = row
     blocked = ((),) * (len(by_prev) - 1)
     arcs = [[drho, ((step,), *blocked)]
-            for step in by_prev[0] if _SLOT[step[1]] != 2]
+            for step in by_prev[0] if STATE_SLOT[step[1]] != 2]
     dmid, state, slen, dkey, _, _ = _straight(row)
     walks = rlen = laid = 0
     for k, arc in jobs:
@@ -537,15 +526,6 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
             laid += 1
         walks += rec(cm, arcs[arc], rlen, key)
     return walks
-
-
-def _add(counts: dict, part: dict, mirror: Callable[[int], int] | None) -> None:
-    """``counts[key] += n`` over ``part``, and at ``mirror(key)`` if given."""
-    for key, n in part.items():
-        counts[key] = counts.get(key, 0) + n
-        if mirror is not None:
-            key = mirror(key)
-            counts[key] = counts.get(key, 0) + n
 
 
 def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
@@ -655,12 +635,12 @@ class Walk:
 
     def length(self, rule: LengthRule = UNIT_RULE) -> int:
         lens = rule.as_tuple()
-        return sum(lens[_SLOT[s.state_code]] for s in self.steps)
+        return sum(lens[STATE_SLOT[s.state_code]] for s in self.steps)
 
     def profile(self) -> tuple[int, int, int, int, int]:
         c = [0, 0, 0, 0, 0]
         for st in self.occupancy.values():
-            c[_SLOT[_CODE[st]]] += 1
+            c[STATE_SLOT[st]] += 1
         return tuple(c)
 
 
@@ -678,11 +658,11 @@ def occupancy_from_steps(steps: Iterable[Step]) -> dict[Rhombus, PlaquetteState]
             code = _PROMOTE.get((prev, code))
             if code is None:
                 raise ValueError(
-                    f"inadmissible plaquette reuse: {_STATES[prev]} + "
-                    f"{s.component} in {s.rhombus}"
-                )
+                    "inadmissible plaquette reuse: "
+                    f"{PlaquetteState(prev).name} + {s.component} "
+                    f"in {s.rhombus}")
         occ[s.rhombus] = code
-    return {r: _STATES[code] for r, code in occ.items()}
+    return {r: PlaquetteState(code) for r, code in occ.items()}
 
 
 def build_walk(start: MidEdge, steps: Iterable[Step]) -> Walk:
@@ -708,7 +688,7 @@ def build_walk(start: MidEdge, steps: Iterable[Step]) -> Walk:
 def weight_of(walk: Walk, w: WeightSet) -> float:
     """Product of final plaquette-state weights (the weight contract)."""
     weights = w.as_tuple()
-    slots = (_SLOT[_CODE[st]] for st in walk.occupancy.values())
+    slots = (STATE_SLOT[st] for st in walk.occupancy.values())
     return math.prod((weights[slot] for slot in slots), start=1.0)
 
 
@@ -769,11 +749,13 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
                  workers: int = 1,
                  meanwhile: Callable[[], None] | None = None) -> EnumerationStats:
     """``counts[pk] += n`` over the free-lattice walks whose first step
-    crosses with sign +1 (the empty walk included).  The axis jobs run in
-    this process or, for ``workers`` > 1, one per task on a pool of at most
-    that many processes; ``meanwhile`` is then called in this process
-    while the pool searches, before the jobs' counts are collected.  The
-    returned ``walks`` is the number of walks visited."""
+    crosses with sign +1 (the empty walk included) that the search visits:
+    under a mirror-symmetric rule the straights and the first arc's axis
+    jobs alone, whose mirror images ``_both_signs`` adds.  The axis jobs
+    run in this process or, for ``workers`` > 1, one per task on a pool of
+    at most that many processes; ``meanwhile`` is then called in this
+    process while the pool searches, before the jobs' counts are
+    collected.  The returned ``walks`` is the number of walks visited."""
     # checks the budget before any pool starts, and counts the empty walk
     stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(),
                                  counts=counts)
@@ -802,19 +784,30 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
     else:
         parts = [_free_job((n_max, lens, orient, jobs))]
     for part, walks in parts:
-        _add(counts, part, _mirror_profile if rule.mirror_symmetric else None)
+        for pk, n in part.items():
+            counts[pk] = counts.get(pk, 0) + n
         stats.walks += walks
     return stats
 
 
 def _both_signs(counts: dict, rule: LengthRule) -> dict:
-    """counts[(rlen, profile)] over all free-lattice walks, sorted.
+    """counts[(rlen, profile)] over all free-lattice walks, sorted, from the
+    counts of ``_free_counts``.
 
-    The rotation by pi about the start maps the sign +1 walks one to one
-    onto the sign -1 walks, with the same states, so every non-empty count
-    doubles.  Each passage adds its length to its weight slot, a double
-    state two arcs of one class, so the length follows from the profile.
+    Under a mirror-symmetric rule each count with an arc also counts at its
+    mirror image; the straights are their own images.  Then the rotation by
+    pi about the start maps the sign +1 walks one to one onto the sign -1
+    walks, with the same states, so every non-empty count doubles.  Each
+    passage adds its length to its weight slot, a double state two arcs of
+    one class, so the length follows from the profile.
     """
+    if rule.mirror_symmetric:
+        half, counts = counts, {}
+        for pk, n in half.items():
+            counts[pk] = counts.get(pk, 0) + n
+            if pk & ~_C3_FIELD:
+                pk = _mirror_profile(pk)
+                counts[pk] = counts.get(pk, 0) + n
     lt, lp, ls = rule.as_tuple()
     out = []
     for pk, n in counts.items():

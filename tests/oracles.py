@@ -67,12 +67,9 @@ def naive_profile(steps: list[Step]):
 
 
 def naive_length(steps: list[Step], rule=(1, 1, 1)) -> int:
-    lt, lp, ls = rule
-    total = 0
-    for s in steps:
-        k = s.kind
-        total += lt if k == "arc_theta" else lp if k == "arc_pi_minus_theta" else ls
-    return total
+    """Sum of passage lengths, rule = (theta-arc, (pi-theta)-arc, straight)."""
+    lens = dict(zip(("u1", "u2", "v"), rule))
+    return sum(lens[_ARC_WEIGHT[s.component]] for s in steps)
 
 
 def naive_enumerate(start: MidEdge, max_length: int, rule=(1, 1, 1),

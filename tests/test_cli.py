@@ -322,6 +322,27 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["yangbaxter"],
+    ["enumerate", "--n-max", "4"],
+    ["verify-cr"],
+    ["--threads", "2", "honeycomb", "--n-max", "10"],
+], ids=["yangbaxter", "enumerate", "verify-cr", "honeycomb-pool"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # `python -m skewsaw` in fresh interpreters under two hash seeds: an
+    # order that followed str hashes would show in the bytes written
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewsaw.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewsaw", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("argv,env", [
     (["--threads", "0"], None),
     (["--threads", "-3"], None),

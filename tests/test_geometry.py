@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from skewsaw.geometry import (
     PASSAGE,
+    PLAQUETTE_STATES,
+    STATE_PAIRS,
+    STATE_SLOT,
     MidEdge,
     ParallelogramDomain,
+    PlaquetteState,
     Rhombus,
     Step,
     _side_position,
@@ -138,18 +142,28 @@ def test_step_candidates_domain_truncation():
     assert len(step_candidates(MidEdge(0, 0, "H"), domain=d0)) == 3
 
 
+def test_plaquette_states_are_named_by_their_codes():
+    import skewsaw
+    from skewsaw import walks
+
+    assert skewsaw.PlaquetteState is walks.PlaquetteState is PlaquetteState
+    assert [(st.name.lower(), STATE_PAIRS[st], STATE_SLOT[st])
+            for st in PlaquetteState] == list(PLAQUETTE_STATES)
+    assert list(PlaquetteState) == list(range(len(PLAQUETTE_STATES)))
+
+
 def test_step_kinds_and_turns():
     theta = math.pi / 3
     r = Rhombus(0, 0)
     b, rt, t, lf = r.mid_edges()
     straight = Step(r, b, t)
-    assert straight.kind == "straight"
+    assert straight.state_code == PlaquetteState.STRAIGHT_BT
     assert straight.turn(theta) == 0.0
     arc = Step(r, b, lf)  # around the SW theta-corner
-    assert arc.kind == "arc_theta"
+    assert arc.state_code == PlaquetteState.ARC_SW
     assert math.isclose(arc.turn(theta), theta)
     arc2 = Step(r, b, rt)  # around the SE corner
-    assert arc2.kind == "arc_pi_minus_theta"
+    assert arc2.state_code == PlaquetteState.ARC_SE
     assert math.isclose(arc2.turn(theta), theta - math.pi)
 
 

@@ -4,7 +4,12 @@ import math
 import pytest
 
 from skewsaw.cli import main
-from skewsaw.geometry import MidEdge, ParallelogramDomain, Rhombus
+from skewsaw.geometry import (
+    MidEdge,
+    ParallelogramDomain,
+    PlaquetteState,
+    Rhombus,
+)
 from skewsaw.loops import (
     _trace,
     cell_from_rhombus,
@@ -27,7 +32,7 @@ ALPHAS = [0.5, 0.65, 0.8, 0.95, 1.1]
 def test_empty_config_weight_is_one():
     th = math.pi / 2
     cells = rect_cells(th, 2, 2)
-    states = ["empty"] * 4
+    states = [PlaquetteState.EMPTY] * 4
     loops, _ = _trace(cells, states)
     w = critical_weights(th)
     assert naive_config_weight(cells, states, len(loops), w, 2.0) == 1.0
@@ -43,10 +48,10 @@ def test_hand_built_vertex_loop():
     states = []
     for c in cells:
         states.append({
-            ("R", 0, 0): "arc_c2",   # NE corner of R(0,0) is vertex (1,1)
-            ("R", 0, 1): "arc_c1",   # SE corner of R(0,1)
-            ("R", 1, 0): "arc_c3",   # NW corner of R(1,0)
-            ("R", 1, 1): "arc_c0",   # SW corner of R(1,1)
+            ("R", 0, 0): PlaquetteState.ARC_NE,  # NE corner of R(0,0) is (1,1)
+            ("R", 0, 1): PlaquetteState.ARC_SE,
+            ("R", 1, 0): PlaquetteState.ARC_NW,
+            ("R", 1, 1): PlaquetteState.ARC_SW,
         }[c.key])
     loops, chains = _trace(cells, states)
     assert len(loops) == 1
@@ -79,7 +84,8 @@ def test_consistent_configs_decompose_cleanly():
 def test_loop_count_invariant_under_cell_order():
     th = math.pi / 2
     cells = rect_cells(th, 2, 2)
-    states = ["arc_c2", "arc_c1", "arc_c3", "arc_c0"]
+    states = [PlaquetteState.ARC_NE, PlaquetteState.ARC_SE,
+              PlaquetteState.ARC_NW, PlaquetteState.ARC_SW]
     perm = [2, 0, 3, 1]
     cells2 = [cells[k] for k in perm]
     states2 = [states[k] for k in perm]
@@ -192,7 +198,8 @@ def test_w2_states_carry_zero_weight_at_honeycomb_angle():
     w, n = on_weights(math.pi / 3, 0.5)
     assert w.w2 == pytest.approx(0.0, abs=1e-12)
     cells = rect_cells(math.pi / 3, 2, 2)
-    states = ["double_c1c3", "empty", "empty", "empty"]
+    states = [PlaquetteState.DOUBLE_PI_MINUS_THETA,
+              *[PlaquetteState.EMPTY] * 3]
     loops, _ = _trace(cells, states)
     assert naive_config_weight(cells, states, len(loops), w, n) == (
         pytest.approx(0.0, abs=1e-12))
@@ -216,11 +223,18 @@ def test_patch_windings_are_exact_at_every_angle():
     assert at_half_pi == _patch_aggregate(1.9, 2, 2, 0)[0]
 
 
+# The loop-model name of each state code, as the digests below were taken:
+# arcs by the corners c0..c3 = (SW, SE, NE, NW) they surround, straights
+# by the sides 0..3 = (B, R, T, L) they join.
+_DIGEST_NAMES = ("empty", "arc_c0", "arc_c1", "arc_c2", "arc_c3",
+                 "straight_02", "straight_13", "double_c0c2", "double_c1c3")
+
+
 def _states_digest(configs):
     h = hashlib.sha256()
     n = 0
     for states, _, _ in configs:
-        h.update(repr(states).encode())
+        h.update(repr(tuple(_DIGEST_NAMES[st] for st in states)).encode())
         n += 1
     return n, h.hexdigest()
 

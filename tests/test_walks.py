@@ -185,6 +185,15 @@ def test_straight_after_straight_rejected():
     assert occ[r] == PlaquetteState.DOUBLE_THETA
 
 
+def test_inadmissible_reuse_names_the_state():
+    # up through R(0,0), round to V(0,0), then across R(0,0) again: the
+    # second straight is refused, and the message names the first by name
+    dump = ("0,0,H;0,0,H>0,1,H,0,1,H>0,1,V,0,1,V>-1,1,H,"
+            "-1,1,H>0,0,V,0,0,V>1,0,V")
+    with pytest.raises(ValueError, match=r"reuse: STRAIGHT_BT \+ lr in"):
+        walk_from_dump(dump)
+
+
 def test_fixture_walk_weight_and_length():
     walk = walk_from_dump(FIXTURE_WALK)
     w = critical_weights(math.pi / 2)
@@ -430,14 +439,16 @@ def test_free_histogram_invariant_under_reflection():
 
 
 def _mirrored_and_full(orient, n_max, rule):
-    from skewsaw.walks import _free_counts
+    # the halved search as _both_signs decodes it, and the full search over
+    # both signs decoded here; with the walks each visits with sign +1
+    from skewsaw.walks import _both_signs, _free_counts
 
     half: dict = {}
     visited = _free_counts(n_max, rule, orient, half).walks
-    full: dict = {}
     n_full = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule,
-                                  signs=(1,), counts=full).walks
-    return half, visited, full, n_full
+                                  signs=(1,)).walks
+    return (_both_signs(half, rule), visited,
+            _subtree_hist(orient, n_max, rule, (-1, 1)), n_full)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 9, 11])
