@@ -136,7 +136,10 @@ def write_rows(rows: list[dict], columns: list[str], args, meta: dict) -> None:
                             "version": __version__}, "rows": rows}
         if args.stamp:
             payload["meta"]["generated"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        # JSON has no inf or nan: a round trip writes them as null
+        payload = json.loads(json.dumps(payload, default=float),
+                             parse_constant=lambda token: None)
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

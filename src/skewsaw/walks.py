@@ -17,10 +17,13 @@ over exact integer state:
 * walk weight as the profile (c1, ..., c5), the counts of rhombi whose
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
-  pi - theta: a weight set is applied afterwards, by ``_weigh``, to a
-  histogram that ``_group`` (``_group_packed`` for packed domain keys)
-  has grouped once by head (the key without its profile), each distinct
-  profile stored once, as columns, and weighed once.
+  pi - theta: a weight set is applied afterwards.  A free or loop-patch
+  histogram is weighed key by key with ``profile_weight``, since its
+  profiles barely repeat (a free key's length follows from its profile).
+  The packed domain half, whose profiles repeat over many heads, is
+  grouped once by ``_group_packed`` by head (the key without its
+  profile), each distinct profile stored once, as columns, and weighed
+  once by ``_weigh``.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -197,11 +200,6 @@ class _Grouped(NamedTuple):
     heads: dict
 
 
-def _grouped(columns: tuple, heads: dict) -> _Grouped:
-    return _Grouped(columns, max(map(max, columns)) if columns[0] else 0,
-                    heads)
-
-
 def _packed_columns(pks: Iterable[int]) -> tuple:
     """The five columns of the packed profiles ``pks``."""
     pks = list(pks)
@@ -211,10 +209,11 @@ def _packed_columns(pks: Iterable[int]) -> tuple:
 
 def _group_packed(keys: Sequence[int], counts: Sequence[int],
                   label: Callable[[tuple], object]) -> _Grouped:
-    """``_group`` of counts[(label(head), profile)] over the full histogram
-    of a mirror-halved domain search, read off the half it keeps: sorted
-    packed domain keys and their counts.  The heads (end, dtheta, dpmt)
-    labelled None are left out; the others come in first-met order.
+    """counts[(label(head), profile)] over the full histogram of a
+    mirror-halved domain search, grouped for ``_weigh``, read off the half
+    it keeps: sorted packed domain keys and their counts.  The heads (end,
+    dtheta, dpmt) labelled None are left out; the others come in first-met
+    order.
 
     Sorted keys hold each head's walks in one run, so each head and its
     mirror image are labelled once, and the runs of heads left out are
@@ -256,7 +255,8 @@ def _group_packed(keys: Sequence[int], counts: Sequence[int],
         for head, tally in tallies.items():
             heads[head] = ([index.setdefault(pk, len(index)) for pk in tally],
                            list(tally.values()))
-    return _grouped(_packed_columns(index), heads)
+    columns = _packed_columns(index)
+    return _Grouped(columns, max(map(max, columns)) if index else 0, heads)
 
 
 _HV = {"H": 0, "V": 1}
@@ -560,46 +560,34 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     return EnumerationStats(walks=points + walks)
 
 
+def _power_tables(w: WeightSet, size: int) -> list[list[float]]:
+    """Per weight x of ``w``, the powers 1.0, x, x*x, ... of x up to
+    x**size, each the one before times x."""
+    return [list(accumulate(repeat(x, size), mul, initial=1.0))
+            for x in w.as_tuple()]
+
+
 def profile_weight(profile, tables) -> float:
-    """The weight of one profile from power tables; ``_weigh`` multiplies
-    its columns in this order."""
+    """The weight t1[c1] * t2[c2] * ... * t5[c5] of the profile (c1, ...,
+    c5) from ``_power_tables``, multiplied left to right."""
     t1, t2, t3, t4, t5 = tables
     return (t1[profile[0]] * t2[profile[1]] * t3[profile[2]]
             * t4[profile[3]] * t5[profile[4]])
 
 
-def _group(hist: Mapping) -> _Grouped:
-    """A histogram whose keys end with the profile (c1, ..., c5), grouped
-    for ``_weigh``: the distinct profiles once each, and per head
-    ``key[:-1]``, in first-met order, the list of its keys' profile
-    indices and the list of their counts, in key order."""
-    index: dict = {}
-    heads: dict = {}
-    for key, n in hist.items():
-        k = index.setdefault(key[-1], len(index))
-        group = heads.get(key[:-1])
-        if group is None:
-            group = heads[key[:-1]] = ([], [])
-        group[0].append(k)
-        group[1].append(n)
-    return _grouped(tuple(zip(*index)) or ((),) * 5, heads)
-
-
 def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
     """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group`` or ``_group_packed``, heads in its order.
+    ``_group_packed``, heads in its order.
 
-    Each distinct profile is weighed once, column by column from power
-    tables as long as its grouped form's largest count, and as
-    ``profile_weight`` multiplies.  Each head adds its terms from 0.0 in
-    the order of its lists; ``reduce`` keeps that order on every Python,
-    where ``sum`` compensates float sums from 3.12 on.  So every grouped
-    form weighs as a fold over its own entries, bit for bit; for
-    ``_group`` those are the histogram's keys.
+    It equals the fold over the grouped form's entries, bit for bit: per
+    head, 0.0 + n * w + ... in the order of its lists, where w is
+    ``profile_weight`` of the profile from ``_power_tables``.  Each
+    distinct profile is weighed once, column by column and in
+    ``profile_weight``'s order, and ``reduce`` keeps the order of the sum
+    on every Python, where ``sum`` compensates float sums from 3.12 on.
     """
     columns, size, heads = grouped
-    tables = (list(accumulate(repeat(x, size), mul, initial=1.0))
-              for x in w.as_tuple())
+    tables = _power_tables(w, size)
     # t1[c1] * t2[c2] * ... * t5[c5] per profile, in profile_weight's order
     weight = list(reduce(partial(map, mul),
                          map(map, (t.__getitem__ for t in tables), columns)))
@@ -868,9 +856,11 @@ def weighted_length_sums(n_max: int, w: WeightSet,
     ``workers`` > 1 it runs in this process while the pool searches."""
     agg = free_walk_aggregate_parallel(n_max, rule, orient, workers,
                                        meanwhile=meanwhile)
+    # a passage adds at least one to the length, so no count exceeds n_max
+    tables = _power_tables(w, n_max)
     sums = [0.0] * (n_max + 1)
-    for (rlen,), x in _weigh(_group(agg), w).items():
-        sums[rlen] = x
+    for (rlen, profile), n in agg.items():
+        sums[rlen] += n * profile_weight(profile, tables)
     return sums
 
 

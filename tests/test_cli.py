@@ -45,6 +45,24 @@ def test_weights_subcommand_json(capsys):
     assert row["max_local_residual"] < 1e-12
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("argv,code,nulls", [
+    (("weights", "--family", "sigma-one", "--u1", "0"), 0, 1),
+    (("strip", "--T", "1", "--L", "2", "--x-over-xc", "1e200"), 1, 8),
+], ids=["weights", "strip"])
+def test_json_output_writes_nonfinite_values_as_null(capsys, argv, code, nulls):
+    got, out = run_cli(capsys, "--format", "json", *argv)
+    assert got == code
+    json.loads(out, parse_constant=_refuse_constant)
+    assert out.count(": null") == nulls
+    # CSV keeps its inf and nan
+    _, csv_out = run_cli(capsys, *argv)
+    assert "inf" in csv_out
+
+
 @pytest.mark.parametrize("family", ["critical", "sigma", "sigma-one", "on"])
 def test_weights_prints_the_positivity_margins(capsys, family):
     code, out = run_cli(capsys, "--format", "json", "weights",

@@ -336,14 +336,13 @@ def test_tuple_histogram_leaves_the_packed_cache_unchanged(T, L):
 
 
 def test_identities_build_no_tuple_histogram(monkeypatch):
-    obs, walks = sys.modules["skewsaw.observable"], sys.modules["skewsaw.walks"]
+    obs = sys.modules["skewsaw.observable"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tuple-keyed domain histogram was built")
 
     _clear_domain_caches()
     monkeypatch.setattr(obs, "domain_walk_aggregate", refuse)
-    monkeypatch.setattr(walks, "_group", refuse)
     theta = 1.2
     x = critical_weights(theta).x_c
     for T, L in [(2, 2), (4, 1)]:

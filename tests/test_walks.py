@@ -592,7 +592,9 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
 
 
 # ---------------------------------------------------------------------------
-# The grouped re-weight: _weigh(_group(h), w) against a fold over h's keys.
+# The re-weights against a fold over the histogram's keys: the free and the
+# loop-patch histograms are weighed key by key, the packed domain half
+# through ``_group_packed`` and ``_weigh``.
 
 def _fold(hist, w):
     """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
@@ -626,28 +628,6 @@ def _side_marginal_hist(T, L):
     return out
 
 
-def _patch_hist():
-    from skewsaw.loops import _patch_aggregate
-
-    counts, _ = _patch_aggregate(1.2, 2, 3, 0)
-    return {(z, wind, nloops, profile): n
-            for (z, wind, profile, nloops), n in counts.items()}
-
-
-def _domain_4x2():
-    from skewsaw.observable import domain_walk_aggregate
-
-    return domain_walk_aggregate(4, 2)
-
-
-GROUPED_CASES = {
-    "free-unit-H-9": lambda: free_walk_aggregate(9, UNIT_RULE, "H"),
-    "free-honeycomb-V-12": lambda: free_walk_aggregate(12, HONEYCOMB_RULE, "V"),
-    "domain-4x2": _domain_4x2,
-    "patch-2x3": _patch_hist,
-}
-
-
 def _weight_sets():
     from skewsaw.weights import on_weights, sigma_weights
 
@@ -656,17 +636,68 @@ def _weight_sets():
             on_weights(2 * math.pi / 3, 0.5)[0]]
 
 
+def _free_case(n_max, rule, orient):
+    def check():
+        from skewsaw.walks import weighted_length_sums
+
+        hist = free_walk_aggregate(n_max, rule, orient)
+        for w in _weight_sets():
+            ref = _fold(hist, w)
+            # length by length, bit for bit, not within a tolerance
+            assert (weighted_length_sums(n_max, w, rule, orient)
+                    == [ref.get((rlen,), 0.0) for rlen in range(n_max + 1)])
+    return check
+
+
+def _patch_case():
+    import cmath
+
+    from skewsaw.loops import _patch_aggregate, on_observable
+    from skewsaw.weights import on_weights
+
+    for theta in (math.pi / 3, 1.2, 2 * math.pi / 3):
+        counts, _ = _patch_aggregate(theta, 2, 3, 0)
+        hist = {(z, wind, nloops, profile): n
+                for (z, wind, profile, nloops), n in counts.items()}
+        for s in (-3 / 8, 1 / 2, 3 / 4):
+            w, n = on_weights(theta, s)
+            ref: dict = {}
+            for (z, (k1, k2), nloops), amp in _fold(hist, w).items():
+                phase = cmath.exp(-1j * (s + 1.0)
+                                  * (k1 * theta + k2 * (math.pi - theta)))
+                ref[z] = ref.get(z, 0j) + amp * float(n) ** nloops * phase
+            values = on_observable(theta, s, 2, 3, 0)
+            assert values == ref  # bit for bit, not within a tolerance
+            assert list(values) == list(ref)
+
+
+GROUPED_CASES = {
+    "free-unit-H-9": _free_case(9, UNIT_RULE, "H"),
+    "free-honeycomb-V-12": _free_case(12, HONEYCOMB_RULE, "V"),
+    "patch-2x3": _patch_case,
+}
+
+
 @pytest.mark.parametrize("case", GROUPED_CASES)
 def test_grouped_reweight_equals_the_per_key_fold(case):
-    from skewsaw.walks import _group, _weigh
+    GROUPED_CASES[case]()
 
-    hist = GROUPED_CASES[case]()
-    grouped = _group(hist)
-    for w in _weight_sets():
-        sums = _weigh(grouped, w)
-        ref = _fold(hist, w)
-        assert sums == ref  # bit for bit, not within a tolerance
-        assert list(sums) == list(ref)
+
+def test_free_reweight_sees_a_changed_count(monkeypatch):
+    import skewsaw.walks as walks
+
+    w = critical_weights(1.2)
+    sums = walks.weighted_length_sums(9, w)
+    changed = dict(free_walk_aggregate(9))
+    key = list(changed)[len(changed) // 2]
+    changed[key] += 1
+    monkeypatch.setattr(walks, "free_walk_aggregate_parallel",
+                        lambda *args, **kwargs: changed)
+    other = walks.weighted_length_sums(9, w)
+    rlen = key[0]
+    assert other[rlen] != sums[rlen]
+    del other[rlen], sums[rlen]
+    assert other == sums
 
 
 def _ungroup(grouped):
@@ -703,30 +734,33 @@ def test_every_side_marginal_reweights_as_the_per_key_fold():
                 assert list(sums) == list(ref), (T, L)
 
 
-def test_group_keeps_first_met_heads_and_distinct_profiles():
-    from skewsaw.walks import _group
-
-    p, q = (1, 0, 0, 0, 0), (0, 2, 0, 1, 0)
-    hist = {("b", p): 3, ("a", q): 5, ("b", q): 7, ("a", p): 11}
-    # the profiles p, q as five columns, and their largest count
-    assert _group(hist) == (((1, 0), (0, 2), (0, 0), (0, 1), (0, 0)), 2,
-                            {("b",): ([0, 1], [3, 7]),
-                             ("a",): ([1, 0], [5, 11])})
-
-
 def test_grouped_reweight_sees_a_changed_count():
-    from skewsaw.walks import _group, _weigh
+    from skewsaw.observable import _domain_packed
+    from skewsaw.walks import (_C3_FIELD, _PROFILE_BITS, _PROFILE_MASK,
+                               _group_packed, _mirror_above, _unpack_head,
+                               _weigh)
 
-    hist = _domain_4x2()
+    keys, counts = _domain_packed(4, 2)
+    grouped = _group_packed(keys, counts, lambda head: head)
+    # the last key with an arc whose head is not its own mirror image
+    at = next(k for k in reversed(range(len(keys)))
+              if keys[k] & _PROFILE_MASK & ~_C3_FIELD
+              and _mirror_above(keys[k] >> _PROFILE_BITS)
+              != keys[k] >> _PROFILE_BITS)
+    changed = list(counts)
+    changed[at] += 1
+    other = _group_packed(keys, changed, lambda head: head)
+    above = keys[at] >> _PROFILE_BITS
+    moved = {_unpack_head(above), _unpack_head(_mirror_above(above))}
+    assert len(moved) == 2
     w = critical_weights(1.2)
-    sums = _weigh(_group(hist), w)
-    key = next(k for k in reversed(hist) if k[-1] != (0, 0, 0, 0, 0))
-    changed = dict(hist)
-    changed[key] += 1
-    other = _weigh(_group(changed), w)
-    assert other[key[:-1]] != sums[key[:-1]]
-    del other[key[:-1]], sums[key[:-1]]
-    assert other == sums
+    sums, resums = _weigh(grouped, w), _weigh(other, w)
+    for head in moved:
+        assert sum(other.heads[head][1]) == sum(grouped.heads[head][1]) + 1
+        assert resums[head] != sums[head]
+        del other.heads[head], grouped.heads[head], resums[head], sums[head]
+    assert other == grouped
+    assert resums == sums
 
 
 # ---------------------------------------------------------------------------
