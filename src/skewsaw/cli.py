@@ -24,6 +24,7 @@ from . import __version__
 from .geometry import ParallelogramDomain, MidEdge
 from .loops import yang_baxter_residual
 from .observable import (
+    DOMAIN_RHOMBUS_BUDGET,
     bridge_chain_check,
     max_cr_residual,
     observable,
@@ -250,11 +251,14 @@ def cmd_verify_cr(args):
 
 
 def cmd_parallelogram(args):
+    # every shape above the domain budget is refused, so a larger scan
+    # would only spend N^2 steps listing pairs before failing
+    if args.T is None and not 1 <= args.budget <= DOMAIN_RHOMBUS_BUDGET:
+        raise ValueError(f"--budget must be between 1 and the domain "
+                         f"budget {DOMAIN_RHOMBUS_BUDGET}, got {args.budget}")
     rows = []
     ok = True
     xc = critical_weights(args.theta).x_c
-    if args.T is None and args.budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     pairs = [(args.T, args.L)] if args.T is not None else [
         (T, L) for T in range(1, args.budget + 1)
         for L in range(0, args.budget)

@@ -7,7 +7,8 @@ closed forms below are trigonometric products in theta and a family
 parameter (a spin sigma or a loop parameter s); ``local_residuals``
 evaluates the four complex linear relations those weights are defined
 to satisfy, and ``solve_local_system`` recovers the weights from the
-relations numerically.
+relations numerically, by a pure-Python Jacobi SVD of their 8x5 real
+form that reproduces numpy's minimum-norm ``lstsq`` and its rank cut.
 """
 
 from __future__ import annotations
@@ -209,6 +210,58 @@ class SystemSolution:
 # Largest least-squares residual ``solve_local_system`` accepts as a solution.
 SOLVE_RESIDUAL_TOL = 1e-9
 
+# Sweeps ``_jacobi_svd`` may take; the 8x5 local system needs at most a
+# handful, so running out means the columns never became orthogonal.
+_JACOBI_SWEEPS = 30
+_EPS = 2.0 ** -52
+
+
+def _dot(a, b) -> float:
+    # fsum rounds once, so every interpreter gives the same bits; sum
+    # compensates from 3.12 on and would not
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
+def _jacobi_svd(cols):
+    """One-sided Jacobi SVD (Hestenes) of the matrix with columns ``cols``.
+
+    Rotates pairs of columns until they are mutually orthogonal and
+    applies each rotation to the identity as well (Demmel & Veselic, SIAM
+    J. Matrix Anal. Appl. 13 (1992) 1204).  Returns ``(s, us, vs)`` ordered
+    by decreasing singular value ``s[k]``: ``us[k]`` is the rotated column,
+    ``s[k]`` times the left singular vector, and ``vs[k]`` the unit right
+    singular vector.  Raises ``ValueError`` if ``_JACOBI_SWEEPS`` sweeps
+    leave a pair of columns unorthogonal.
+    """
+    n = len(cols)
+    us = [list(c) for c in cols]
+    vs = [[float(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                alpha, beta = _dot(us[p], us[p]), _dot(us[q], us[q])
+                gamma = _dot(us[p], us[q])
+                if abs(gamma) <= _EPS * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                # the smaller root t = tan(angle) of t^2 + 2 zeta t - 1 = 0
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for vecs in (us, vs):
+                    a, b = vecs[p], vecs[q]
+                    vecs[p] = [c * x - s * y for x, y in zip(a, b)]
+                    vecs[q] = [s * x + c * y for x, y in zip(a, b)]
+        if not rotated:
+            sing = [math.sqrt(_dot(u, u)) for u in us]
+            order = sorted(range(n), key=lambda k: -sing[k])
+            return ([sing[k] for k in order], [us[k] for k in order],
+                    [vs[k] for k in order])
+    raise ValueError(f"Jacobi SVD did not converge in {_JACOBI_SWEEPS} sweeps")
+
 
 def solve_local_system(sigma: float, theta: float) -> SystemSolution:
     """Solve the eight real-linearized local relations for the weights.
@@ -219,27 +272,36 @@ def solve_local_system(sigma: float, theta: float) -> SystemSolution:
     the solution matches ``sigma_weights``; at sigma = 1 the system has
     a one-dimensional solution family; elsewhere the residual stays
     bounded away from zero (or the solution degenerates to v = 0).
-    """
-    import numpy as np  # only this function needs it; kept off CLI start-up
 
+    Solved as ``numpy.linalg.lstsq(A, b, rcond=None)`` and ``svd`` would:
+    singular values at most s_max * 8 * 2**-52 count as zero, ``weights``
+    is the minimum-norm least-squares solution, and ``nullspace`` holds
+    the orthonormal right singular vectors past the rank, in decreasing
+    singular value.  Non-finite sigma or theta raises ``ValueError``.
+    """
+    if not (math.isfinite(sigma) and math.isfinite(theta)):
+        raise ValueError(f"local system at sigma={sigma!r}, theta={theta!r} "
+                         "is not finite")
     rows = _local_coefficient_rows(sigma, float(theta))
-    A = np.zeros((8, 5))
-    b = np.zeros(8)
-    for k, (coeffs, const) in enumerate(rows):
-        A[2 * k] = [complex(c).real for c in coeffs]
-        A[2 * k + 1] = [complex(c).imag for c in coeffs]
-        b[2 * k] = -complex(const).real
-        b[2 * k + 1] = -complex(const).imag
-    x, _, rank, _sing = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ x - b))
-    _, _, vt = np.linalg.svd(A)
-    nullspace = tuple(tuple(float(v) for v in vt[k])
-                      for k in range(5) if k >= rank)
+    # column j holds the real and imaginary parts of weight j's coefficients
+    cols = [[part for coeffs, _ in rows
+             for part in (complex(coeffs[j]).real, complex(coeffs[j]).imag)]
+            for j in range(5)]
+    b = [part for _, const in rows
+         for part in (-complex(const).real, -complex(const).imag)]
+    sing, us, vs = _jacobi_svd(cols)
+    rank = sum(sv > sing[0] * 8 * _EPS for sv in sing)
+    # x = sum over the rank of (u_k . b / s_k) v_k, with us[k] = s_k u_k
+    coef = [_dot(us[k], b) / (sing[k] * sing[k]) for k in range(rank)]
+    x = [math.fsum(coef[k] * vs[k][j] for k in range(rank)) for j in range(5)]
+    residual = math.sqrt(math.fsum(
+        math.fsum([*(col[i] * xj for col, xj in zip(cols, x)), -b[i]]) ** 2
+        for i in range(8)))
     weights = None
     if residual < SOLVE_RESIDUAL_TOL:
-        weights = WeightSet(*[float(v) for v in x])
-    return SystemSolution(weights=weights, residual=residual,
-                          rank=int(rank), nullspace=nullspace)
+        weights = WeightSet(*x)
+    return SystemSolution(weights=weights, residual=residual, rank=rank,
+                          nullspace=tuple(tuple(v) for v in vs[rank:]))
 
 
 def theta_grid(n: int = 13) -> list[float]:

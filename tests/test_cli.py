@@ -329,15 +329,37 @@ def test_parallel_budget_is_refused_before_the_pool(monkeypatch, capsys):
     assert "above the cap 40" in captured.err
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by solve_local_system alone, when it runs
+def test_solve_system_runs_with_numpy_blocked():
+    # a None entry in sys.modules makes every import of numpy fail
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skewsaw.__file__)))
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from skewsaw.cli import main\n"
+              "code = main(['solve-system'])\n"
+              "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+              "assert loaded == ['numpy'] and sys.modules['numpy'] is None\n"
+              "raise SystemExit(code)\n")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.startswith("sigma,theta,residual,rank")
+    assert len(rows) == 16
+
+
+def test_parallelogram_budget_above_the_domain_budget_fails_fast():
+    # refused before the (T, L) scan, which would list 10^12 pairs first
     src = os.path.dirname(os.path.dirname(os.path.abspath(skewsaw.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, skewsaw.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-m", "skewsaw", "parallelogram",
+         "--budget", "1000000"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+        text=True, timeout=10)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == ("error: --budget must be between 1 and the domain "
+                          "budget 24, got 1000000\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,6 +407,7 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     ["enumerate", "--T", "0"],
     ["parallelogram", "--budget", "0"],
     ["parallelogram", "--budget", "-3"],
+    ["parallelogram", "--budget", "25"],
     ["verify-local", "--grid", "0"],
     ["verify-local", "--grid", "-3"],
     ["parallelogram", "--x-over-xc", "nan"],

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewsaw.weights import (
+    SOLVE_RESIDUAL_TOL,
     WeightSet,
+    _local_coefficient_rows,
     critical_weights,
     local_residuals,
     loop_parameter,
@@ -232,6 +234,78 @@ def test_solver_no_solution_off_locus():
     sol = solve_local_system(0.7, math.pi / 2)
     assert sol.residual > 1e-6
     assert sol.weights is None
+
+
+# 19 angles, 13 in range and 6 around or outside it, by 20 spins: the
+# odd multiples of 1/8 (solvable), sigma = 1 (a solution line) and
+# spins with no solution
+SOLVER_THETAS = GRID13 + [math.pi / 3, math.pi / 2, 2 * math.pi / 3,
+                          1.0, 2.5, 0.3]
+SOLVER_SIGMAS = sorted({k / 8 for k in range(1, 17)}
+                       | {0.3, 1 / 3, 0.55, 0.7, 1.25})
+SOLVER_CASES = [(th, sg) for th in SOLVER_THETAS for sg in SOLVER_SIGMAS]
+
+
+def real_system(sigma, theta):
+    """The 8x5 real rows and right-hand side of the local relations."""
+    A, b = [], []
+    for coeffs, const in _local_coefficient_rows(sigma, theta):
+        A += [[complex(c).real for c in coeffs],
+              [complex(c).imag for c in coeffs]]
+        b += [-complex(const).real, -complex(const).imag]
+    return A, b
+
+
+def test_solver_over_the_case_matrix():
+    assert len(SOLVER_CASES) == 380
+    for theta, sigma in SOLVER_CASES:
+        sol = solve_local_system(sigma, theta)
+        A, b = real_system(sigma, theta)
+        ell = sigma * 8
+        odd = ell == round(ell) and round(ell) % 2 == 1
+        assert sol.rank == (4 if sigma == 1 else 5), (theta, sigma)
+        assert (sol.weights is not None) == (odd or sigma == 1), (theta, sigma)
+        x = sol.weights.as_tuple() if sol.weights is not None else None
+        if odd:
+            assert maxdiff(sol.weights, sigma_weights(theta, sigma)) < 1e-9
+        if sigma == 1:
+            (v,) = sol.nullspace
+            assert abs(math.hypot(*v) - 1.0) < 1e-12
+            assert math.hypot(*(sum(a * c for a, c in zip(row, v))
+                                for row in A)) < 1e-12
+            # minimum norm: no component along the solution line
+            assert abs(sum(a * c for a, c in zip(x, v))) < 1e-12
+        else:
+            assert sol.nullspace == ()
+        if x is not None:
+            r = math.hypot(*(sum(a * c for a, c in zip(row, x)) - rhs
+                             for row, rhs in zip(A, b)))
+            assert abs(sol.residual - r) < 1e-12, (theta, sigma)
+
+
+def test_solver_matches_numpy():
+    np = pytest.importorskip("numpy")
+    for theta, sigma in SOLVER_CASES:
+        sol = solve_local_system(sigma, theta)
+        A, b = (np.array(m) for m in real_system(sigma, theta))
+        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        residual = float(np.linalg.norm(A @ x - b))
+        assert sol.rank == rank, (theta, sigma)
+        assert (sol.weights is None) == (residual >= SOLVE_RESIDUAL_TOL)
+        assert abs(sol.residual - residual) < 1e-12, (theta, sigma)
+        if sol.weights is not None:
+            assert max(abs(sol.weights.as_tuple() - x)) < 1e-11
+        # the same null space: equal orthogonal projectors onto it
+        vt = np.linalg.svd(A)[2][rank:]
+        ns = np.array(sol.nullspace).reshape(len(vt), 5)
+        assert abs(ns.T @ ns - vt.T @ vt).max() < 1e-14, (theta, sigma)
+
+
+@pytest.mark.parametrize("sigma, theta", [(math.nan, 1.0), (0.625, math.inf)])
+def test_solver_refuses_a_non_finite_system(sigma, theta):
+    with pytest.raises(ValueError,
+                       match=f"sigma={sigma!r}, theta={theta!r}"):
+        solve_local_system(sigma, theta)
 
 
 def test_loop_parameter_values():
