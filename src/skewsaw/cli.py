@@ -10,6 +10,7 @@ timestamp header and is off by default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -52,6 +53,9 @@ from .weights import (
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
+
+# verify-local builds every row before it writes one, about 1 KB per angle
+VERIFY_LOCAL_GRID_MAX = 10_000
 
 _PI_FORM = re.compile(r"^(\d*)\s*pi\s*(?:/\s*(\d+))?$")
 
@@ -107,6 +111,20 @@ def parse_workers(text: str) -> int:
         raise ValueError("worker count (--threads or SKEWSAW_WORKERS) must "
                          f"be a positive integer, got {text!r}")
     return n
+
+
+@contextlib.contextmanager
+def naming(*inputs):
+    """Name the (flag, value) inputs of the block in its float errors: a
+    finite value can overflow, and Python's message names no input."""
+    try:
+        yield
+    except (OverflowError, ValueError) as exc:
+        if not isinstance(exc, OverflowError) and str(exc) != "math domain error":
+            raise
+        given = " ".join(f"{flag} {value!r}" for flag, value in inputs)
+        # an OverflowError of ** carries (errno, message)
+        raise ValueError(f"out of range: {given} ({exc.args[-1]})") from None
 
 
 def check_output(path: str) -> None:
@@ -175,41 +193,45 @@ COLUMNS = {
 def cmd_weights(args):
     th = args.theta
     rows = []
-    if args.family == "sigma":
-        w = sigma_weights(th, args.sigma)
-        sigma = args.sigma
-    elif args.family == "sigma-one":
-        w = sigma_one_family(args.u1)
-        sigma = 1.0
-    elif args.family == "on":
-        w, n = on_weights(th, args.s)
-        sigma = args.s + 1.0
-    else:
-        w = critical_weights(th)
-        sigma = 5.0 / 8.0
-    res = local_residuals(w, sigma, th)
-    row = {
-        "theta": th, "family": args.family, "sigma": sigma,
-        "u1": w.u1, "u2": w.u2, "v": w.v, "w1": w.w1, "w2": w.w2,
-        "inv_u1": 1.0 / w.u1 if w.u1 else math.inf,
-        "max_local_residual": res.max_abs(),
-        "margin_u1sq_w1": w.u1 ** 2 - w.w1, "margin_u2sq_w2": w.u2 ** 2 - w.w2,
-    }
+    flag = {"sigma": "sigma", "sigma-one": "u1", "on": "s"}.get(args.family, "theta")
+    with naming(("--" + flag, getattr(args, flag))):
+        if args.family == "sigma":
+            w = sigma_weights(th, args.sigma)
+            sigma = args.sigma
+        elif args.family == "sigma-one":
+            w = sigma_one_family(args.u1)
+            sigma = 1.0
+        elif args.family == "on":
+            w, n = on_weights(th, args.s)
+            sigma = args.s + 1.0
+        else:
+            w = critical_weights(th)
+            sigma = 5.0 / 8.0
+        res = local_residuals(w, sigma, th)
+        row = {
+            "theta": th, "family": args.family, "sigma": sigma,
+            "u1": w.u1, "u2": w.u2, "v": w.v, "w1": w.w1, "w2": w.w2,
+            "inv_u1": 1.0 / w.u1 if w.u1 else math.inf,
+            "max_local_residual": res.max_abs(),
+            "margin_u1sq_w1": w.u1 ** 2 - w.w1, "margin_u2sq_w2": w.u2 ** 2 - w.w2,
+        }
     rows.append(row)
     ok = res.max_abs() <= args.tol
     return rows, {"theta": th}, ok
 
 
 def cmd_verify_local(args):
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if not 1 <= args.grid <= VERIFY_LOCAL_GRID_MAX:
+        raise ValueError(f"--grid must be between 1 and "
+                         f"{VERIFY_LOCAL_GRID_MAX}, got {args.grid}")
     rows = []
     ok = True
     sigmas = [args.sigma] if args.sigma is not None else [3 / 8, 5 / 8, 7 / 8]
     for th in theta_grid(args.grid):
         for sg in sigmas:
-            w = sigma_weights(th, sg)
-            r = local_residuals(w, sg, th).max_abs()
+            with naming(("--sigma", sg)):
+                w = sigma_weights(th, sg)
+                r = local_residuals(w, sg, th).max_abs()
             ok = ok and r <= args.tol
             rows.append({"theta": th, "sigma": sg, "max_residual": r})
     return rows, {"grid": args.grid}, ok
@@ -221,7 +243,8 @@ def cmd_solve_system(args):
     sigmas = ([args.sigma] if args.sigma is not None
               else [k / 8 for k in range(1, 17)])
     for sg in sigmas:
-        sol = solve_local_system(sg, args.theta)
+        with naming(("--sigma", sg), ("--theta", args.theta)):
+            sol = solve_local_system(sg, args.theta)
         solvable = abs(math.cos(4 * math.pi * sg)) < 1e-9
         row = {
             "sigma": sg, "theta": args.theta, "residual": sol.residual,
@@ -242,8 +265,8 @@ def cmd_solve_system(args):
 
 def cmd_verify_cr(args):
     domain = ParallelogramDomain(args.T, args.L, args.theta)
-    table = observable(domain, args.sigma)
-    worst = max_cr_residual(table)
+    with naming(("--sigma", args.sigma)):
+        worst = max_cr_residual(observable(domain, args.sigma))
     rows = [{"T": args.T, "L": args.L, "theta": args.theta,
              "sigma": args.sigma, "max_cr_residual": worst}]
     ok = worst <= args.tol
@@ -329,7 +352,8 @@ def cmd_yangbaxter(args):
     svals = [args.s] if args.s is not None else [-3 / 8, 0.5, 0.75]
     for alpha in alphas:
         for s in svals:
-            rep = yang_baxter_residual(alpha, s)
+            with naming(("--s", s)):
+                rep = yang_baxter_residual(alpha, s)
             ok = ok and rep.max_residual <= args.tol
             rows.append({"alpha": alpha, "s": s, "n": rep.n,
                          "patterns": rep.pattern_count,
@@ -402,7 +426,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=parse_finite, default=-3 / 8)
 
     p = add("verify-local", help="local-relation residuals over a theta grid")
-    p.add_argument("--grid", type=int, default=13)
+    p.add_argument("--grid", type=int, default=13,
+                   help=f"number of angles, at most {VERIFY_LOCAL_GRID_MAX}")
     p.add_argument("--sigma", type=parse_finite)
 
     p = add("solve-system", help="least-squares solve of the local relations")

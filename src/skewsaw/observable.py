@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import _HV_NAME, _group_packed, _weigh, domain_counts
-# not used here: the benchmark's tracer test reads observable.profile_weight
-# and observable.run_walk_enumeration
-from .walks import profile_weight, run_walk_enumeration  # noqa: F401
+from .walks import (_HV_NAME, _group_packed, _power_tables, domain_counts,
+                    profile_weight)
+# not used here: the benchmark's tracer test reads observable.run_walk_enumeration
+from .walks import run_walk_enumeration  # noqa: F401
 from .weights import WeightSet, critical_weights
 
 
@@ -74,13 +74,28 @@ def _domain_packed(T: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=128)
-def _domain_groups(T: int, L: int):
-    """The full histogram grouped for ``_weigh`` by head (end, dtheta,
-    dpmt), read off the packed half with the mirror folded in: each head
-    lists each of its profiles once.  ``_weigh`` of it equals the fold over
-    its own entries bit for bit, heads in another order than the sorted
-    histogram's."""
+def _domain_groups(T: int, L: int) -> dict:
+    """The full histogram as {head: (profiles, counts)} per head (end,
+    dtheta, dpmt), read off the packed half with the mirror folded in:
+    each head lists each of its profiles once, heads in another order
+    than the sorted histogram's."""
     return _group_packed(*_domain_packed(T, L), lambda head: head)
+
+
+def _weigh(heads: dict, w: WeightSet, size: int) -> dict:
+    """{head: 0.0 + n * weight + ...} over ``_group_packed``'s per-head
+    lists, in their order, each weight ``profile_weight`` of the profile
+    from power tables up to ``size``: the rhombus count, which no count in
+    a domain profile exceeds.  A plain loop keeps that order on every
+    Python, where ``sum`` compensates float sums from 3.12 on."""
+    tables = _power_tables(w, size)
+    sums = {}
+    for head, (profiles, counts) in heads.items():
+        total = 0.0
+        for profile, n in zip(profiles, counts):
+            total += n * profile_weight(profile, tables)
+        sums[head] = total
+    return sums
 
 
 @lru_cache(maxsize=128)
@@ -89,15 +104,13 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
     with keys in sorted order.
 
     Read entry by entry on demand off ``_domain_groups`` (no second
-    search), the very form ``observable`` and ``alpha_winding_split``
+    search), the very lists ``observable`` and ``alpha_winding_split``
     weigh, for the readers of tuple keys.  The empty walk appears as
     ((origin), 0, 0, zero-profile).
     """
-    columns, _, heads = _domain_groups(T, L)
-    profiles = list(zip(*columns))
-    return dict(sorted(((*head, profiles[k]), n)
-                       for head, (idx, ns) in heads.items()
-                       for k, n in zip(idx, ns)))
+    return dict(sorted(((*head, profile), n)
+                       for head, (profiles, ns) in _domain_groups(T, L).items()
+                       for profile, n in zip(profiles, ns)))
 
 
 def observable(domain: ParallelogramDomain, sigma: float,
@@ -106,7 +119,7 @@ def observable(domain: ParallelogramDomain, sigma: float,
     theta = as_theta(domain.theta)
     if w is None:
         w = critical_weights(theta)
-    agg = _weigh(_domain_groups(domain.T, domain.L), w)
+    agg = _weigh(_domain_groups(domain.T, domain.L), w, domain.n_rhombi)
     values: dict[MidEdge, complex] = {}
     pmt = math.pi - theta
     for ((i, j, hv), dth, dpm), weight in agg.items():
@@ -204,9 +217,9 @@ _SIDES = ("alpha", "beta", "delta", "epsilon")
 @lru_cache(maxsize=128)
 def _side_marginal(T: int, L: int):
     """counts[(side, profile)] over the walks that end on a side of the
-    domain, the empty walk excluded, grouped for ``_weigh``:
-    ``domain_walk_aggregate`` with the turns summed out and each end
-    replaced by its side, in value.
+    domain, the empty walk excluded, as {(side,): (profiles, counts)} for
+    ``_weigh``: ``domain_walk_aggregate`` with the turns summed out and
+    each end replaced by its side, in value.
 
     Read straight off the packed half by ``_group_packed``, which folds
     each entry into its mirror image's side (delta and epsilon swap, alpha
@@ -229,7 +242,7 @@ def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
     """Exact side sums A, B, D, E at fugacity x (x = x_c is critical)."""
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
-    sums = _weigh(_side_marginal(T, L), w)
+    sums = _weigh(_side_marginal(T, L), w, (2 * L + 1) * T)
     A, B, D, E = (sums.get((side,), 0.0) for side in _SIDES)
     return StripSums(theta=th, A=A, B=B, D=D, E=E)
 
@@ -243,7 +256,7 @@ def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
     domain = ParallelogramDomain(T, L, th)
-    agg = _weigh(_domain_groups(T, L), w)
+    agg = _weigh(_domain_groups(T, L), w, domain.n_rhombi)
     plus = minus = 0.0
     for ((i, j, hv), dth, dpm), weight in agg.items():
         m = MidEdge(i, j, _HV_NAME[hv])

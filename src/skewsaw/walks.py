@@ -17,13 +17,10 @@ over exact integer state:
 * walk weight as the profile (c1, ..., c5), the counts of rhombi whose
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
-  pi - theta: a weight set is applied afterwards.  A free or loop-patch
-  histogram is weighed key by key with ``profile_weight``, since its
-  profiles barely repeat (a free key's length follows from its profile).
-  The packed domain half, whose profiles repeat over many heads, is
-  grouped once by ``_group_packed`` by head (the key without its
-  profile), each distinct profile stored once, as columns, and weighed
-  once by ``_weigh``.
+  pi - theta: a weight set is applied afterwards.  Every histogram is
+  weighed entry by entry with ``profile_weight``: the free and
+  loop-patch ones key by key, and the packed domain half once grouped by
+  ``_group_packed`` into per-head lists of profiles and counts.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts and reports it without pushing its crossing.  So is a
@@ -55,8 +52,8 @@ alone; any other rule runs the jobs of both arcs.  Either search keeps
 its half, the straights and the first arc's jobs, and applies the mirror
 where the half is read: ``_both_signs`` adds each free key with an arc at
 its mirror image too, and in ``_group_packed`` each (head, profile) entry
-of a grouped form sums its count from the half and from its mirror image.
-The full histogram of tuple keys is read off the grouped form by head.
+sums its count from the half and from its mirror image.  The full
+histogram of tuple keys is read off the grouped lists by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
 """
 
@@ -65,10 +62,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .geometry import (
     PASSAGE,
@@ -186,34 +183,15 @@ def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
             (above & _TURN_MASK) - _TURN_BIAS)
 
 
-class _Grouped(NamedTuple):
-    """A histogram grouped for ``_weigh``.
-
-    ``columns`` holds the distinct profiles as five columns (the c1 of
-    each, ..., the c5 of each) and ``size`` their largest count.
-    ``heads`` maps each head to the list of its keys' profile indices and
-    the list of their counts, in key order.
-    """
-
-    columns: tuple
-    size: int
-    heads: dict
-
-
-def _packed_columns(pks: Iterable[int]) -> tuple:
-    """The five columns of the packed profiles ``pks``."""
-    pks = list(pks)
-    return tuple([pk >> _SLOT_BITS * s & _SLOT_MAX for pk in pks]
-                 for s in range(4, -1, -1))
-
-
 def _group_packed(keys: Sequence[int], counts: Sequence[int],
-                  label: Callable[[tuple], object]) -> _Grouped:
-    """counts[(label(head), profile)] over the full histogram of a
-    mirror-halved domain search, grouped for ``_weigh``, read off the half
-    it keeps: sorted packed domain keys and their counts.  The heads (end,
+                  label: Callable[[tuple], object]) -> dict:
+    """{label: (profiles, counts)}: counts[(label(head), profile)] over the
+    full histogram of a mirror-halved domain search, read off the half it
+    keeps: sorted packed domain keys and their counts.  The heads (end,
     dtheta, dpmt) labelled None are left out; the others come in first-met
-    order.
+    order, each with the list of its profiles and the list of their
+    counts.  A profile is decoded once, as one tuple shared by every label
+    that lists it.
 
     Sorted keys hold each head's walks in one run, so each head and its
     mirror image are labelled once, and the runs of heads left out are
@@ -236,7 +214,7 @@ def _group_packed(keys: Sequence[int], counts: Sequence[int],
             image = label(_unpack_head(_mirror_above(above)))
             runs.setdefault((name, image), []).append((lo, hi))
         lo = hi
-    index: dict = {}
+    profiles: dict = {}
     heads: dict = {}
     for name, image in runs:
         if name in heads:
@@ -253,10 +231,11 @@ def _group_packed(keys: Sequence[int], counts: Sequence[int],
                         pk = _mirror_profile(pk)
                         there[pk] = there.get(pk, 0) + n
         for head, tally in tallies.items():
-            heads[head] = ([index.setdefault(pk, len(index)) for pk in tally],
-                           list(tally.values()))
-    columns = _packed_columns(index)
-    return _Grouped(columns, max(map(max, columns)) if index else 0, heads)
+            for pk in tally:
+                if pk not in profiles:
+                    profiles[pk] = _unpack_profile(pk)
+            heads[head] = ([profiles[pk] for pk in tally], list(tally.values()))
+    return heads
 
 
 _HV = {"H": 0, "V": 1}
@@ -573,27 +552,6 @@ def profile_weight(profile, tables) -> float:
     t1, t2, t3, t4, t5 = tables
     return (t1[profile[0]] * t2[profile[1]] * t3[profile[2]]
             * t4[profile[3]] * t5[profile[4]])
-
-
-def _weigh(grouped: _Grouped, w: WeightSet) -> dict:
-    """{head: sum of n * weight(profile)} over a histogram grouped by
-    ``_group_packed``, heads in its order.
-
-    It equals the fold over the grouped form's entries, bit for bit: per
-    head, 0.0 + n * w + ... in the order of its lists, where w is
-    ``profile_weight`` of the profile from ``_power_tables``.  Each
-    distinct profile is weighed once, column by column and in
-    ``profile_weight``'s order, and ``reduce`` keeps the order of the sum
-    on every Python, where ``sum`` compensates float sums from 3.12 on.
-    """
-    columns, size, heads = grouped
-    tables = _power_tables(w, size)
-    # t1[c1] * t2[c2] * ... * t5[c5] per profile, in profile_weight's order
-    weight = list(reduce(partial(map, mul),
-                         map(map, (t.__getitem__ for t in tables), columns)))
-    weight = weight.__getitem__
-    return {head: reduce(add, map(mul, counts, map(weight, idx)), 0.0)
-            for head, (idx, counts) in heads.items()}
 
 
 # ---------------------------------------------------------------------------

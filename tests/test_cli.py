@@ -437,6 +437,54 @@ def test_input_that_checks_nothing_is_a_config_error(capsys, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "solve-system --sigma 1e308 --theta 2",
+    "verify-cr --sigma 1e308",
+    "weights --family on --s 1e308",
+    "yangbaxter --s 1e308",
+    "weights --family sigma --sigma 1e308",
+    "verify-local --sigma 1e308 --grid 2",
+    "weights --family sigma-one --u1 1e308",
+])
+def test_finite_input_that_overflows_is_named(capsys, argv):
+    # finite, so it passes the parser, but too large for the float arithmetic
+    argv = argv.split()
+    flag = argv[argv.index("1e308") - 1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{flag} 1e+308" in captured.err
+
+
+def test_oversized_verify_local_grid_is_refused_up_front(capsys, monkeypatch):
+    import time
+
+    import skewsaw.cli as cli
+
+    grids = []
+
+    def record(n):
+        grids.append(n)
+        return []
+
+    monkeypatch.setattr(cli, "theta_grid", record)
+    start = time.perf_counter()
+    for n in (1_000_000_000, cli.VERIFY_LOCAL_GRID_MAX + 1):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-local", "--grid", str(n)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--grid" in captured.err
+    assert time.perf_counter() - start < 5
+    assert grids == []
+    # the cap itself is accepted
+    assert main(["verify-local", "--grid", str(cli.VERIFY_LOCAL_GRID_MAX)]) == 0
+    assert grids == [cli.VERIFY_LOCAL_GRID_MAX]
+
 
 def test_yangbaxter_at_a_vanishing_weight_is_a_config_error(capsys):
     # s = 0 makes the loop weights divide by sin(pi*s/3)

@@ -594,7 +594,7 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
 # ---------------------------------------------------------------------------
 # The re-weights against a fold over the histogram's keys: the free and the
 # loop-patch histograms are weighed key by key, the packed domain half
-# through ``_group_packed`` and ``_weigh``.
+# through ``_group_packed``'s per-head lists and ``observable._weigh``.
 
 def _fold(hist, w):
     """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
@@ -701,44 +701,58 @@ def test_free_reweight_sees_a_changed_count(monkeypatch):
 
 
 def _ungroup(grouped):
-    """The histogram {(*head, profile): n} of a grouped form, in its order."""
-    profiles = list(zip(*grouped.columns))
-    return {(*head, profiles[k]): n
-            for head, (idx, ns) in grouped.heads.items()
-            for k, n in zip(idx, ns)}
+    """The histogram {(*head, profile): n} of per-head lists, in their
+    order."""
+    return {(*head, profile): n
+            for head, (profiles, ns) in grouped.items()
+            for profile, n in zip(profiles, ns)}
+
+
+BUDGET_20_SHAPES = [(T, L) for T in range(1, 21) for L in range(20)
+                    if (2 * L + 1) * T <= 20]
 
 
 def test_every_side_marginal_reweights_as_the_per_key_fold():
     # and so does every domain grouped form, the observable's too
-    from skewsaw.observable import (_domain_groups, _side_marginal,
+    from skewsaw.observable import (_domain_groups, _side_marginal, _weigh,
                                     domain_walk_aggregate)
-    from skewsaw.walks import _weigh
 
-    shapes = [(T, L) for T in range(1, 21) for L in range(20)
-              if (2 * L + 1) * T <= 20]
-    assert len(shapes) == 39
-    for T, L in shapes + [(8, 1)]:
+    assert len(BUDGET_20_SHAPES) == 39
+    for T, L in BUDGET_20_SHAPES + [(8, 1)]:
         for grouped, full in ((_side_marginal(T, L), _side_marginal_hist),
                               (_domain_groups(T, L), domain_walk_aggregate)):
             # the half with its mirror folded in lists each (head,
             # profile) of the full histogram once, with its count ...
             hist = _ungroup(grouped)
-            entries = sum(len(idx) for idx, _ in grouped.heads.values())
+            entries = sum(len(ns) for _, ns in grouped.values())
             assert entries == len(hist), (T, L)
             assert hist == full(T, L), (T, L)
             # ... and weighs as the fold over its entries, bit for bit
             for w in _weight_sets():
-                sums = _weigh(grouped, w)
+                sums = _weigh(grouped, w, (2 * L + 1) * T)
                 ref = _fold(hist, w)
                 assert sums == ref, (T, L)
                 assert list(sums) == list(ref), (T, L)
 
 
+def test_no_profile_count_exceeds_the_rhombus_count():
+    # the power tables of a domain re-weight run to its rhombus count
+    from skewsaw.observable import _domain_groups, _side_marginal
+
+    for T, L in BUDGET_20_SHAPES + [(8, 1)]:
+        rhombi = (2 * L + 1) * T
+        for grouped in (_side_marginal(T, L), _domain_groups(T, L)):
+            top = max(max(profile) for profiles, _ in grouped.values()
+                      for profile in profiles)
+            assert top <= rhombi, (T, L)
+            # met by the walk of T straights across a one-row domain
+            assert top == rhombi or L > 0, (T, L)
+
+
 def test_grouped_reweight_sees_a_changed_count():
-    from skewsaw.observable import _domain_packed
+    from skewsaw.observable import _domain_packed, _weigh
     from skewsaw.walks import (_C3_FIELD, _PROFILE_BITS, _PROFILE_MASK,
-                               _group_packed, _mirror_above, _unpack_head,
-                               _weigh)
+                               _group_packed, _mirror_above, _unpack_head)
 
     keys, counts = _domain_packed(4, 2)
     grouped = _group_packed(keys, counts, lambda head: head)
@@ -754,11 +768,11 @@ def test_grouped_reweight_sees_a_changed_count():
     moved = {_unpack_head(above), _unpack_head(_mirror_above(above))}
     assert len(moved) == 2
     w = critical_weights(1.2)
-    sums, resums = _weigh(grouped, w), _weigh(other, w)
+    sums, resums = _weigh(grouped, w, 20), _weigh(other, w, 20)
     for head in moved:
-        assert sum(other.heads[head][1]) == sum(grouped.heads[head][1]) + 1
+        assert sum(other[head][1]) == sum(grouped[head][1]) + 1
         assert resums[head] != sums[head]
-        del other.heads[head], grouped.heads[head], resums[head], sums[head]
+        del other[head], grouped[head], resums[head], sums[head]
     assert other == grouped
     assert resums == sums
 
