@@ -768,7 +768,7 @@ def test_grouped_reweight_sees_a_changed_count():
     moved = {_unpack_head(above), _unpack_head(_mirror_above(above))}
     assert len(moved) == 2
     w = critical_weights(1.2)
-    sums, resums = _weigh(grouped, w, 20), _weigh(other, w, 20)
+    sums, resums = _weigh(grouped, w, 20), _weigh(other, w, 20)  # 20 rhombi
     for head in moved:
         assert sum(other[head][1]) == sum(grouped[head][1]) + 1
         assert resums[head] != sums[head]
