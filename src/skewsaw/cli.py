@@ -192,6 +192,8 @@ COLUMNS = {
 
 def cmd_weights(args):
     th = args.theta
+    if not 0 < th < math.pi:  # a rhombus angle, whatever the family
+        raise ValueError(f"--theta {th!r} outside the open interval (0, pi)")
     rows = []
     flag = {"sigma": "sigma", "sigma-one": "u1", "on": "s"}.get(args.family, "theta")
     with naming(("--" + flag, getattr(args, flag))):

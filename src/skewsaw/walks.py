@@ -1,10 +1,10 @@
 """Exhaustive enumeration of weighted self-avoiding walks.
 
-A walk is a self-avoiding sequence of mid-edge crossings.  Each step
-passes one rhombus, and a rhombus visited twice (by two arcs around
-opposite corners) is re-weighted as a double-arc state rather than a
-product of single arcs.  The enumerator is a depth-first backtracker
-over exact integer state:
+A walk is a self-avoiding sequence of mid-edges, each step passing one
+rhombus, and a rhombus visited twice (by two arcs around opposite
+corners) is re-weighted as a double-arc state rather than a product of
+single arcs.  The search only counts: it is a depth-first backtracker
+over exact integer state,
 
 * the current mid-edge as a packed integer, each step adding a fixed
   offset, and no set of visited ones: a step onto a crossed mid-edge
@@ -23,7 +23,7 @@ over exact integer state:
   ``_group_packed`` into per-head lists of profiles and counts.
 
 A walk whose length leaves no room for the shortest step is childless:
-the search counts and reports it without pushing its crossing.  So is a
+the search counts it without searching below it.  So is a
 walk that reaches a mid-edge on a domain's boundary (the start aside),
 since its next step would pass the blocked rhombus outside.
 
@@ -55,6 +55,7 @@ its mirror image too, and in ``_group_packed`` each (head, profile) entry
 sums its count from the half and from its mirror image.  The full
 histogram of tuple keys is read off the grouped lists by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
+``enumerate_walks`` visits ``Walk`` objects through a plain search.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     by_prev[prev] lists the steps allowed when that rhombus holds state
     code prev (``_BLOCKED`` included), in the order of
     geometry.step_candidates, each as (dmid, state, length, dkey, next
-    row, nsign): dmid is the offset of the packed exit mid-edge from the
+    row): dmid is the offset of the packed exit mid-edge from the
     packed current one, state the rhombus's state after the step and dkey
     the step's key increment, with dmid and the turn units above the
     profile for domain keys.  A free rhombus admits the three first-visit
@@ -276,16 +277,16 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                          - _pack_domain_key(0, 0, 0, 0))
             drhos.add(_pack_rho(s.rhombus.i, s.rhombus.j) - _pack_rho(0, 0))
             first.append((dmid, state, lens[STATE_SLOT[state]], dkey,
-                          rows[(nhv, nsign)], nsign))
+                          rows[(nhv, nsign)]))
         (drho,) = drhos
         by_prev = [tuple(first)]
         for prev in range(1, _BLOCKED + 1):
             steps = []
-            for dmid, state, slen, dkey, nrow, nsign in first:
+            for dmid, state, slen, dkey, nrow in first:
                 double = _PROMOTE.get((prev, state))
                 if double is not None:
                     steps.append((dmid, double, slen, dkey + _INC[double]
-                                  - _INC[prev] - _INC[state], nrow, nsign))
+                                  - _INC[prev] - _INC[state], nrow))
             by_prev.append(tuple(steps))
         row[:] = [drho, tuple(by_prev)]
     return rows
@@ -317,9 +318,12 @@ class EnumerationStats:
 
 
 def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
-                    start: MidEdge) -> int:
+                    start: MidEdge,
+                    domain: ParallelogramDomain | None = None) -> int:
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
+    if domain is not None and domain.side_of(start) is None:
+        raise ValueError(f"start {start} is not a mid-edge of the domain")
     max_steps = max_length // min(rule.as_tuple())
     if max_steps > step_cap:
         raise ValueError(
@@ -337,16 +341,15 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
 
 
 def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
-              occ: dict, counts: dict | None, emit: Callable | None,
-              crossings: list, dead: frozenset = frozenset()) -> Callable:
+              occ: dict, counts: dict, dead: frozenset = frozenset()) -> Callable:
     """The backtracking search as rec(cm, row, rlen, key) -> walks.
 
     rec tries each step of ``row`` (a ``_step_rows`` row) out of packed
     mid-edge ``cm``, reached at length ``rlen`` with key ``key``, and every
-    walk below it; it counts and returns the walks it finds.  ``occ`` (the
-    packed rhombi's state codes) holds the walk so far and is restored on
-    return.  A walk that reaches a packed mid-edge in ``dead`` is counted
-    and has no children.
+    walk below it; it adds one to ``counts`` at the key of each walk it
+    finds and returns their number.  ``occ`` (the packed rhombi's state
+    codes) holds the walk so far and is restored on return.  A walk that
+    reaches a packed mid-edge in ``dead`` is counted and has no children.
 
     No visited set is kept.  Both rhombi of a mid-edge the walk has
     crossed have been passed, so the one a step onto it would pass is
@@ -357,14 +360,14 @@ def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
     # a walk longer than this has no step left in the budget
     leaf_len = max_length - min(lens)
     occ_get = occ.get
-    count_get = counts.get if counts is not None else None
+    count_get = counts.get
 
     def rec(cm, row, rlen, key):
         drho, by_prev = row
         rho = (cm >> 1) + drho
         prev = occ_get(rho, 0)
         walks = 0
-        for dmid, state, slen, dkey, nrow, nsign in by_prev[prev]:
+        for dmid, state, slen, dkey, nrow in by_prev[prev]:
             nlen = rlen + slen
             if nlen > max_length:
                 continue
@@ -373,16 +376,10 @@ def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
                 continue
             nkey = key + dkey
             walks += 1
-            if counts is not None:
-                counts[nkey] = count_get(nkey, 0) + 1
-            if emit is not None:
-                crossings.append((*_unpack_mid(nm), nsign))
-                emit(crossings)
+            counts[nkey] = count_get(nkey, 0) + 1
             if nlen <= leaf_len and nm not in dead:  # else childless
                 occ[rho] = state
                 walks += rec(nm, nrow, nlen, nkey)
-            if emit is not None:
-                crossings.pop()
         occ[rho] = prev
         return walks
 
@@ -394,55 +391,47 @@ def run_walk_enumeration(
     max_length: int,
     rule: LengthRule = UNIT_RULE,
     domain: ParallelogramDomain | None = None,
-    emit: Callable | None = None,
+    emit: None = None,
     signs: Iterable[int] = (-1, 1),
     step_cap: int = DEFAULT_STEP_CAP,
     counts: dict | None = None,
 ) -> EnumerationStats:
-    """Drive the backtracking search over every walk of length <= budget
-    whose first step crosses with a sign in ``signs``, and the empty walk.
+    """Count every walk of length <= budget whose first step crosses with
+    a sign in ``signs``, and the empty walk.
 
-    ``counts`` (if a dict) gets ``counts[key] += 1`` per walk, the key
-    packed as the module docstring says (see ``_unpack_profile`` and
-    ``_unpack_head``).  ``emit`` (if given) gets each walk's
-    crossing list ``[(i, j, hv, sign), ...]``, which the search goes on to
-    change.  This full search is the axis-job searches' oracle.
+    ``counts`` (a fresh dict when None) gets ``counts[key] += 1`` per walk,
+    the key packed as the module docstring says (see ``_unpack_profile``
+    and ``_unpack_head``).  ``emit`` must be None, else ``TypeError`` is
+    raised; ROADMAP item 1 deletes the keyword.  This full search is the
+    axis-job searches' oracle.
     """
-    max_steps = _step_cap_check(max_length, rule, step_cap, start)
+    if emit is not None:
+        raise TypeError("run_walk_enumeration only counts; see enumerate_walks")
+    max_steps = _step_cap_check(max_length, rule, step_cap, start, domain)
     if max_steps > _SLOT_MAX:
-        raise ValueError(
-            f"a walk of {max_steps} steps can overflow the {_SLOT_BITS}-bit "
-            f"profile slots (at most {_SLOT_MAX} steps)"
-        )
+        raise ValueError(f"a walk of {max_steps} steps can overflow the "
+                         f"profile slots (at most {_SLOT_MAX} steps)")
+    counts = {} if counts is None else counts
     lens = rule.as_tuple()
     rows = _step_rows(lens, domain is not None)
 
-    si, sj, shv = start.i, start.j, _HV[start.orient]
-    smid = _pack_mid(si, sj, shv)
+    shv = _HV[start.orient]
+    smid = _pack_mid(start.i, start.j, shv)
     if domain is None:
         occ, key0, dead = {}, 0, frozenset()
     else:
         occ = dict.fromkeys(_ring(domain), _BLOCKED)
         key0 = _pack_domain_key(smid, 0, 0, 0)
         dead = _dead_ends(domain, smid)
-    crossings = [(si, sj, shv, 0)]
-    rec = _searcher(max_length, lens, smid, occ, counts, emit, crossings, dead)
+    rec = _searcher(max_length, lens, smid, occ, counts, dead)
 
-    # Empty walk.
-    if counts is not None:
-        counts[key0] = counts.get(key0, 0) + 1
-    if emit is not None:
-        emit(crossings)
+    counts[key0] = counts.get(key0, 0) + 1  # the empty walk
     walks = 1
-
-    # The first steps across the allowed crossing signs, ordered like
-    # geometry.step_candidates: by rhombus (each sign passes one), then by
-    # exit mid-edge, the order of a row's steps.
+    # the first steps, ordered like geometry.step_candidates: by rhombus
+    # (each sign passes one), then by exit mid-edge, as a row's steps are
     for sign in sorted((s for s in (1, -1) if s in signs),
                        key=lambda s: rows[(shv, s)][0]):
-        crossings[0] = (si, sj, shv, sign)  # crossing sign of the first step
         walks += rec(smid, rows[(shv, sign)], 0, key0)
-
     return EnumerationStats(walks=walks)
 
 
@@ -489,12 +478,12 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
     then leave it by arc number ``arc`` of ``row``.  The rhombus ahead of
     every axis point is free or blocked, so a job's row offers its arc to
     a free rhombus alone."""
-    rec = _searcher(max_length, lens, cm, occ, counts, None, [], dead)
+    rec = _searcher(max_length, lens, cm, occ, counts, dead)
     drho, by_prev = row
     blocked = ((),) * (len(by_prev) - 1)
     arcs = [[drho, ((step,), *blocked)]
             for step in by_prev[0] if STATE_SLOT[step[1]] != 2]
-    dmid, state, slen, dkey, _, _ = _straight(row)
+    dmid, state, slen, dkey, _ = _straight(row)
     walks = rlen = laid = 0
     for k, arc in jobs:
         while laid < k:
@@ -638,16 +627,6 @@ def weight_of(walk: Walk, w: WeightSet) -> float:
     return math.prod((weights[slot] for slot in slots), start=1.0)
 
 
-def _steps_from_crossings(crossings) -> tuple[MidEdge, tuple[Step, ...]]:
-    mids = [MidEdge(i, j, _HV_NAME[hv]) for i, j, hv, _ in crossings]
-    steps = []
-    for (pi, pj, phv, psign), cur in zip(crossings, mids[1:]):
-        prev_mid = MidEdge(pi, pj, _HV_NAME[phv])
-        r = prev_mid.rhombi()[0 if psign == 1 else 1]
-        steps.append(Step(r, prev_mid, cur))
-    return mids[0], tuple(steps)
-
-
 def enumerate_walks(
     start: MidEdge,
     max_length: int,
@@ -657,22 +636,40 @@ def enumerate_walks(
     signs: Iterable[int] = (-1, 1),
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> EnumerationStats:
-    """Visit every self-avoiding walk from ``start`` with length <= budget.
+    """Visit every self-avoiding walk from ``start`` with length <= budget
+    whose first step crosses with a sign in ``signs``, inside ``domain`` if
+    one is given.
 
-    The visitor sees each walk exactly once (the empty walk included) in
-    a deterministic order.  This is the contract-level API; heavy
-    consumers aggregate over the ``counts`` of ``run_walk_enumeration``
-    instead.
+    The visitor sees each walk exactly once (the empty walk included), in
+    the order of a plain depth-first search through
+    geometry.step_candidates: a set of visited mid-edges, and per passed
+    rhombus its state, a second passage promoted through ``_PROMOTE`` or
+    refused.  Heavy consumers count with ``run_walk_enumeration`` instead.
     """
-    def emit(crossings):
-        visitor(build_walk(*_steps_from_crossings(crossings)))
+    _step_cap_check(max_length, rule, step_cap, start, domain)
+    lens = rule.as_tuple()
+    leaf_len = max_length - min(lens)  # no step fits after a longer walk
+    visited = {start}
 
-    if domain is not None and domain.side_of(start) is None:
-        raise ValueError(f"start {start} is not a mid-edge of the domain")
+    def rec(steps: tuple, occ: dict, rlen: int, candidates: list) -> int:
+        if visitor is not None:
+            visitor(Walk(start, steps, occ))
+        walks = 1
+        for s in candidates:
+            single, prev = s.state_code, occ.get(s.rhombus)
+            code = single if prev is None else _PROMOTE.get((prev, single))
+            nlen = rlen + lens[STATE_SLOT[single]]
+            if code is None or nlen > max_length or s.dst in visited:
+                continue
+            visited.add(s.dst)
+            walks += rec(steps + (s,), {**occ, s.rhombus: PlaquetteState(code)},
+                         nlen, step_candidates(s.dst, domain, s.exit_sign)
+                         if nlen <= leaf_len else ())
+            visited.remove(s.dst)
+        return walks
 
-    return run_walk_enumeration(
-        start, max_length, rule, domain, signs=signs, step_cap=step_cap,
-        emit=None if visitor is None else emit)
+    return EnumerationStats(walks=rec((), {}, 0, [
+        s for s in step_candidates(start, domain) if s.entry_sign in signs]))
 
 
 # ---------------------------------------------------------------------------

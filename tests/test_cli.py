@@ -128,6 +128,17 @@ def test_zero_tolerance_asks_for_an_exact_zero(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("theta", ["0", "pi", "1e308"])
+@pytest.mark.parametrize("family", ["critical", "sigma", "sigma-one", "on"])
+def test_weights_theta_outside_zero_pi_is_named(capsys, family, theta):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--family", family, "--theta", theta])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--theta" in captured.err
+
+
 def test_config_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weights", "--theta", "pi/4"])  # out of range
@@ -425,6 +436,9 @@ def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
     ["--tol", "-1", "weights"],
     ["weights", "--theta", "2pi/0"],
     ["weights", "--family", "sigma", "--theta", "nan"],
+    ["weights", "--family", "on", "--theta", "1e308"],
+    ["weights", "--family", "sigma", "--theta", "1e308"],
+    ["weights", "--family", "sigma-one", "--theta", "1e308"],
     ["solve-system", "--theta", "inf"],
     ["yangbaxter", "--alpha", "nan"],
 ], ids=" ".join)

@@ -3,13 +3,17 @@
 The digest is sha256 of ``repr(sorted(h.items()))``, so any change to a
 count, a key or the key format shows.  Loop-patch keys carry the end
 mid-edge as ``(i, j, orient)`` to keep the digest independent of the
-MidEdge repr.
+MidEdge repr.  The order of ``enumerate`` output is pinned by its walk
+column alone, which no float arithmetic touches.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
+from skewsaw.cli import main
 from skewsaw.honeycomb import count_midedge_saws
 from skewsaw.loops import _patch_aggregate
 from skewsaw.observable import domain_walk_aggregate
@@ -90,3 +94,24 @@ def test_golden_honeycomb_oracle_counts():
 def test_domain_histogram_keys_are_sorted(T, L):
     keys = list(domain_walk_aggregate(T, L))
     assert keys == sorted(keys)
+
+
+# (enumerate arguments, rows, sha256 of the walk column joined by "\n")
+ENUMERATE_ORDER = [
+    ("--n-max 5", 691,
+     "596ecbf6ff178429928140aa0571186e6bb1b2f2bf8c6da644a1fb6019de3138"),
+    ("--T 2 --L 1 --n-max 6", 57,
+     "c9442b3ae48a49da09aa6acc2475ca1e81a80d24229c2070432796bb5cbf8b01"),
+    ("--rule 1,2,2 --n-max 6", 165,
+     "ed5f9177eb49f778732aa0d36173689d59016fc5f671d15cd38a44c62676349a"),
+]
+
+
+@pytest.mark.parametrize("args,rows,sha", ENUMERATE_ORDER,
+                         ids=[e[0] for e in ENUMERATE_ORDER])
+def test_golden_enumerate_order(capsys, args, rows, sha):
+    assert main(["enumerate", *args.split()]) == 0
+    out = capsys.readouterr().out
+    walks = [r["walk"] for r in csv.DictReader(io.StringIO(out))]
+    assert len(walks) == rows
+    assert hashlib.sha256("\n".join(walks).encode()).hexdigest() == sha

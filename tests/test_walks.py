@@ -110,12 +110,53 @@ def test_oracle_equivalence_weight_sums():
         assert a == pytest.approx(b, rel=1e-12)
 
 
-@pytest.mark.parametrize("orient", ["H", "V"])
-def test_enumerate_walks_visits_in_naive_order(orient):
-    # the search's transition table follows step_candidates' order
-    start = MidEdge(0, 0, orient)
-    fast = [wk.steps for wk in collect_walks(start, 6)]
-    assert fast == [tuple(steps) for steps in naive_enumerate(start, 6)]
+D2x1 = ParallelogramDomain(2, 1, math.pi / 2)
+NAIVE_ORDER = {
+    "H": (MidEdge(0, 0, "H"), 6, UNIT_RULE, None, (-1, 1)),
+    "V": (MidEdge(0, 0, "V"), 6, UNIT_RULE, None, (-1, 1)),
+    "V-honeycomb": (MidEdge(0, 0, "V"), 8, HONEYCOMB_RULE, None, (-1, 1)),
+    "H-sign-minus": (MidEdge(0, 0, "H"), 6, UNIT_RULE, None, (-1,)),
+    "2x1-origin": (D2x1.origin, 12, UNIT_RULE, D2x1, (-1, 1)),
+    "2x1-bottom-mid": (MidEdge(1, -1, "H"), 12, UNIT_RULE, D2x1, (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", NAIVE_ORDER)
+def test_enumerate_walks_visits_in_naive_order(case):
+    # enumerate_walks steps through step_candidates, as the oracle does
+    start, budget, rule, domain, signs = NAIVE_ORDER[case]
+    fast = []
+    enumerate_walks(start, budget, rule, domain, fast.append, signs=signs)
+    slow = [tuple(steps) for steps in
+            naive_enumerate(start, budget, rule.as_tuple(), domain)
+            if not steps or steps[0].entry_sign in signs]
+    assert len(slow) > 1
+    assert [wk.steps for wk in fast] == slow
+    assert [dict(wk.occupancy) for wk in fast] == [
+        occupancy_from_steps(steps) for steps in slow]
+
+
+@pytest.mark.parametrize("start,budget,domain", [
+    (MidEdge(0, 0, "H"), 7, None),
+    (MidEdge(0, 0, "V"), 16, ParallelogramDomain(4, 2, math.pi / 2)),
+], ids=["free-H-7", "domain-4x2-16"])
+def test_run_walk_enumeration_call_forms(start, budget, domain):
+    # the benchmark's search probe passes emit=None and no counts
+    counts: dict = {}
+    counted = run_walk_enumeration(start, budget, UNIT_RULE, domain, counts=counts)
+    bare = run_walk_enumeration(start, budget, UNIT_RULE, domain, emit=None)
+    assert bare.walks == counted.walks == sum(counts.values())
+    with pytest.raises(TypeError):
+        run_walk_enumeration(start, budget, UNIT_RULE, domain, emit=print)
+
+
+@pytest.mark.parametrize("search", [run_walk_enumeration, enumerate_walks],
+                         ids=["count", "visit"])
+def test_a_start_outside_the_domain_is_refused(search):
+    # the packed search would count free walks under domain keys
+    d = ParallelogramDomain(2, 1, math.pi / 2)
+    with pytest.raises(ValueError, match="not a mid-edge of the domain"):
+        search(MidEdge(10, 10, "H"), 5, UNIT_RULE, d)
 
 
 def test_enumerate_in_domain_counts_match_oracle():
