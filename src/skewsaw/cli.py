@@ -190,10 +190,15 @@ COLUMNS = {
 }
 
 
-def cmd_weights(args):
-    th = args.theta
-    if not 0 < th < math.pi:  # a rhombus angle, whatever the family
+def rhombus_angle(th: float) -> float:
+    """Refuse a --theta that is no rhombus angle, whatever the family."""
+    if not 0 < th < math.pi:
         raise ValueError(f"--theta {th!r} outside the open interval (0, pi)")
+    return th
+
+
+def cmd_weights(args):
+    th = rhombus_angle(args.theta)
     rows = []
     flag = {"sigma": "sigma", "sigma-one": "u1", "on": "s"}.get(args.family, "theta")
     with naming(("--" + flag, getattr(args, flag))):
@@ -240,6 +245,7 @@ def cmd_verify_local(args):
 
 
 def cmd_solve_system(args):
+    rhombus_angle(args.theta)
     rows = []
     ok = True
     sigmas = ([args.sigma] if args.sigma is not None

@@ -95,16 +95,14 @@ def _trace(cells, states):
 
     Returns (loops, chains) where each entry is a list of alternating
     mid keys; chains are open strands with both endpoints at mids of
-    degree one.  Returns None if some mid is crossed more than twice
-    (inconsistent occupancy).
+    degree one.  No mid ends more than two segments, as no mid belongs
+    to more than two cells (``iter_consistent_configs`` refuses it).
     """
     edges = _strand_edges(cells, states)
     by_mid: dict = {}
     for idx, (a, b) in enumerate(edges):
         for m in (a, b):
             by_mid.setdefault(m, []).append(idx)
-            if len(by_mid[m]) > 2:
-                return None
     seen = [False] * len(edges)
     loops, chains = [], []
 
@@ -142,7 +140,8 @@ def iter_consistent_configs(cells, boundary_mids=None,
     end at the mids in ``boundary_mids`` at no cost (default: every mid
     that belongs to only one cell); at most ``allow_open_interior`` other
     mids may be strand ends.  Ends are counted as the search goes, each
-    mid when its last cell is assigned.
+    mid when its last cell is assigned.  A mid of more than two cells
+    raises ``ValueError``.
     """
     owners: dict = {}
     for ci, cell in enumerate(cells):
@@ -154,6 +153,9 @@ def iter_consistent_configs(cells, boundary_mids=None,
     # mid whose last cell is ci
     closes = [[] for _ in cells]
     for m, own in owners.items():
+        if len(own) > 2:  # a partner is the one other owner
+            raise ValueError(f"mid {m!r} belongs to {len(own)} cells; "
+                             "at most two cells may share a mid")
         ci, k = own[-1]
         partner = own[0] if len(own) == 2 else None
         closes[ci].append((k, partner, m in boundary_mids))
@@ -166,9 +168,7 @@ def iter_consistent_configs(cells, boundary_mids=None,
 
     def rec(ci, open_ends):
         if ci == n:
-            traced = _trace(cells, states)
-            if traced is not None:
-                yield tuple(states), traced[0], traced[1]
+            yield tuple(states), *_trace(cells, states)
             return
         for code, occ in enumerate(occupied):
             ends = open_ends

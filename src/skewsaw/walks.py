@@ -12,8 +12,7 @@ over exact integer state,
   refused by name,
 * per-rhombus plaquette states as small ints in a dict, read once per
   node (every step out of a crossing passes the same rhombus, and its
-  state selects the allowed steps) and restored once; a domain search
-  starts with the ring of rhombi around the domain blocked,
+  state selects the allowed steps) and restored once,
 * walk weight as the profile (c1, ..., c5), the counts of rhombi whose
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
@@ -23,9 +22,11 @@ over exact integer state,
   ``_group_packed`` into per-head lists of profiles and counts.
 
 A walk whose length leaves no room for the shortest step is childless:
-the search counts it without searching below it.  So is a
-walk that reaches a mid-edge on a domain's boundary (the start aside),
-since its next step would pass the blocked rhombus outside.
+the search counts it without searching below it.  So is a walk that
+reaches a mid-edge on a domain's boundary (the start aside), since its
+next step would leave the domain, and a start's first steps pass only
+the rhombi inside.  So the search reads a domain off its geometry
+alone: ``contains_rhombus``, ``mid_edges`` and ``side_of``, origin and T.
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment.  The low 30 bits hold the
@@ -243,10 +244,6 @@ _HV = {"H": 0, "V": 1}
 _HV_NAME = ("H", "V")
 
 
-# _BLOCKED marks a rhombus no walk may pass.
-_BLOCKED = len(PlaquetteState)
-
-
 @lru_cache(maxsize=None)
 def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     """The steps out of a crossing (hv, sign) at the origin in the search's
@@ -255,7 +252,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     Every step out of a crossing passes the same rhombus, whose packed int
     is the packed current mid-edge shifted right by one, plus drho.
     by_prev[prev] lists the steps allowed when that rhombus holds state
-    code prev (``_BLOCKED`` included), in the order of
+    code prev, in the order of
     geometry.step_candidates, each as (dmid, state, length, dkey, next
     row): dmid is the offset of the packed exit mid-edge from the
     packed current one, state the rhombus's state after the step and dkey
@@ -280,7 +277,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                           rows[(nhv, nsign)]))
         (drho,) = drhos
         by_prev = [tuple(first)]
-        for prev in range(1, _BLOCKED + 1):
+        for prev in range(1, len(PlaquetteState)):
             steps = []
             for dmid, state, slen, dkey, nrow in first:
                 double = _PROMOTE.get((prev, state))
@@ -292,24 +289,12 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     return rows
 
 
-def _ring(domain: ParallelogramDomain) -> list[int]:
-    """Packed rhombi just outside the domain.  Neighbouring rhombi differ
-    by one in i or j, so a walk that would leave the domain has to pass one
-    of these first; blocking them keeps every walk inside."""
-    T, L = domain.T, domain.L
-    return [_pack_rho(i, j) for i in range(-1, T + 1) for j in range(-L - 1, L + 2)
-            if not (0 <= i < T and -L <= j <= L)]
-
-
-def _dead_ends(domain: ParallelogramDomain, start: int) -> frozenset:
-    """Packed mid-edges on the domain's boundary, but packed ``start``.  A
-    walk reaches one through the rhombus inside, so its next step would
-    pass the blocked rhombus outside: such a walk is childless."""
-    T, L = domain.T, domain.L
-    mids = {_pack_mid(i, j, _HV["V"]) for i in (0, T) for j in range(-L, L + 1)}
-    mids.update(_pack_mid(i, j, _HV["H"]) for i in range(T) for j in (-L, L + 1))
-    mids.discard(start)
-    return frozenset(mids)
+def _dead_ends(domain: ParallelogramDomain, start: MidEdge) -> frozenset:
+    """Packed mid-edges on the domain's boundary, but ``start``.  A walk
+    reaches one through the rhombus inside, so its next step would leave
+    the domain: such a walk is childless."""
+    return frozenset(_pack_mid(m.i, m.j, _HV[m.orient]) for m in domain.mid_edges()
+                     if m != start and domain.side_of(m) != "interior")
 
 
 @dataclass
@@ -418,20 +403,19 @@ def run_walk_enumeration(
     shv = _HV[start.orient]
     smid = _pack_mid(start.i, start.j, shv)
     if domain is None:
-        occ, key0, dead = {}, 0, frozenset()
+        key0, dead = 0, frozenset()
     else:
-        occ = dict.fromkeys(_ring(domain), _BLOCKED)
-        key0 = _pack_domain_key(smid, 0, 0, 0)
-        dead = _dead_ends(domain, smid)
-    rec = _searcher(max_length, lens, smid, occ, counts, dead)
+        key0, dead = _pack_domain_key(smid, 0, 0, 0), _dead_ends(domain, start)
+    rec = _searcher(max_length, lens, smid, {}, counts, dead)
 
     counts[key0] = counts.get(key0, 0) + 1  # the empty walk
     walks = 1
     # the first steps, ordered like geometry.step_candidates: by rhombus
-    # (each sign passes one), then by exit mid-edge, as a row's steps are
-    for sign in sorted((s for s in (1, -1) if s in signs),
-                       key=lambda s: rows[(shv, s)][0]):
-        walks += rec(smid, rows[(shv, sign)], 0, key0)
+    # (each sign passes one, a domain's only inside it), then by exit
+    # mid-edge, as a row's steps are
+    for rhombus, sign in sorted(zip(start.rhombi(), (1, -1))):
+        if sign in signs and (domain is None or domain.contains_rhombus(rhombus)):
+            walks += rec(smid, rows[(shv, sign)], 0, key0)
     return EnumerationStats(walks=walks)
 
 
@@ -469,20 +453,19 @@ def _straight(row: list) -> tuple:
 
 
 def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
-                cm: int, key: int, occ: dict, jobs: list, counts: dict,
+                cm: int, key: int, jobs: list, counts: dict,
                 dead: frozenset = frozenset()) -> int:
     """``counts[key] += 1`` over the walks of the axis jobs ``jobs``, sorted
     by k; returns their number.  The axis is the line of straights out of
     packed mid-edge ``cm`` (empty-walk key ``key``, first steps ``row``);
     the job (k, arc) covers the walks that take k straights along it and
     then leave it by arc number ``arc`` of ``row``.  The rhombus ahead of
-    every axis point is free or blocked, so a job's row offers its arc to
-    a free rhombus alone."""
+    a job's axis point is free, so a job's row lists its arc for a free
+    rhombus alone."""
+    occ: dict = {}
     rec = _searcher(max_length, lens, cm, occ, counts, dead)
     drho, by_prev = row
-    blocked = ((),) * (len(by_prev) - 1)
-    arcs = [[drho, ((step,), *blocked)]
-            for step in by_prev[0] if STATE_SLOT[step[1]] != 2]
+    arcs = [[drho, ((step,),)] for step in by_prev[0] if STATE_SLOT[step[1]] != 2]
     dmid, state, slen, dkey, _ = _straight(row)
     walks = rlen = laid = 0
     for k, arc in jobs:
@@ -503,8 +486,8 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
 
     The walks of k straights along the axis, k = 0..T, are their own
     mirror images.  Every other walk leaves the axis first by the bottom
-    or the top arc of some R(k, 0), and the mirror maps the one set onto
-    the other.  So this counts the straights and the walks of the bottom
+    or the top arc of some R(k, 0), k < T, and the mirror maps the one set
+    onto the other.  So this counts the straights and the walks of the bottom
     arc's axis jobs; ``_group_packed`` folds in the other half's counts.
     The straights are the only walks counted with no arc in their profile.
     The returned ``walks`` is the number of walks visited.
@@ -517,15 +500,14 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     lens = UNIT_RULE.as_tuple()
     cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
     key = _pack_domain_key(cm, 0, 0, 0)
-    # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is blocked
+    # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is outside
     row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
-    points, straight = domain.T + 1, _straight(row)[3]
-    for k in range(points):  # the empty walk and the walks of straights
+    straight = _straight(row)[3]
+    for k in range(domain.T + 1):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
-    walks = _axis_walks(max_steps, lens, row, cm, key,
-                        dict.fromkeys(_ring(domain), _BLOCKED),
-                        _axis_jobs(points, True), counts, _dead_ends(domain, cm))
-    return EnumerationStats(walks=points + walks)
+    walks = _axis_walks(max_steps, lens, row, cm, key, _axis_jobs(domain.T, True),
+                        counts, _dead_ends(domain, domain.origin))
+    return EnumerationStats(walks=domain.T + 1 + walks)
 
 
 def _power_tables(w: WeightSet, size: int) -> list[list[float]]:
@@ -684,7 +666,7 @@ def _free_job(args) -> tuple[dict, int]:
     hv = _HV[orient]
     counts: dict = {}
     walks = _axis_walks(n_max, lens, _step_rows(lens, False)[(hv, 1)],
-                        _pack_mid(0, 0, hv), 0, {}, jobs, counts)
+                        _pack_mid(0, 0, hv), 0, jobs, counts)
     return counts, walks
 
 

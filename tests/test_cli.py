@@ -128,11 +128,15 @@ def test_zero_tolerance_asks_for_an_exact_zero(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("theta", ["0", "pi", "1e308"])
-@pytest.mark.parametrize("family", ["critical", "sigma", "sigma-one", "on"])
+@pytest.mark.parametrize("theta", ["0", "-2", "pi", "1e308"])
+@pytest.mark.parametrize("family", ["critical", "sigma", "sigma-one", "on",
+                                    "solve-system"])
 def test_weights_theta_outside_zero_pi_is_named(capsys, family, theta):
+    # solve-system refuses through the check every weights family makes
+    command = (["solve-system"] if family == "solve-system"
+               else ["weights", "--family", family])
     with pytest.raises(SystemExit) as exc:
-        main(["weights", "--family", family, "--theta", theta])
+        main([*command, "--theta", theta])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

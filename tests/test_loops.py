@@ -11,6 +11,7 @@ from skewsaw.geometry import (
     Rhombus,
 )
 from skewsaw.loops import (
+    Cell,
     _trace,
     cell_from_rhombus,
     hexagon,
@@ -266,6 +267,15 @@ def test_boundary_mids_bound_where_strands_end():
             assert a in (ch[0], ch[-1])
         if not chains:
             assert all(a not in lp for lp in loops)
+
+
+def test_a_mid_of_three_cells_is_refused():
+    # a mid joins two cells; a third owner would leave a strand without its
+    # partner, so the search refuses the patch by that mid
+    cells = [Cell(key=k, angle=0.0, mids=("shared", (k, 1), (k, 2), (k, 3)))
+             for k in range(3)]
+    with pytest.raises(ValueError, match="mid 'shared' belongs to 3 cells"):
+        next(iter_consistent_configs(cells))
 
 
 def test_hexagon_strands_end_on_its_boundary():

@@ -594,10 +594,9 @@ def test_mirrored_domain_search_equals_the_full_search(T, L):
 
 @pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (1, 3), (4, 2)])
 def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
-    from skewsaw.walks import (_BLOCKED, _HV, _PROFILE_BITS, _PROFILE_MASK,
-                               _axis_walks, _dead_ends, _mirror_above,
-                               _mirror_profile, _pack_domain_key, _pack_mid,
-                               _ring, _step_rows)
+    from skewsaw.walks import (_HV, _PROFILE_BITS, _PROFILE_MASK, _axis_walks,
+                               _dead_ends, _mirror_above, _mirror_profile,
+                               _pack_domain_key, _pack_mid, _step_rows)
 
     def mirror(key):
         return (_mirror_above(key >> _PROFILE_BITS) << _PROFILE_BITS
@@ -612,8 +611,7 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     for arc in range(2):
         counts: dict = {}
         _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), row, cm, empty,
-                    dict.fromkeys(_ring(domain), _BLOCKED), [(0, arc)], counts,
-                    _dead_ends(domain, cm))
+                    [(0, arc)], counts, _dead_ends(domain, domain.origin))
         subtrees.append(Counter(counts))
     straight = Counter(_full_domain_counts(domain)[0])
     for sub in subtrees:
@@ -860,25 +858,48 @@ def test_no_admitted_step_in_a_domain_lands_on_the_walk():
     assert _admitted_returns(domain.origin, 8, domain) == []
 
 
-@pytest.mark.parametrize("T,L", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (4, 1)])
-def test_oracle_equivalence_domain_histogram(T, L):
+_SIGN_SETS = {"both": (-1, 1), "plus": (1,), "minus": (-1,)}
+_RULES = {"unit": UNIT_RULE, "honeycomb": HONEYCOMB_RULE}
+
+
+@pytest.mark.parametrize("T,L,side,signs,rule", [
+    # every walk from the origin, against the mirror-halved search too
+    *(pytest.param(T, L, "origin", "both", "unit", id=f"{T}-{L}")
+      for T, L in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (4, 1)]),
+    # a start on each side and one inside: a first step must pass the
+    # rhombus inside, and every other boundary mid-edge ends a walk
+    *(pytest.param(T, L, side, signs, rule, id=f"{T}-{L}-{side}-{signs}-{rule}")
+      for T, L in [(3, 1), (2, 2)]
+      for side in ("alpha", "beta", "delta", "epsilon", "interior")
+      for signs in _SIGN_SETS for rule in _RULES),
+])
+def test_oracle_equivalence_domain_histogram(T, L, side, signs, rule):
     from skewsaw.observable import domain_walk_aggregate
 
     domain = ParallelogramDomain(T, L, math.pi / 2)
-    budget = 2 * domain.n_rhombi
+    if side == "origin":
+        start, budget = domain.origin, 2 * domain.n_rhombi
+    else:  # the side's least mid-edge other than the origin
+        start = min(m for m in domain.mid_edges()
+                    if m != domain.origin and domain.side_of(m) == side)
+        budget = 8
+    signs, rule = _SIGN_SETS[signs], _RULES[rule]
     counts: dict = {}
-    run_walk_enumeration(domain.origin, budget, UNIT_RULE, domain,
+    run_walk_enumeration(start, budget, rule, domain, signs=signs,
                          counts=counts)
     fast = _decoded(counts)
     slow: Counter = Counter()
-    for steps in naive_enumerate(domain.origin, budget, domain=domain):
-        end = steps[-1].dst if steps else domain.origin
+    for steps in naive_enumerate(start, budget, rule.as_tuple(), domain):
+        if steps and steps[0].entry_sign not in signs:
+            continue
+        end = steps[-1].dst if steps else start
         turns = [sum(s.turn_units[k] for s in steps) for k in (0, 1)]
         slow[((end.i, end.j, 0 if end.orient == "H" else 1), *turns,
               naive_profile(steps))] += 1
     assert Counter(fast) == slow
-    # the mirror-halved search, decoded with its mirror
-    assert Counter(domain_walk_aggregate(T, L)) == slow
+    if side == "origin":
+        # the mirror-halved search, decoded with its mirror
+        assert Counter(domain_walk_aggregate(T, L)) == slow
 
 
 def test_pool_shutdown_cancels_pending_jobs_when_meanwhile_raises(monkeypatch):
