@@ -102,6 +102,17 @@ def parse_nonnegative(text: str) -> float:
     return x
 
 
+def parse_count(text: str) -> int:
+    """A length budget: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 def parse_workers(text: str) -> int:
     try:
         n = int(text)
@@ -465,12 +476,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("series", help="growth-constant series report")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=parse_count, default=10)
     p.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
 
     p = add("honeycomb",
             help="pi/3 cross-check against the hexagonal-lattice oracle")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=parse_count, default=8)
 
     p = add("yangbaxter", help="hexagon flip residuals")
     p.add_argument("--alpha", type=parse_angle)
@@ -478,7 +489,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", help="dump walks with weight and length")
     p.add_argument("--theta", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--n-max", type=parse_count, default=4)
     p.add_argument("--rule", type=parse_rule, default=UNIT_RULE)
     p.add_argument("--orient", choices=("H", "V"),
                    help="start mid-edge at the origin on the free lattice "

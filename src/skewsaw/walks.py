@@ -27,6 +27,12 @@ reaches a mid-edge on a domain's boundary (the start aside), since its
 next step would leave the domain, and a start's first steps pass only
 the rhombi inside.  So the search reads a domain off its geometry
 alone: ``contains_rhombus``, ``mid_edges`` and ``side_of``, origin and T.
+A walk whose children are all childless, a leaf parent, is counted but
+not searched either: its leaves follow from its key, its length, its
+row of steps and the state of the rhombus ahead, so the search tallies
+leaf parents under those four and counts their leaves in bulk after the
+last job.  The domain aggregates, at a budget of twice the rhombus
+count, have none: their walks meet the boundary long before it.
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment.  The low 30 bits hold the
@@ -247,23 +253,23 @@ _HV_NAME = ("H", "V")
 @lru_cache(maxsize=None)
 def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     """The steps out of a crossing (hv, sign) at the origin in the search's
-    form for one length rule: per crossing a row [drho, by_prev].
+    form for one length rule: per crossing a row [drho, by_prev, rid].
 
     Every step out of a crossing passes the same rhombus, whose packed int
     is the packed current mid-edge shifted right by one, plus drho.
     by_prev[prev] lists the steps allowed when that rhombus holds state
-    code prev, in the order of
-    geometry.step_candidates, each as (dmid, state, length, dkey, next
-    row): dmid is the offset of the packed exit mid-edge from the
-    packed current one, state the rhombus's state after the step and dkey
-    the step's key increment, with dmid and the turn units above the
-    profile for domain keys.  A free rhombus admits the three first-visit
-    steps; a single arc admits at most the arc around the opposite corner,
-    whose dkey moves the first arc's count to the double state; any other
-    state admits none.
+    code prev, in the order of geometry.step_candidates, each as (dmid,
+    state, length, dkey, next row): dmid is the offset of the packed exit
+    mid-edge from the packed current one, state the rhombus's state after
+    the step and dkey the step's key increment, with dmid and the turn
+    units above the profile for domain keys.  A free rhombus admits the
+    three first-visit steps; a single arc admits at most the arc around
+    the opposite corner, whose dkey moves the first arc's count to the
+    double state; any other state admits none.  rid, 0 to 3, names the
+    row in ``_searcher``'s tally of leaf parents.
     """
     rows: dict = {(hv, sign): [] for hv in (0, 1) for sign in (1, -1)}
-    for (hv, sign), row in rows.items():
+    for rid, ((hv, sign), row) in enumerate(rows.items()):
         first, drhos = [], set()
         for s in step_candidates(MidEdge(0, 0, _HV_NAME[hv]), sign=sign):
             nhv, nsign, state = _HV[s.dst.orient], s.exit_sign, s.state_code
@@ -285,7 +291,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                     steps.append((dmid, double, slen, dkey + _INC[double]
                                   - _INC[prev] - _INC[state], nrow))
             by_prev.append(tuple(steps))
-        row[:] = [drho, tuple(by_prev)]
+        row[:] = [drho, tuple(by_prev), rid]
     return rows
 
 
@@ -325,16 +331,30 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
     return max_steps
 
 
-def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
-              occ: dict, counts: dict, dead: frozenset = frozenset()) -> Callable:
-    """The backtracking search as rec(cm, row, rlen, key) -> walks.
+def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
+              start: int, occ: dict, counts: dict,
+              dead: frozenset = frozenset()) -> tuple[Callable, Callable]:
+    """The backtracking search as (rec, finish).
 
-    rec tries each step of ``row`` (a ``_step_rows`` row) out of packed
-    mid-edge ``cm``, reached at length ``rlen`` with key ``key``, and every
-    walk below it; it adds one to ``counts`` at the key of each walk it
-    finds and returns their number.  ``occ`` (the packed rhombi's state
-    codes) holds the walk so far and is restored on return.  A walk that
-    reaches a packed mid-edge in ``dead`` is counted and has no children.
+    rec(cm, row, rlen, key) tries each step of ``row`` (a row of ``rows``,
+    the ``_step_rows`` of the search) out of packed mid-edge ``cm``,
+    reached at length ``rlen`` with key ``key``, and every walk below it;
+    it adds one to ``counts`` at the key of each walk it finds and returns
+    their number, but for the leaves it tallies.  ``occ`` (the packed
+    rhombi's state codes) holds the walk so far and is restored on return.
+    A walk that reaches a packed mid-edge in ``dead`` is counted and has no
+    children.  finish(), called once after the last rec, counts the
+    tallied leaves and returns their number.
+
+    A walk longer than ``max_length - 2 * min(lens)`` has only childless
+    children, the leaves.  Each leaf's key is its parent's plus the step's
+    dkey, and which steps fit depends only on the parent's length, its
+    row and the state of the rhombus ahead.  So rec counts such a parent
+    and adds one to a tally under (key, length offset, row id, state
+    ahead) instead of searching it, and finish adds m leaves per step that
+    fits for an entry seen m times.  A parent in ``dead`` has no leaves,
+    and one whose rhombus ahead is one of the start's two is searched: the
+    start's other rhombus can offer a step back onto the start.
 
     No visited set is kept.  Both rhombi of a mid-edge the walk has
     crossed have been passed, so the one a step onto it would pass is
@@ -342,13 +362,19 @@ def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
     offers no such step.  Only the packed ``start`` can be re-entered, by
     its other rhombus, and rec refuses it by name.
     """
-    # a walk longer than this has no step left in the budget
+    # a walk longer than leaf_len has no step left in the budget, and one
+    # of length fold or more has no grandchild
     leaf_len = max_length - min(lens)
+    fold = leaf_len - min(lens) + 1
+    by_id = {row[2]: row[1] for row in rows.values()}
+    guard = {(start >> 1) + rows[(start & 1, sign)][0] for sign in (1, -1)}
+    tally: dict = {}
     occ_get = occ.get
     count_get = counts.get
+    tally_get = tally.get
 
     def rec(cm, row, rlen, key):
-        drho, by_prev = row
+        drho, by_prev, _ = row
         rho = (cm >> 1) + drho
         prev = occ_get(rho, 0)
         walks = 0
@@ -362,13 +388,32 @@ def _searcher(max_length: int, lens: tuple[int, int, int], start: int,
             nkey = key + dkey
             walks += 1
             counts[nkey] = count_get(nkey, 0) + 1
-            if nlen <= leaf_len and nm not in dead:  # else childless
-                occ[rho] = state
-                walks += rec(nm, nrow, nlen, nkey)
+            if nlen >= fold:
+                if nlen > leaf_len or nm in dead:
+                    continue  # childless
+                ahead = (nm >> 1) + nrow[0]
+                if ahead not in guard:  # a leaf parent
+                    entry = (nkey, nlen - fold, nrow[2], occ_get(ahead, 0))
+                    tally[entry] = tally_get(entry, 0) + 1
+                    continue
+            elif nm in dead:
+                continue  # childless
+            occ[rho] = state
+            walks += rec(nm, nrow, nlen, nkey)
         occ[rho] = prev
         return walks
 
-    return rec
+    def finish():
+        walks = 0
+        for (key, offset, rid, ahead), m in tally.items():
+            room = max_length - fold - offset
+            for _, _, slen, dkey, _ in by_id[rid][ahead]:
+                if slen <= room:
+                    counts[key + dkey] = count_get(key + dkey, 0) + m
+                    walks += m
+        return walks
+
+    return rec, finish
 
 
 def run_walk_enumeration(
@@ -406,7 +451,7 @@ def run_walk_enumeration(
         key0, dead = 0, frozenset()
     else:
         key0, dead = _pack_domain_key(smid, 0, 0, 0), _dead_ends(domain, start)
-    rec = _searcher(max_length, lens, smid, {}, counts, dead)
+    rec, finish = _searcher(max_length, lens, rows, smid, {}, counts, dead)
 
     counts[key0] = counts.get(key0, 0) + 1  # the empty walk
     walks = 1
@@ -416,7 +461,7 @@ def run_walk_enumeration(
     for rhombus, sign in sorted(zip(start.rhombi(), (1, -1))):
         if sign in signs and (domain is None or domain.contains_rhombus(rhombus)):
             walks += rec(smid, rows[(shv, sign)], 0, key0)
-    return EnumerationStats(walks=walks)
+    return EnumerationStats(walks=walks + finish())
 
 
 # The mirror through the axis swaps the theta- and (pi-theta)-corners of
@@ -452,20 +497,21 @@ def _straight(row: list) -> tuple:
     return next(step for step in row[1][0] if STATE_SLOT[step[1]] == 2)
 
 
-def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
-                cm: int, key: int, jobs: list, counts: dict,
-                dead: frozenset = frozenset()) -> int:
+def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
+                crossing: tuple[int, int], cm: int, key: int, jobs: list,
+                counts: dict, dead: frozenset = frozenset()) -> int:
     """``counts[key] += 1`` over the walks of the axis jobs ``jobs``, sorted
     by k; returns their number.  The axis is the line of straights out of
-    packed mid-edge ``cm`` (empty-walk key ``key``, first steps ``row``);
-    the job (k, arc) covers the walks that take k straights along it and
-    then leave it by arc number ``arc`` of ``row``.  The rhombus ahead of
-    a job's axis point is free, so a job's row lists its arc for a free
-    rhombus alone."""
+    packed mid-edge ``cm`` (empty-walk key ``key``, first steps
+    ``rows[crossing]``); the job (k, arc) covers the walks that take k
+    straights along it and then leave it by arc number ``arc`` of the row.
+    The rhombus ahead of a job's axis point is free, so a job's row lists
+    its arc for a free rhombus alone."""
     occ: dict = {}
-    rec = _searcher(max_length, lens, cm, occ, counts, dead)
-    drho, by_prev = row
-    arcs = [[drho, ((step,),)] for step in by_prev[0] if STATE_SLOT[step[1]] != 2]
+    rec, finish = _searcher(max_length, lens, rows, cm, occ, counts, dead)
+    drho, by_prev, _ = row = rows[crossing]
+    arcs = [[drho, ((step,),), None] for step in by_prev[0]
+            if STATE_SLOT[step[1]] != 2]
     dmid, state, slen, dkey, _ = _straight(row)
     walks = rlen = laid = 0
     for k, arc in jobs:
@@ -476,7 +522,7 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], row: list,
             rlen += slen
             laid += 1
         walks += rec(cm, arcs[arc], rlen, key)
-    return walks
+    return walks + finish()
 
 
 def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
@@ -501,12 +547,13 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
     key = _pack_domain_key(cm, 0, 0, 0)
     # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is outside
-    row = _step_rows(lens, True)[(_HV["V"], domain.origin_sign)]
-    straight = _straight(row)[3]
+    rows, crossing = _step_rows(lens, True), (_HV["V"], domain.origin_sign)
+    straight = _straight(rows[crossing])[3]
     for k in range(domain.T + 1):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
-    walks = _axis_walks(max_steps, lens, row, cm, key, _axis_jobs(domain.T, True),
-                        counts, _dead_ends(domain, domain.origin))
+    walks = _axis_walks(max_steps, lens, rows, crossing, cm, key,
+                        _axis_jobs(domain.T, True), counts,
+                        _dead_ends(domain, domain.origin))
     return EnumerationStats(walks=domain.T + 1 + walks)
 
 
@@ -665,7 +712,7 @@ def _free_job(args) -> tuple[dict, int]:
     n_max, lens, orient, jobs = args
     hv = _HV[orient]
     counts: dict = {}
-    walks = _axis_walks(n_max, lens, _step_rows(lens, False)[(hv, 1)],
+    walks = _axis_walks(n_max, lens, _step_rows(lens, False), (hv, 1),
                         _pack_mid(0, 0, hv), 0, jobs, counts)
     return counts, walks
 

@@ -344,6 +344,18 @@ def test_parallel_budget_is_refused_before_the_pool(monkeypatch, capsys):
     assert "above the cap 40" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "x"])
+@pytest.mark.parametrize("command", ["series", "honeycomb", "enumerate"])
+def test_a_negative_length_budget_names_its_flag(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n-max", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --n-max: expected an integer >= 0, got {value!r}"
+            in captured.err)
+
+
 def test_solve_system_runs_with_numpy_blocked():
     # a None entry in sys.modules makes every import of numpy fail
     src = os.path.dirname(os.path.dirname(os.path.abspath(skewsaw.__file__)))

@@ -94,6 +94,38 @@ def test_oracle_equivalence_honeycomb_rule():
     assert Counter(free_walk_aggregate(9, HONEYCOMB_RULE, "V")) == slow
 
 
+@pytest.mark.parametrize("rule,orient,budget,total", [
+    (LengthRule(2, 2, 3), "H", 16, 4_163),
+    (LengthRule(3, 2, 2), "V", 16, 4_635),
+    (LengthRule(3, 3, 3), "H", 15, 691),
+], ids=["2-2-3-H", "3-2-2-V", "3-3-3-H"])
+def test_oracle_equivalence_when_the_shortest_passage_is_long(rule, orient,
+                                                              budget, total):
+    # a shortest passage of length 2 or 3 spreads the parents of leaves
+    # over as many lengths, each with its own room for a last step
+    slow: Counter = Counter()
+    for steps in naive_enumerate(MidEdge(0, 0, orient), budget, rule.as_tuple()):
+        slow[(naive_length(steps, rule.as_tuple()), naive_profile(steps))] += 1
+    assert sum(slow.values()) == total
+    assert Counter(free_walk_aggregate(budget, rule, orient)) == slow
+
+
+@pytest.mark.parametrize("n_max", [6, 7])
+@pytest.mark.parametrize("signs", [(1,), (-1,)], ids=["plus", "minus"])
+@pytest.mark.parametrize("orient", ["H", "V"])
+def test_oracle_equivalence_of_one_first_step_sign(orient, signs, n_max):
+    # a walk back at the start has even length, so at an even budget some
+    # parents of leaves have the start's other rhombus ahead, and a step
+    # it offers onto the start must be refused
+    slow: Counter = Counter()
+    for steps in naive_enumerate(MidEdge(0, 0, orient), n_max):
+        if not steps or steps[0].entry_sign in signs:
+            slow[(len(steps), naive_profile(steps))] += 1
+    stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, signs=signs)
+    assert stats.walks == sum(slow.values())
+    assert _subtree_hist(orient, n_max, UNIT_RULE, signs) == slow
+
+
 def test_oracle_equivalence_weight_sums():
     th = math.pi / 2
     w = critical_weights(th)
@@ -605,13 +637,14 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     domain = ParallelogramDomain(T, L, math.pi / 2)
     cm = _pack_mid(0, 0, _HV["V"])
     empty = _pack_domain_key(cm, 0, 0, 0)
-    row = _step_rows(UNIT_RULE.as_tuple(), True)[(_HV["V"], domain.origin_sign)]
+    rows = _step_rows(UNIT_RULE.as_tuple(), True)
     # the first steps: the k = 0 axis jobs of both arcs, then the straight
     subtrees = []
     for arc in range(2):
         counts: dict = {}
-        _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), row, cm, empty,
-                    [(0, arc)], counts, _dead_ends(domain, domain.origin))
+        _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), rows,
+                    (_HV["V"], domain.origin_sign), cm, empty, [(0, arc)],
+                    counts, _dead_ends(domain, domain.origin))
         subtrees.append(Counter(counts))
     straight = Counter(_full_domain_counts(domain)[0])
     for sub in subtrees:
