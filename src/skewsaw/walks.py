@@ -32,7 +32,8 @@ not searched either: its leaves follow from its key, its length, its
 row of steps and the state of the rhombus ahead, so the search tallies
 leaf parents under those four and counts their leaves in bulk after the
 last job.  The domain aggregates, at a budget of twice the rhombus
-count, have none: their walks meet the boundary long before it.
+count, have none on any shape of at most 24 rhombi: their walks meet
+the boundary first.
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment.  The low 30 bits hold the
