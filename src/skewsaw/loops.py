@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .geometry import PASSAGE, STATE_PAIRS, STATE_SLOT, MidEdge, Rhombus
 from .observable import _rhombus_contour
-from .walks import _power_tables, profile_weight
+from .walks import _group, _weigh
 from .weights import WeightSet, loop_parameter, on_weights
 
 
@@ -455,12 +455,9 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     w, n = on_weights(theta, s)
     sigma = s + 1.0
     counts, a = _patch_aggregate(theta, cols, rows, j0)
-    # a cell adds at most one to a profile
-    tables = _power_tables(w, cols * rows)
-    amps: dict = {}
-    for (z, wind, profile, nloops), cnt in counts.items():
-        head = (z, wind, nloops)
-        amps[head] = amps.get(head, 0.0) + cnt * profile_weight(profile, tables)
+    heads = _group((((z, wind, nloops), profile), cnt)
+                   for (z, wind, profile, nloops), cnt in counts.items())
+    amps = _weigh(heads, w, cols * rows)  # no count exceeds the cell count
     pmt = math.pi - theta
     values: dict = {}
     for (z, (k1, k2), nloops), amp in amps.items():

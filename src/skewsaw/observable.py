@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .geometry import MidEdge, ParallelogramDomain, Rhombus, as_theta
-from .walks import (_HV_NAME, _group_packed, _power_tables, domain_counts,
-                    profile_weight)
-# not used here: the benchmark's tracer test reads observable.run_walk_enumeration
-from .walks import run_walk_enumeration  # noqa: F401
+from .walks import _HV_NAME, _group_packed, _weigh, domain_counts
+# not used here: the benchmark's tracer test reads observable.profile_weight
+# and observable.run_walk_enumeration
+from .walks import profile_weight, run_walk_enumeration  # noqa: F401
 from .weights import WeightSet, critical_weights
 
 
@@ -80,22 +80,6 @@ def _domain_groups(T: int, L: int) -> dict:
     each head lists each of its profiles once, heads in another order
     than the sorted histogram's."""
     return _group_packed(*_domain_packed(T, L), lambda head: head)
-
-
-def _weigh(heads: dict, w: WeightSet, size: int) -> dict:
-    """{head: 0.0 + n * weight + ...} over ``_group_packed``'s per-head
-    lists, in their order, each weight ``profile_weight`` of the profile
-    from power tables up to ``size``: the rhombus count, which no count in
-    a domain profile exceeds.  A plain loop keeps that order on every
-    Python, where ``sum`` compensates float sums from 3.12 on."""
-    tables = _power_tables(w, size)
-    sums = {}
-    for head, (profiles, counts) in heads.items():
-        total = 0.0
-        for profile, n in zip(profiles, counts):
-            total += n * profile_weight(profile, tables)
-        sums[head] = total
-    return sums
 
 
 @lru_cache(maxsize=128)

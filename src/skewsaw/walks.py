@@ -17,9 +17,9 @@ over exact integer state,
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
   pi - theta: a weight set is applied afterwards.  Every histogram is
-  weighed entry by entry with ``profile_weight``: the free and
-  loop-patch ones key by key, and the packed domain half once grouped by
-  ``_group_packed`` into per-head lists of profiles and counts.
+  weighed by ``_weigh`` from per-head lists of profiles and counts: the
+  packed domain half grouped by ``_group_packed``, and the free and
+  loop-patch tuple histograms by ``_group``.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts it without searching below it.  So is a walk that
@@ -573,6 +573,32 @@ def profile_weight(profile, tables) -> float:
             * t4[profile[3]] * t5[profile[4]])
 
 
+def _weigh(heads: dict, w: WeightSet, size: int) -> dict:
+    """{head: 0.0 + n * weight + ...} over per-head lists {head: (profiles,
+    counts)}, in order, each weight ``profile_weight`` from power tables up
+    to ``size``, which no count in a profile exceeds.  A plain loop keeps
+    that order on every Python; ``sum`` compensates float sums from 3.12."""
+    tables = _power_tables(w, size)
+    sums = {}
+    for head, (profiles, counts) in heads.items():
+        total = 0.0
+        for profile, n in zip(profiles, counts):
+            total += n * profile_weight(profile, tables)
+        sums[head] = total
+    return sums
+
+
+def _group(items: Iterable[tuple[tuple, int]]) -> dict:
+    """{head: (profiles, counts)} for ``_weigh`` from ((head, profile), n)
+    pairs, heads and each head's profiles in first-met order."""
+    heads: dict = {}
+    for (head, profile), n in items:
+        profiles, counts = heads.setdefault(head, ([], []))
+        profiles.append(profile)
+        counts.append(n)
+    return heads
+
+
 # ---------------------------------------------------------------------------
 # Walk objects: the contract-level representation.
 
@@ -813,7 +839,8 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     most ``workers`` processes, for any rule; one worker gets the cached
     aggregate.  The parent checks the budget before the pool starts, sums
     the jobs' counts and adds the mirror, so the result equals the
-    sequential one, keys in the same order.
+    sequential one, keys in the same order.  ``series_report`` and
+    ``honeycomb_crosscheck`` weigh it with ``weighted_length_sums``.
 
     ``meanwhile``, if given, is the parent's own work: it is called once
     the jobs are on the pool, while the pool searches, and before their
@@ -830,23 +857,12 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     return _both_signs(counts, rule)
 
 
-def weighted_length_sums(n_max: int, w: WeightSet,
-                         rule: LengthRule = UNIT_RULE, orient: str = "H",
-                         workers: int = 1, *,
-                         meanwhile: Callable[[], None] | None = None
-                         ) -> list[float]:
-    """Sum of walk weights per exact length 0..n_max on the free lattice.
-
-    ``meanwhile`` is passed to ``free_walk_aggregate_parallel``: with
-    ``workers`` > 1 it runs in this process while the pool searches."""
-    agg = free_walk_aggregate_parallel(n_max, rule, orient, workers,
-                                       meanwhile=meanwhile)
+def weighted_length_sums(hist: dict, w: WeightSet, n_max: int) -> list[float]:
+    """Sum of walk weights per exact length 0..n_max on the free lattice,
+    from its histogram counts[(rlen, profile)] of lengths up to n_max."""
     # a passage adds at least one to the length, so no count exceeds n_max
-    tables = _power_tables(w, n_max)
-    sums = [0.0] * (n_max + 1)
-    for (rlen, profile), n in agg.items():
-        sums[rlen] += n * profile_weight(profile, tables)
-    return sums
+    sums = _weigh(_group(hist.items()), w, n_max)
+    return [sums.get(rlen, 0.0) for rlen in range(n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

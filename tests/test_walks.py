@@ -664,9 +664,9 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
 
 
 # ---------------------------------------------------------------------------
-# The re-weights against a fold over the histogram's keys: the free and the
-# loop-patch histograms are weighed key by key, the packed domain half
-# through ``_group_packed``'s per-head lists and ``observable._weigh``.
+# The re-weights against a fold over the histogram's keys: every histogram
+# is weighed by ``walks._weigh``, the free and the loop-patch ones grouped
+# by ``_group``, the packed domain half by ``_group_packed``.
 
 def _fold(hist, w):
     """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
@@ -716,7 +716,7 @@ def _free_case(n_max, rule, orient):
         for w in _weight_sets():
             ref = _fold(hist, w)
             # length by length, bit for bit, not within a tolerance
-            assert (weighted_length_sums(n_max, w, rule, orient)
+            assert (weighted_length_sums(hist, w, n_max)
                     == [ref.get((rlen,), 0.0) for rlen in range(n_max + 1)])
     return check
 
@@ -755,21 +755,38 @@ def test_grouped_reweight_equals_the_per_key_fold(case):
     GROUPED_CASES[case]()
 
 
-def test_free_reweight_sees_a_changed_count(monkeypatch):
-    import skewsaw.walks as walks
+def test_free_reweight_sees_a_changed_count():
+    from skewsaw.walks import weighted_length_sums
 
     w = critical_weights(1.2)
-    sums = walks.weighted_length_sums(9, w)
+    sums = weighted_length_sums(free_walk_aggregate(9), w, 9)
     changed = dict(free_walk_aggregate(9))
     key = list(changed)[len(changed) // 2]
     changed[key] += 1
-    monkeypatch.setattr(walks, "free_walk_aggregate_parallel",
-                        lambda *args, **kwargs: changed)
-    other = walks.weighted_length_sums(9, w)
+    other = weighted_length_sums(changed, w, 9)
     rlen = key[0]
     assert other[rlen] != sums[rlen]
     del other[rlen], sums[rlen]
     assert other == sums
+
+
+def test_patch_reweight_sees_a_changed_count(monkeypatch):
+    import skewsaw.loops as loops
+
+    theta, s = 1.2, 1 / 2
+    values = loops.on_observable(theta, s, 2, 3, 0)
+    counts, origin = loops._patch_aggregate(theta, 2, 3, 0)
+    changed = dict(counts)
+    key = list(changed)[len(changed) // 2]
+    changed[key] += 1
+    monkeypatch.setattr(loops, "_patch_aggregate",
+                        lambda *args: (changed, origin))
+    other = loops.on_observable(theta, s, 2, 3, 0)
+    z = key[0]
+    assert list(other) == list(values)
+    assert other[z] != values[z]
+    del other[z], values[z]
+    assert other == values
 
 
 def _ungroup(grouped):
@@ -786,8 +803,9 @@ BUDGET_20_SHAPES = [(T, L) for T in range(1, 21) for L in range(20)
 
 def test_every_side_marginal_reweights_as_the_per_key_fold():
     # and so does every domain grouped form, the observable's too
-    from skewsaw.observable import (_domain_groups, _side_marginal, _weigh,
+    from skewsaw.observable import (_domain_groups, _side_marginal,
                                     domain_walk_aggregate)
+    from skewsaw.walks import _weigh
 
     assert len(BUDGET_20_SHAPES) == 39
     for T, L in BUDGET_20_SHAPES + [(8, 1)]:
@@ -821,10 +839,34 @@ def test_no_profile_count_exceeds_the_rhombus_count():
             assert top == rhombi or L > 0, (T, L)
 
 
+@pytest.mark.parametrize("rule", [UNIT_RULE, HONEYCOMB_RULE,
+                                  LengthRule(2, 2, 3)])
+def test_no_free_profile_count_exceeds_n_max(rule):
+    # the power tables of ``weighted_length_sums`` run to n_max
+    for n_max in (1, 5, 12):
+        hist = free_walk_aggregate(n_max, rule)
+        top = max(max(profile) for _, profile in hist)
+        # the walk of straights alone reaches n_max // len_straight
+        assert n_max // rule.len_straight <= top <= n_max, n_max
+
+
+@pytest.mark.parametrize("patch", [(2, 2, 0), (2, 3, 0), (3, 2, -1)])
+def test_no_patch_profile_count_exceeds_the_cell_count(patch):
+    # the power tables of ``on_observable`` run to cols * rows
+    from skewsaw.loops import _patch_aggregate
+
+    cols, rows, _ = patch
+    for theta in (math.pi / 3, 1.2, 2 * math.pi / 3):
+        counts, _ = _patch_aggregate(theta, *patch)
+        top = max(max(profile) for _, _, profile, _ in counts)
+        assert top <= cols * rows, theta
+
+
 def test_grouped_reweight_sees_a_changed_count():
-    from skewsaw.observable import _domain_packed, _weigh
+    from skewsaw.observable import _domain_packed
     from skewsaw.walks import (_C3_FIELD, _PROFILE_BITS, _PROFILE_MASK,
-                               _group_packed, _mirror_above, _unpack_head)
+                               _group_packed, _mirror_above, _unpack_head,
+                               _weigh)
 
     keys, counts = _domain_packed(4, 2)
     grouped = _group_packed(keys, counts, lambda head: head)
