@@ -119,8 +119,7 @@ def parse_workers(text: str) -> int:
     except ValueError:
         n = 0
     if n < 1:
-        raise ValueError("worker count (--threads or SKEWSAW_WORKERS) must "
-                         f"be a positive integer, got {text!r}")
+        raise ValueError(f"--threads must be a positive integer, got {text!r}")
     return n
 
 
@@ -418,11 +417,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--stamp", action="store_true",
                         help="add a timestamp header (off keeps output "
                              "byte-identical across runs)")
-    parser.add_argument("--threads",
+    parser.add_argument("--threads", default="1",
                         help="worker processes for the free-lattice search, "
                              "which splits into one job per axis point and "
-                             "arc, under any rule (default from "
-                             "SKEWSAW_WORKERS)")
+                             "arc, under any rule (default 1)")
     parser.add_argument("--tol", type=parse_nonnegative,
                         help="verification tolerance: a check passes when "
                              "its residual is at most this, so 0 asks for an "
@@ -502,8 +500,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = os.environ.get("SKEWSAW_WORKERS", "1")
     if args.tol is None:
         args.tol = 1e-12 if args.command == "honeycomb" else 1e-10
     try:

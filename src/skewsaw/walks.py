@@ -36,11 +36,12 @@ count, have none on any shape of at most 24 rhombi: their walks meet
 the boundary first.
 
 The search counts walks into a ``counts`` dict under one packed int key,
-each step adding one precomputed increment.  The low 30 bits hold the
-profile, 6 bits per slot and c1 most significant.  A free search keys by
-the profile alone.  A domain search packs (end mid-edge, dtheta, dpmt)
-above it, each turn count biased into its own field, so sorted keys are
-in the order of their tuples.
+each step adding one precomputed increment, and keeps nothing else: the
+number of walks it visits is ``sum(counts.values())``.  The low 30 bits
+hold the profile, 6 bits per slot and c1 most significant.  A free search
+keys by the profile alone.  A domain search packs (end mid-edge, dtheta,
+dpmt) above it, each turn count biased into its own field, so sorted keys
+are in the order of their tuples.
 
 The free-lattice aggregates enumerate only the walks whose first step
 crosses with sign +1 and double every non-empty count: the rotation by
@@ -340,12 +341,12 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     rec(cm, row, rlen, key) tries each step of ``row`` (a row of ``rows``,
     the ``_step_rows`` of the search) out of packed mid-edge ``cm``,
     reached at length ``rlen`` with key ``key``, and every walk below it;
-    it adds one to ``counts`` at the key of each walk it finds and returns
-    their number, but for the leaves it tallies.  ``occ`` (the packed
-    rhombi's state codes) holds the walk so far and is restored on return.
-    A walk that reaches a packed mid-edge in ``dead`` is counted and has no
-    children.  finish(), called once after the last rec, counts the
-    tallied leaves and returns their number.
+    it adds one to ``counts`` at the key of each walk it finds, but for
+    the leaves it tallies.  ``occ`` (the packed rhombi's state codes) holds
+    the walk so far and is restored on return.  A walk that reaches a
+    packed mid-edge in ``dead`` is counted and has no children.  finish(),
+    called once after the last rec, counts the tallied leaves.  Neither
+    returns anything: ``counts`` is the search's one record.
 
     A walk longer than ``max_length - 2 * min(lens)`` has only childless
     children, the leaves.  Each leaf's key is its parent's plus the step's
@@ -378,7 +379,6 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
         drho, by_prev, _ = row
         rho = (cm >> 1) + drho
         prev = occ_get(rho, 0)
-        walks = 0
         for dmid, state, slen, dkey, nrow in by_prev[prev]:
             nlen = rlen + slen
             if nlen > max_length:
@@ -387,7 +387,6 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
             if nm == start:
                 continue
             nkey = key + dkey
-            walks += 1
             counts[nkey] = count_get(nkey, 0) + 1
             if nlen >= fold:
                 if nlen > leaf_len or nm in dead:
@@ -400,19 +399,15 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
             elif nm in dead:
                 continue  # childless
             occ[rho] = state
-            walks += rec(nm, nrow, nlen, nkey)
+            rec(nm, nrow, nlen, nkey)
         occ[rho] = prev
-        return walks
 
     def finish():
-        walks = 0
         for (key, offset, rid, ahead), m in tally.items():
             room = max_length - fold - offset
             for _, _, slen, dkey, _ in by_id[rid][ahead]:
                 if slen <= room:
                     counts[key + dkey] = count_get(key + dkey, 0) + m
-                    walks += m
-        return walks
 
     return rec, finish
 
@@ -432,7 +427,8 @@ def run_walk_enumeration(
 
     ``counts`` (a fresh dict when None) gets ``counts[key] += 1`` per walk,
     the key packed as the module docstring says (see ``_unpack_profile``
-    and ``_unpack_head``).  ``emit`` must be None, else ``TypeError`` is
+    and ``_unpack_head``).  The returned ``walks`` is the number this call
+    added to ``counts``.  ``emit`` must be None, else ``TypeError`` is
     raised; ROADMAP item 1 deletes the keyword.  This full search is the
     axis-job searches' oracle.
     """
@@ -443,6 +439,7 @@ def run_walk_enumeration(
         raise ValueError(f"a walk of {max_steps} steps can overflow the "
                          f"profile slots (at most {_SLOT_MAX} steps)")
     counts = {} if counts is None else counts
+    before = sum(counts.values())
     lens = rule.as_tuple()
     rows = _step_rows(lens, domain is not None)
 
@@ -455,14 +452,14 @@ def run_walk_enumeration(
     rec, finish = _searcher(max_length, lens, rows, smid, {}, counts, dead)
 
     counts[key0] = counts.get(key0, 0) + 1  # the empty walk
-    walks = 1
     # the first steps, ordered like geometry.step_candidates: by rhombus
     # (each sign passes one, a domain's only inside it), then by exit
     # mid-edge, as a row's steps are
     for rhombus, sign in sorted(zip(start.rhombi(), (1, -1))):
         if sign in signs and (domain is None or domain.contains_rhombus(rhombus)):
-            walks += rec(smid, rows[(shv, sign)], 0, key0)
-    return EnumerationStats(walks=walks + finish())
+            rec(smid, rows[(shv, sign)], 0, key0)
+    finish()
+    return EnumerationStats(walks=sum(counts.values()) - before)
 
 
 # The mirror through the axis swaps the theta- and (pi-theta)-corners of
@@ -500,21 +497,20 @@ def _straight(row: list) -> tuple:
 
 def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
                 crossing: tuple[int, int], cm: int, key: int, jobs: list,
-                counts: dict, dead: frozenset = frozenset()) -> int:
+                counts: dict, dead: frozenset = frozenset()) -> None:
     """``counts[key] += 1`` over the walks of the axis jobs ``jobs``, sorted
-    by k; returns their number.  The axis is the line of straights out of
-    packed mid-edge ``cm`` (empty-walk key ``key``, first steps
-    ``rows[crossing]``); the job (k, arc) covers the walks that take k
-    straights along it and then leave it by arc number ``arc`` of the row.
-    The rhombus ahead of a job's axis point is free, so a job's row lists
-    its arc for a free rhombus alone."""
+    by k.  The axis is the line of straights out of packed mid-edge ``cm``
+    (empty-walk key ``key``, first steps ``rows[crossing]``); the job (k,
+    arc) covers the walks that take k straights along it and then leave it
+    by arc number ``arc`` of the row.  The rhombus ahead of a job's axis
+    point is free, so a job's row lists its arc for a free rhombus alone."""
     occ: dict = {}
     rec, finish = _searcher(max_length, lens, rows, cm, occ, counts, dead)
     drho, by_prev, _ = row = rows[crossing]
     arcs = [[drho, ((step,),), None] for step in by_prev[0]
             if STATE_SLOT[step[1]] != 2]
     dmid, state, slen, dkey, _ = _straight(row)
-    walks = rlen = laid = 0
+    rlen = laid = 0
     for k, arc in jobs:
         while laid < k:
             occ[(cm >> 1) + drho] = state
@@ -522,11 +518,11 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
             key += dkey
             rlen += slen
             laid += 1
-        walks += rec(cm, arcs[arc], rlen, key)
-    return walks + finish()
+        rec(cm, arcs[arc], rlen, key)
+    finish()
 
 
-def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats:
+def domain_counts(domain: ParallelogramDomain, counts: dict) -> None:
     """``counts[key] += 1`` over the half of the walks in ``domain`` from
     its origin that a mirror-halved search visits, keyed like
     ``run_walk_enumeration``'s.
@@ -537,7 +533,6 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     onto the other.  So this counts the straights and the walks of the bottom
     arc's axis jobs; ``_group_packed`` folds in the other half's counts.
     The straights are the only walks counted with no arc in their profile.
-    The returned ``walks`` is the number of walks visited.
     """
     max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
     if max_steps > _SLOT_MAX:
@@ -552,10 +547,9 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> EnumerationStats
     straight = _straight(rows[crossing])[3]
     for k in range(domain.T + 1):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
-    walks = _axis_walks(max_steps, lens, rows, crossing, cm, key,
-                        _axis_jobs(domain.T, True), counts,
-                        _dead_ends(domain, domain.origin))
-    return EnumerationStats(walks=domain.T + 1 + walks)
+    _axis_walks(max_steps, lens, rows, crossing, cm, key,
+                _axis_jobs(domain.T, True), counts,
+                _dead_ends(domain, domain.origin))
 
 
 def _power_tables(w: WeightSet, size: int) -> list[list[float]]:
@@ -733,20 +727,20 @@ def enumerate_walks(
 # combinatorial aggregates are cached and re-weighted per family.
 
 
-def _free_job(args) -> tuple[dict, int]:
-    """(counts[pk], walks) over the sign +1 free-lattice walks of the axis
-    jobs in ``args`` = (n_max, lens, orient, jobs); a pool task."""
+def _free_job(args) -> dict:
+    """counts[pk] over the sign +1 free-lattice walks of the axis jobs in
+    ``args`` = (n_max, lens, orient, jobs); a pool task."""
     n_max, lens, orient, jobs = args
     hv = _HV[orient]
     counts: dict = {}
-    walks = _axis_walks(n_max, lens, _step_rows(lens, False), (hv, 1),
-                        _pack_mid(0, 0, hv), 0, jobs, counts)
-    return counts, walks
+    _axis_walks(n_max, lens, _step_rows(lens, False), (hv, 1),
+                _pack_mid(0, 0, hv), 0, jobs, counts)
+    return counts
 
 
 def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
                  workers: int = 1,
-                 meanwhile: Callable[[], None] | None = None) -> EnumerationStats:
+                 meanwhile: Callable[[], None] | None = None) -> None:
     """``counts[pk] += n`` over the free-lattice walks whose first step
     crosses with sign +1 (the empty walk included) that the search visits:
     under a mirror-symmetric rule the straights and the first arc's axis
@@ -754,16 +748,14 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
     run in this process or, for ``workers`` > 1, one per task on a pool of
     at most that many processes; ``meanwhile`` is then called in this
     process while the pool searches, before the jobs' counts are
-    collected.  The returned ``walks`` is the number of walks visited."""
-    # checks the budget before any pool starts, and counts the empty walk
-    stats = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=(),
-                                 counts=counts)
+    collected."""
+    # only checks the budget, before any pool starts
+    run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=())
     lens = rule.as_tuple()
     points = n_max // rule.len_straight + 1
     straight = _straight(_step_rows(lens, False)[(_HV[orient], 1)])[3]
-    for k in range(1, points):  # the walks of straights
+    for k in range(points):  # the empty walk and the walks of straights
         counts[k * straight] = counts.get(k * straight, 0) + 1
-    stats.walks += points - 1
     jobs = _axis_jobs(points, rule.mirror_symmetric)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -782,11 +774,9 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
             parts = list(parts)
     else:
         parts = [_free_job((n_max, lens, orient, jobs))]
-    for part, walks in parts:
+    for part in parts:
         for pk, n in part.items():
             counts[pk] = counts.get(pk, 0) + n
-        stats.walks += walks
-    return stats
 
 
 def _both_signs(counts: dict, rule: LengthRule) -> dict:

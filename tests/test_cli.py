@@ -410,16 +410,12 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     assert outs[0] and outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("argv,env", [
-    (["--threads", "0"], None),
-    (["--threads", "-3"], None),
-    ([], "abc"),
-])
-def test_bad_worker_count_is_a_config_error(monkeypatch, capsys, argv, env):
-    if env is None:
-        monkeypatch.delenv("SKEWSAW_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("SKEWSAW_WORKERS", env)
+@pytest.mark.parametrize("argv", [
+    ["--threads", "0"],
+    ["--threads", "-3"],
+    ["--threads", "abc"],
+], ids=["zero", "negative", "not-a-number"])
+def test_bad_worker_count_is_a_config_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "weights"])
     assert exc.value.code == 2
@@ -559,11 +555,8 @@ def test_parser_is_built_once_and_reads_the_worker_count_per_call(monkeypatch):
         return [], {}, True
 
     monkeypatch.setattr(cli, "cmd_weights", record)
-    for env in ("2", "3"):
-        monkeypatch.setenv("SKEWSAW_WORKERS", env)
-        assert main(["weights"]) == 0
-    assert main(["--threads", "4", "weights"]) == 0
-    monkeypatch.delenv("SKEWSAW_WORKERS")
+    for threads in ("2", "3", "4"):
+        assert main(["--threads", threads, "weights"]) == 0
     assert main(["weights"]) == 0
     assert seen == [2, 3, 4, 1]
     assert cli._parser() is cli._parser()

@@ -98,11 +98,16 @@ def test_oracle_equivalence_honeycomb_rule():
     (LengthRule(2, 2, 3), "H", 16, 4_163),
     (LengthRule(3, 2, 2), "V", 16, 4_635),
     (LengthRule(3, 3, 3), "H", 15, 691),
-], ids=["2-2-3-H", "3-2-2-V", "3-3-3-H"])
+    (LengthRule(2, 2, 3), "H", 2, 5),
+    (LengthRule(2, 2, 3), "H", 1, 1),
+    (LengthRule(3, 2, 2), "V", 0, 1),
+], ids=["2-2-3-H", "3-2-2-V", "3-3-3-H", "2-2-3-H-2", "2-2-3-H-1", "3-2-2-V-0"])
 def test_oracle_equivalence_when_the_shortest_passage_is_long(rule, orient,
                                                               budget, total):
     # a shortest passage of length 2 or 3 spreads the parents of leaves
-    # over as many lengths, each with its own room for a last step
+    # over as many lengths, each with its own room for a last step; below
+    # the straight's length the start is the only axis point, and below
+    # the shortest passage the empty walk, counted once, is the only walk
     slow: Counter = Counter()
     for steps in naive_enumerate(MidEdge(0, 0, orient), budget, rule.as_tuple()):
         slow[(naive_length(steps, rule.as_tuple()), naive_profile(steps))] += 1
@@ -168,18 +173,38 @@ def test_enumerate_walks_visits_in_naive_order(case):
         occupancy_from_steps(steps) for steps in slow]
 
 
-@pytest.mark.parametrize("start,budget,domain", [
-    (MidEdge(0, 0, "H"), 7, None),
-    (MidEdge(0, 0, "V"), 16, ParallelogramDomain(4, 2, math.pi / 2)),
-], ids=["free-H-7", "domain-4x2-16"])
-def test_run_walk_enumeration_call_forms(start, budget, domain):
-    # the benchmark's search probe passes emit=None and no counts
-    counts: dict = {}
-    counted = run_walk_enumeration(start, budget, UNIT_RULE, domain, counts=counts)
-    bare = run_walk_enumeration(start, budget, UNIT_RULE, domain, emit=None)
-    assert bare.walks == counted.walks == sum(counts.values())
+@pytest.mark.parametrize("start,budget,rule,domain,signs,prior", [
+    (MidEdge(0, 0, "H"), 7, UNIT_RULE, None, (-1, 1), None),
+    (MidEdge(0, 0, "V"), 16, UNIT_RULE, ParallelogramDomain(4, 2, math.pi / 2),
+     (-1, 1), None),
+    (MidEdge(0, 0, "V"), 9, HONEYCOMB_RULE, None, (-1, 1), None),
+    (MidEdge(0, 0, "H"), 7, UNIT_RULE, None, (-1,), None),
+    (MidEdge(0, 0, "H"), 7, UNIT_RULE, None, (-1, 1), 5),
+], ids=["free-H-7", "domain-4x2-16", "honeycomb-V-9", "free-H-7-minus",
+        "free-H-7-into-5"])
+def test_run_walk_enumeration_call_forms(start, budget, rule, domain, signs,
+                                         prior):
+    # the benchmark's search probe passes emit=None and no counts, and
+    # reads .walks, the number the call added to counts
+    before: dict = {}
+    if prior is not None:  # entries under many of the keys the call adds to
+        run_walk_enumeration(start, prior, rule, domain, signs=signs,
+                             counts=before)
+    alone: dict = {}
+    counted = run_walk_enumeration(start, budget, rule, domain, signs=signs,
+                                   counts=alone)
+    counts = dict(before)
+    added = run_walk_enumeration(start, budget, rule, domain, signs=signs,
+                                 counts=counts)
+    bare = run_walk_enumeration(start, budget, rule, domain, emit=None,
+                                signs=signs)
+    assert bare.walks == counted.walks == added.walks == sum(alone.values())
+    assert counts == {k: before.get(k, 0) + alone.get(k, 0)
+                      for k in {**before, **alone}}
+    if prior is not None:
+        assert before and all(counts[k] > n for k, n in before.items())
     with pytest.raises(TypeError):
-        run_walk_enumeration(start, budget, UNIT_RULE, domain, emit=print)
+        run_walk_enumeration(start, budget, rule, domain, emit=print)
 
 
 @pytest.mark.parametrize("search", [run_walk_enumeration, enumerate_walks],
@@ -517,7 +542,8 @@ def _mirrored_and_full(orient, n_max, rule):
     from skewsaw.walks import _both_signs, _free_counts
 
     half: dict = {}
-    visited = _free_counts(n_max, rule, orient, half).walks
+    _free_counts(n_max, rule, orient, half)
+    visited = sum(half.values())
     n_full = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule,
                                   signs=(1,)).walks
     return (_both_signs(half, rule), visited,
@@ -610,7 +636,8 @@ def test_mirrored_domain_search_equals_the_full_search(T, L):
     domain = ParallelogramDomain(T, L, math.pi / 2)
     full, n_full = _full_domain_counts(domain)
     counts: dict = {}
-    visited = domain_counts(domain, counts).walks
+    domain_counts(domain, counts)
+    visited = sum(counts.values())
     assert sorted(counts.items()) == list(zip(*_domain_packed(T, L)))
     # the half, with the mirror folded in, sums to the full search key for
     # key, keys in the same order
