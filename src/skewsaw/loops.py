@@ -457,7 +457,7 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     counts, a = _patch_aggregate(theta, cols, rows, j0)
     heads = _group((((z, wind, nloops), profile), cnt)
                    for (z, wind, profile, nloops), cnt in counts.items())
-    amps = _weigh(heads, w, cols * rows)  # no count exceeds the cell count
+    amps = _weigh(heads, w)
     pmt = math.pi - theta
     values: dict = {}
     for (z, (k1, k2), nloops), amp in amps.items():

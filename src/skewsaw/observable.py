@@ -103,7 +103,7 @@ def observable(domain: ParallelogramDomain, sigma: float,
     theta = as_theta(domain.theta)
     if w is None:
         w = critical_weights(theta)
-    agg = _weigh(_domain_groups(domain.T, domain.L), w, domain.n_rhombi)
+    agg = _weigh(_domain_groups(domain.T, domain.L), w)
     values: dict[MidEdge, complex] = {}
     pmt = math.pi - theta
     for ((i, j, hv), dth, dpm), weight in agg.items():
@@ -226,7 +226,7 @@ def strip_sums(T: int, L: int, x: float, theta) -> StripSums:
     """Exact side sums A, B, D, E at fugacity x (x = x_c is critical)."""
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
-    sums = _weigh(_side_marginal(T, L), w, (2 * L + 1) * T)
+    sums = _weigh(_side_marginal(T, L), w)
     A, B, D, E = (sums.get((side,), 0.0) for side in _SIDES)
     return StripSums(theta=th, A=A, B=B, D=D, E=E)
 
@@ -240,7 +240,7 @@ def alpha_winding_split(T: int, L: int, x: float, theta) -> tuple[float, float]:
     th = as_theta(theta)
     w = critical_weights(th).at_fugacity(x)
     domain = ParallelogramDomain(T, L, th)
-    agg = _weigh(_domain_groups(T, L), w, domain.n_rhombi)
+    agg = _weigh(_domain_groups(T, L), w)
     plus = minus = 0.0
     for ((i, j, hv), dth, dpm), weight in agg.items():
         m = MidEdge(i, j, _HV_NAME[hv])

@@ -152,8 +152,8 @@ def _pack_rho(i: int, j: int) -> int:
 
 # The five-slot weight profile packs into one int, _SLOT_BITS per slot and
 # c1 most significant, so packed profiles sort as their tuples do.  A slot
-# counts at most one rhombus per step, so the search refuses more than
-# _SLOT_MAX steps.
+# counts at most one rhombus per step, so ``_searcher`` refuses more than
+# _SLOT_MAX steps, and the re-weight's power tables run to _SLOT_MAX.
 _SLOT_BITS = 6
 _SLOT_MAX = (1 << _SLOT_BITS) - 1
 _PROFILE_BITS = 5 * _SLOT_BITS
@@ -364,6 +364,10 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     offers no such step.  Only the packed ``start`` can be re-entered, by
     its other rhombus, and rec refuses it by name.
     """
+    max_steps = max_length // min(lens)
+    if max_steps > _SLOT_MAX:
+        raise ValueError(f"a walk of {max_steps} steps can overflow the "
+                         f"profile slots (at most {_SLOT_MAX} steps)")
     # a walk longer than leaf_len has no step left in the budget, and one
     # of length fold or more has no grandchild
     leaf_len = max_length - min(lens)
@@ -434,10 +438,7 @@ def run_walk_enumeration(
     """
     if emit is not None:
         raise TypeError("run_walk_enumeration only counts; see enumerate_walks")
-    max_steps = _step_cap_check(max_length, rule, step_cap, start, domain)
-    if max_steps > _SLOT_MAX:
-        raise ValueError(f"a walk of {max_steps} steps can overflow the "
-                         f"profile slots (at most {_SLOT_MAX} steps)")
+    _step_cap_check(max_length, rule, step_cap, start, domain)
     counts = {} if counts is None else counts
     before = sum(counts.values())
     lens = rule.as_tuple()
@@ -534,28 +535,25 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> None:
     arc's axis jobs; ``_group_packed`` folds in the other half's counts.
     The straights are the only walks counted with no arc in their profile.
     """
-    max_steps = 2 * domain.n_rhombi  # each rhombus is passed at most twice
-    if max_steps > _SLOT_MAX:
-        raise ValueError(
-            f"a domain of {domain.n_rhombi} rhombi can overflow the "
-            f"{_SLOT_BITS}-bit profile slots")
     lens = UNIT_RULE.as_tuple()
     cm = _pack_mid(domain.origin.i, domain.origin.j, _HV[domain.origin.orient])
     key = _pack_domain_key(cm, 0, 0, 0)
     # out of V(k, 0) crossed rightward, into R(k, 0); R(T, 0) is outside
     rows, crossing = _step_rows(lens, True), (_HV["V"], domain.origin_sign)
+    # each rhombus is passed at most twice; the axis jobs' search refuses
+    # a budget beyond the profile slots before anything is counted
+    _axis_walks(2 * domain.n_rhombi, lens, rows, crossing, cm, key,
+                _axis_jobs(domain.T, True), counts,
+                _dead_ends(domain, domain.origin))
     straight = _straight(rows[crossing])[3]
     for k in range(domain.T + 1):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
-    _axis_walks(max_steps, lens, rows, crossing, cm, key,
-                _axis_jobs(domain.T, True), counts,
-                _dead_ends(domain, domain.origin))
 
 
-def _power_tables(w: WeightSet, size: int) -> list[list[float]]:
+def _power_tables(w: WeightSet) -> list[list[float]]:
     """Per weight x of ``w``, the powers 1.0, x, x*x, ... of x up to
-    x**size, each the one before times x."""
-    return [list(accumulate(repeat(x, size), mul, initial=1.0))
+    x**_SLOT_MAX, each the one before times x."""
+    return [list(accumulate(repeat(x, _SLOT_MAX), mul, initial=1.0))
             for x in w.as_tuple()]
 
 
@@ -567,12 +565,12 @@ def profile_weight(profile, tables) -> float:
             * t4[profile[3]] * t5[profile[4]])
 
 
-def _weigh(heads: dict, w: WeightSet, size: int) -> dict:
+def _weigh(heads: dict, w: WeightSet) -> dict:
     """{head: 0.0 + n * weight + ...} over per-head lists {head: (profiles,
     counts)}, in order, each weight ``profile_weight`` from power tables up
-    to ``size``, which no count in a profile exceeds.  A plain loop keeps
-    that order on every Python; ``sum`` compensates float sums from 3.12."""
-    tables = _power_tables(w, size)
+    to ``_SLOT_MAX``.  A plain loop keeps that order on every Python;
+    ``sum`` compensates float sums from 3.12."""
+    tables = _power_tables(w)
     sums = {}
     for head, (profiles, counts) in heads.items():
         total = 0.0
@@ -849,9 +847,10 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
 
 def weighted_length_sums(hist: dict, w: WeightSet, n_max: int) -> list[float]:
     """Sum of walk weights per exact length 0..n_max on the free lattice,
-    from its histogram counts[(rlen, profile)] of lengths up to n_max."""
-    # a passage adds at least one to the length, so no count exceeds n_max
-    sums = _weigh(_group(hist.items()), w, n_max)
+    from its histogram counts[(rlen, profile)].  Lengths the histogram
+    has but n_max does not are left out; a length above the budget the
+    histogram was enumerated to reads 0.0, as if no walk had it."""
+    sums = _weigh(_group(hist.items()), w)
     return [sums.get(rlen, 0.0) for rlen in range(n_max + 1)]
 
 
