@@ -31,9 +31,15 @@ A walk whose children are all childless, a leaf parent, is counted but
 not searched either: its leaves follow from its key, its length, its
 row of steps and the state of the rhombus ahead, so the search tallies
 leaf parents under those four and counts their leaves in bulk after the
-last job.  The domain aggregates, at a budget of twice the rhombus
-count, have none on any shape of at most 24 rhombi: their walks meet
-the boundary first.
+last job.  A walk whose children are all leaf parents, a grandparent,
+is tallied too, under the states of the three rhombi beyond the exits
+of the rhombus ahead as well, and its children and grandchildren are
+counted in bulk.  Neither tally takes a walk whose tally reads one of
+the start's two rhombi (a step onto the start is refused by name), and
+only a search without dead ends, a free one, tallies grandparents.  The
+domain aggregates, at a budget of twice the rhombus count, have no leaf
+parent on any shape of at most 24 rhombi: their walks meet the boundary
+first.
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment, and keeps nothing else: the
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -255,7 +262,8 @@ _HV_NAME = ("H", "V")
 @lru_cache(maxsize=None)
 def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     """The steps out of a crossing (hv, sign) at the origin in the search's
-    form for one length rule: per crossing a row [drho, by_prev, rid].
+    form for one length rule: per crossing a row
+    [drho, by_prev, rid, exits].
 
     Every step out of a crossing passes the same rhombus, whose packed int
     is the packed current mid-edge shifted right by one, plus drho.
@@ -268,7 +276,10 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     three first-visit steps; a single arc admits at most the arc around
     the opposite corner, whose dkey moves the first arc's count to the
     double state; any other state admits none.  rid, 0 to 3, names the
-    row in ``_searcher``'s tally of leaf parents.
+    row in ``_searcher``'s tallies.  exits holds, per first-visit step,
+    the offset from the packed current mid-edge shifted right by one to
+    the packed rhombus ahead of the step's exit, ((hv + dmid) >> 1) plus
+    the next row's drho: the rhombi that the walk's grandchildren pass.
     """
     rows: dict = {(hv, sign): [] for hv in (0, 1) for sign in (1, -1)}
     for rid, ((hv, sign), row) in enumerate(rows.items()):
@@ -294,6 +305,9 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                                   - _INC[prev] - _INC[state], nrow))
             by_prev.append(tuple(steps))
         row[:] = [drho, tuple(by_prev), rid]
+    for (hv, _), row in rows.items():
+        row.append(tuple(((hv + dmid) >> 1) + nrow[0]
+                         for dmid, _, _, _, nrow in row[1][0]))
     return rows
 
 
@@ -342,10 +356,10 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     the ``_step_rows`` of the search) out of packed mid-edge ``cm``,
     reached at length ``rlen`` with key ``key``, and every walk below it;
     it adds one to ``counts`` at the key of each walk it finds, but for
-    the leaves it tallies.  ``occ`` (the packed rhombi's state codes) holds
+    the walks it tallies.  ``occ`` (the packed rhombi's state codes) holds
     the walk so far and is restored on return.  A walk that reaches a
     packed mid-edge in ``dead`` is counted and has no children.  finish(),
-    called once after the last rec, counts the tallied leaves.  Neither
+    called once after the last rec, counts the tallied walks.  Neither
     returns anything: ``counts`` is the search's one record.
 
     A walk longer than ``max_length - 2 * min(lens)`` has only childless
@@ -354,33 +368,49 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     row and the state of the rhombus ahead.  So rec counts such a parent
     and adds one to a tally under (key, length offset, row id, state
     ahead) instead of searching it, and finish adds m leaves per step that
-    fits for an entry seen m times.  A parent in ``dead`` has no leaves,
-    and one whose rhombus ahead is one of the start's two is searched: the
-    start's other rhombus can offer a step back onto the start.
+    fits for an entry seen m times.  A parent in ``dead`` has no leaves.
+
+    A walk longer than ``max_length - 3 * min(lens)`` has only leaf
+    parents and leaves as children, and its subtree depends on the states
+    of four rhombi: the one ahead, whose state picks its children, and the
+    one beyond each of that rhombus's three exits, which picks a child's
+    leaves.  None of the four is the rhombus the walk passed last (two
+    rhombi share at most one mid-edge), so their states are the walk's.
+    So rec counts such a grandparent and adds one to a second tally under
+    (key, length offset, row id, state ahead, three states beyond), and
+    finish adds each entry's children that fit, m times, and tallies
+    those with room for a leaf as leaf parents, before it counts the
+    leaves.  Only a search without dead ends tallies grandparents, since a
+    child in ``dead`` would have no leaves.
 
     No visited set is kept.  Both rhombi of a mid-edge the walk has
     crossed have been passed, so the one a step onto it would pass is
     double, straight, or holds an arc through that mid-edge, and the row
     offers no such step.  Only the packed ``start`` can be re-entered, by
-    its other rhombus, and rec refuses it by name.
+    its other rhombus, and rec refuses it by name.  So a walk is searched,
+    not tallied, when the rhombus ahead or, for a grandparent, one beyond
+    it is one of the start's two.
     """
     max_steps = max_length // min(lens)
     if max_steps > _SLOT_MAX:
         raise ValueError(f"a walk of {max_steps} steps can overflow the "
                          f"profile slots (at most {_SLOT_MAX} steps)")
-    # a walk longer than leaf_len has no step left in the budget, and one
-    # of length fold or more has no grandchild
+    # a walk longer than leaf_len has no step left in the budget, one of
+    # length fold or more has no grandchild, and one of length fold2 or
+    # more no great-grandchild; a search with dead ends tallies no
+    # grandparent
     leaf_len = max_length - min(lens)
     fold = leaf_len - min(lens) + 1
+    fold2 = fold if dead else fold - min(lens)
     by_id = {row[2]: row[1] for row in rows.values()}
     guard = {(start >> 1) + rows[(start & 1, sign)][0] for sign in (1, -1)}
-    tally: dict = {}
+    leaves: defaultdict = defaultdict(int)
+    grand: defaultdict = defaultdict(int)
     occ_get = occ.get
     count_get = counts.get
-    tally_get = tally.get
 
     def rec(cm, row, rlen, key):
-        drho, by_prev, _ = row
+        drho, by_prev, _, _ = row
         rho = (cm >> 1) + drho
         prev = occ_get(rho, 0)
         for dmid, state, slen, dkey, nrow in by_prev[prev]:
@@ -392,14 +422,29 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
                 continue
             nkey = key + dkey
             counts[nkey] = count_get(nkey, 0) + 1
-            if nlen >= fold:
+            if nlen >= fold2:
                 if nlen > leaf_len or nm in dead:
                     continue  # childless
-                ahead = (nm >> 1) + nrow[0]
-                if ahead not in guard:  # a leaf parent
-                    entry = (nkey, nlen - fold, nrow[2], occ_get(ahead, 0))
-                    tally[entry] = tally_get(entry, 0) + 1
-                    continue
+                here = nm >> 1
+                ahead = here + nrow[0]
+                if nlen >= fold:
+                    if ahead not in guard:  # a leaf parent
+                        entry = (nkey, nlen - fold, nrow[2],
+                                 occ_get(ahead, 0))
+                        leaves[entry] += 1
+                        continue
+                else:
+                    b0, b1, b2 = nrow[3]
+                    b0 += here
+                    b1 += here
+                    b2 += here
+                    if not (ahead in guard or b0 in guard or b1 in guard
+                            or b2 in guard):  # a grandparent of leaves
+                        entry = (nkey, nlen - fold2, nrow[2],
+                                 occ_get(ahead, 0), occ_get(b0, 0),
+                                 occ_get(b1, 0), occ_get(b2, 0))
+                        grand[entry] += 1
+                        continue
             elif nm in dead:
                 continue  # childless
             occ[rho] = state
@@ -407,7 +452,19 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
         occ[rho] = prev
 
     def finish():
-        for (key, offset, rid, ahead), m in tally.items():
+        # a grandparent's children, then every leaf parent's leaves
+        for (key, offset, rid, ahead, *beyond), m in grand.items():
+            nlen = fold2 + offset
+            by_prev = by_id[rid]
+            beyond = dict(zip((step[0] for step in by_prev[0]), beyond))
+            for dmid, _, slen, dkey, nrow in by_prev[ahead]:
+                clen = nlen + slen
+                if clen <= max_length:
+                    nkey = key + dkey
+                    counts[nkey] = count_get(nkey, 0) + m
+                    if clen <= leaf_len:
+                        leaves[(nkey, clen - fold, nrow[2], beyond[dmid])] += m
+        for (key, offset, rid, ahead), m in leaves.items():
             room = max_length - fold - offset
             for _, _, slen, dkey, _ in by_id[rid][ahead]:
                 if slen <= room:
@@ -507,8 +564,8 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
     point is free, so a job's row lists its arc for a free rhombus alone."""
     occ: dict = {}
     rec, finish = _searcher(max_length, lens, rows, cm, occ, counts, dead)
-    drho, by_prev, _ = row = rows[crossing]
-    arcs = [[drho, ((step,),), None] for step in by_prev[0]
+    drho, by_prev, _, _ = row = rows[crossing]
+    arcs = [[drho, ((step,),), None, None] for step in by_prev[0]
             if STATE_SLOT[step[1]] != 2]
     dmid, state, slen, dkey, _ = _straight(row)
     rlen = laid = 0
@@ -550,11 +607,14 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> None:
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
 
 
-def _power_tables(w: WeightSet) -> list[list[float]]:
+@lru_cache(maxsize=32)
+def _power_tables(w: WeightSet) -> tuple[tuple[float, ...], ...]:
     """Per weight x of ``w``, the powers 1.0, x, x*x, ... of x up to
-    x**_SLOT_MAX, each the one before times x."""
-    return [list(accumulate(repeat(x, _SLOT_MAX), mul, initial=1.0))
-            for x in w.as_tuple()]
+    x**_SLOT_MAX, each the one before times x.  Built once per weight set
+    (every re-weight at one angle and fugacity shares them), as tuples,
+    so no reader can change a cached table."""
+    return tuple(tuple(accumulate(repeat(x, _SLOT_MAX), mul, initial=1.0))
+                 for x in w.as_tuple())
 
 
 def profile_weight(profile, tables) -> float:

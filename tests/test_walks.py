@@ -131,6 +131,41 @@ def test_oracle_equivalence_of_one_first_step_sign(orient, signs, n_max):
     assert _subtree_hist(orient, n_max, UNIT_RULE, signs) == slow
 
 
+@pytest.mark.parametrize("signs", [(-1, 1), (1,), (-1,)],
+                         ids=["both", "plus", "minus"])
+@pytest.mark.parametrize("orient", ["H", "V"])
+@pytest.mark.parametrize("rule,budget", [
+    (UNIT_RULE, 3), (HONEYCOMB_RULE, 3), (LengthRule(2, 2, 3), 7),
+    (LengthRule(3, 3, 3), 11), (UNIT_RULE, 4), (HONEYCOMB_RULE, 4),
+    (LengthRule(2, 2, 3), 8), (LengthRule(3, 3, 3), 12),
+], ids=["1-1-1-3", "1-2-2-3", "2-2-3-7", "3-3-3-11",
+        "1-1-1-4", "1-2-2-4", "2-2-3-8", "3-3-3-12"])
+def test_oracle_equivalence_when_a_first_step_is_a_grandparent(rule, budget,
+                                                               orient, signs):
+    # a walk of length at least budget + 1 - 3 * min(lens) has no
+    # great-grandchild, and the search tallies it unless the rhombus ahead
+    # of it, or one beyond that rhombus's exits, is one of the start's
+    # two.  Below four shortest passages every first step is tallied (the
+    # lattice is bipartite, so none of those rhombi is the start's); at
+    # four some walks of two steps have a start's rhombus beyond, and the
+    # step it offers onto the start must be refused
+    lens = rule.as_tuple()
+    start = MidEdge(0, 0, orient)
+    both: Counter = Counter()
+    slow: Counter = Counter()
+    for steps in naive_enumerate(start, budget, lens):
+        key = (naive_length(steps, lens), naive_profile(steps))
+        both[key] += 1
+        if not steps or steps[0].entry_sign in signs:
+            slow[key] += 1
+    stats = run_walk_enumeration(start, budget, rule, signs=signs)
+    assert stats.walks == sum(slow.values())
+    walks = enumerate_walks(start, budget, rule, signs=signs).walks
+    assert walks == stats.walks
+    assert _subtree_hist(orient, budget, rule, signs) == slow
+    assert Counter(free_walk_aggregate(budget, rule, orient)) == both
+
+
 def test_oracle_equivalence_weight_sums():
     th = math.pi / 2
     w = critical_weights(th)
