@@ -120,6 +120,9 @@ def parse_workers(text: str) -> int:
         n = 0
     if n < 1:
         raise ValueError(f"--threads must be a positive integer, got {text!r}")
+    if n > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"--threads {n} needs os.fork, which this platform "
+                         "lacks; use --threads 1")
     return n
 
 
@@ -418,9 +421,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="add a timestamp header (off keeps output "
                              "byte-identical across runs)")
     parser.add_argument("--threads", default="1",
-                        help="worker processes for the free-lattice search, "
-                             "which splits into one job per axis point and "
-                             "arc, under any rule (default 1)")
+                        help="processes for the free-lattice search, this "
+                             "one included, which draw its axis jobs off one "
+                             "queue, under any rule (default 1)")
     parser.add_argument("--tol", type=parse_nonnegative,
                         help="verification tolerance: a check passes when "
                              "its residual is at most this, so 0 asks for an "

@@ -186,10 +186,11 @@ def honeycomb_crosscheck(n_max: int, workers: int = 1) -> HoneycombComparison:
     u1^n times the independent honeycomb oracle count.
 
     The oracle count and the image check of every walk up to length 7
-    are the parent's own work: with ``workers`` > 1 they run in this
-    process while the pool searches the rhombic walks, and with one
-    worker after the cached aggregate.  The pool is joined before this
-    returns, also when either of them raises."""
+    are this process's own work: with ``workers`` > 1 they run here
+    while the forked children search the rhombic walks, before this
+    process joins the search, and with one worker after the cached
+    aggregate.  Every child is reaped before this returns; when either
+    of them raises, the children are killed first."""
     theta = math.pi / 3
     w = critical_weights(theta)
     oracle: list[int] = []

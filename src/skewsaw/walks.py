@@ -57,8 +57,11 @@ Both the free and the domain aggregates split the search along the axis,
 the line of straights out of the start.  The walks of straights alone
 are counted by the caller; every other walk leaves the axis after k
 straights by one of two arcs, and the axis job (k, arc) of
-``_axis_walks`` searches those walks.  The jobs run in one process or,
-for the free lattice, one per task on a process pool.  The mirror
+``_axis_walks`` searches those walks; a free job whose one-arc walk has
+descendants to search splits into three sub-jobs, one per step beyond
+the arc.  The jobs run in one process or, for the free lattice, on
+forked processes, the caller's included, that draw them off one queue
+(``jobqueue``).  The mirror
 through the axis swaps the theta- and (pi-theta)-corners of every
 rhombus, so it maps walks onto walks of the same length when the two
 arcs have the same length (``LengthRule.mirror_symmetric``, true of
@@ -347,6 +350,17 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
     return max_steps
 
 
+def _folds(max_length: int, lens: tuple[int, int, int],
+           dead: frozenset) -> tuple[int, int, int]:
+    """(leaf_len, fold, fold2) of a search: a walk longer than leaf_len has
+    no step left in the budget, one of length fold or more has no
+    grandchild, and one of length fold2 or more no great-grandchild; a
+    search with dead ends tallies no grandparent."""
+    leaf_len = max_length - min(lens)
+    fold = leaf_len - min(lens) + 1
+    return leaf_len, fold, fold if dead else fold - min(lens)
+
+
 def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
               start: int, occ: dict, counts: dict,
               dead: frozenset = frozenset()) -> tuple[Callable, Callable]:
@@ -395,13 +409,7 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     if max_steps > _SLOT_MAX:
         raise ValueError(f"a walk of {max_steps} steps can overflow the "
                          f"profile slots (at most {_SLOT_MAX} steps)")
-    # a walk longer than leaf_len has no step left in the budget, one of
-    # length fold or more has no grandchild, and one of length fold2 or
-    # more no great-grandchild; a search with dead ends tallies no
-    # grandparent
-    leaf_len = max_length - min(lens)
-    fold = leaf_len - min(lens) + 1
-    fold2 = fold if dead else fold - min(lens)
+    leaf_len, fold, fold2 = _folds(max_length, lens, dead)
     by_id = {row[2]: row[1] for row in rows.values()}
     guard = {(start >> 1) + rows[(start & 1, sign)][0] for sign in (1, -1)}
     leaves: defaultdict = defaultdict(int)
@@ -542,10 +550,16 @@ def _mirror_above(above: int) -> int:
             >> _PROFILE_BITS)
 
 
-def _axis_jobs(points: int, mirrored: bool) -> list[tuple[int, int]]:
-    """The axis jobs (k, arc) over ``points`` axis points, largest first:
-    the first arc's alone for a mirrored search, else both arcs'."""
-    return [(k, arc) for k in range(points) for arc in range(1 if mirrored else 2)]
+def _axis_jobs(points: int, arcs: Sequence[int], len_straight: int = 1,
+               fold2: int = 0) -> list[tuple[int, int, int | None]]:
+    """The axis jobs (k, arc, sub) over ``points`` axis points and the arcs
+    of lengths ``arcs``, largest first.  A job whose one-arc walk, of
+    length k * len_straight + arcs[arc], is shorter than ``fold2`` (the
+    search would search below it) is split into the sub-jobs sub = 0, 1,
+    2, one per step out of the free rhombus beyond its arc; sub None is a
+    whole job."""
+    return [(k, arc, sub) for k in range(points) for arc, alen in enumerate(arcs)
+            for sub in (range(3) if k * len_straight + alen < fold2 else (None,))]
 
 
 def _straight(row: list) -> tuple:
@@ -553,30 +567,51 @@ def _straight(row: list) -> tuple:
     return next(step for step in row[1][0] if STATE_SLOT[step[1]] == 2)
 
 
+def _arcs(row: list) -> list[tuple]:
+    """The two arcs among a row's first-visit steps, in the row's order."""
+    return [step for step in row[1][0] if STATE_SLOT[step[1]] != 2]
+
+
 def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
-                crossing: tuple[int, int], cm: int, key: int, jobs: list,
-                counts: dict, dead: frozenset = frozenset()) -> None:
-    """``counts[key] += 1`` over the walks of the axis jobs ``jobs``, sorted
-    by k.  The axis is the line of straights out of packed mid-edge ``cm``
-    (empty-walk key ``key``, first steps ``rows[crossing]``); the job (k,
-    arc) covers the walks that take k straights along it and then leave it
-    by arc number ``arc`` of the row.  The rhombus ahead of a job's axis
-    point is free, so a job's row lists its arc for a free rhombus alone."""
+                crossing: tuple[int, int], cm: int, key: int,
+                jobs: Iterable[tuple[int, int, int | None]], counts: dict,
+                dead: frozenset = frozenset()) -> None:
+    """``counts[key] += 1`` over the walks of the axis jobs ``jobs``
+    (``_axis_jobs``), met in increasing k.  The axis is the line of
+    straights out of packed mid-edge ``cm`` (empty-walk key ``key``, first
+    steps ``rows[crossing]``); the job (k, arc, None) covers the walks that
+    take k straights along it and then leave it by arc number ``arc`` of
+    the row.  The rhombus ahead of a job's axis point is free, so a job's
+    row lists its arc for a free rhombus alone.  So is the rhombus beyond
+    the arc, off the axis: the sub-job (k, arc, sub) covers the walks of
+    the job that go on by step number ``sub`` out of it, and sub-job 0
+    also the walk that ends with the arc."""
     occ: dict = {}
     rec, finish = _searcher(max_length, lens, rows, cm, occ, counts, dead)
     drho, by_prev, _, _ = row = rows[crossing]
-    arcs = [[drho, ((step,),), None, None] for step in by_prev[0]
-            if STATE_SLOT[step[1]] != 2]
+    arcs = _arcs(row)
+    whole = [[drho, ((arc,),), None, None] for arc in arcs]
+    beyond = [[[nrow[0], ((step,),), None, None] for step in nrow[1][0]]
+              for *_, nrow in arcs]
     dmid, state, slen, dkey, _ = _straight(row)
     rlen = laid = 0
-    for k, arc in jobs:
+    for k, arc, sub in jobs:
         while laid < k:
             occ[(cm >> 1) + drho] = state
             cm += dmid
             key += dkey
             rlen += slen
             laid += 1
-        rec(cm, arcs[arc], rlen, key)
+        if sub is None:
+            rec(cm, whole[arc], rlen, key)
+            continue
+        amid, astate, alen, akey, _ = arcs[arc]
+        rho = (cm >> 1) + drho
+        occ[rho] = astate
+        if sub == 0:
+            counts[key + akey] = counts.get(key + akey, 0) + 1
+        rec(cm + amid, beyond[arc][sub], rlen + alen, key + akey)
+        occ[rho] = 0
     finish()
 
 
@@ -600,7 +635,7 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> None:
     # each rhombus is passed at most twice; the axis jobs' search refuses
     # a budget beyond the profile slots before anything is counted
     _axis_walks(2 * domain.n_rhombi, lens, rows, crossing, cm, key,
-                _axis_jobs(domain.T, True), counts,
+                _axis_jobs(domain.T, (1,)), counts,
                 _dead_ends(domain, domain.origin))
     straight = _straight(rows[crossing])[3]
     for k in range(domain.T + 1):  # the empty walk and the walks of straights
@@ -785,53 +820,43 @@ def enumerate_walks(
 # combinatorial aggregates are cached and re-weighted per family.
 
 
-def _free_job(args) -> dict:
-    """counts[pk] over the sign +1 free-lattice walks of the axis jobs in
-    ``args`` = (n_max, lens, orient, jobs); a pool task."""
-    n_max, lens, orient, jobs = args
-    hv = _HV[orient]
-    counts: dict = {}
-    _axis_walks(n_max, lens, _step_rows(lens, False), (hv, 1),
-                _pack_mid(0, 0, hv), 0, jobs, counts)
-    return counts
-
-
 def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
                  workers: int = 1,
                  meanwhile: Callable[[], None] | None = None) -> None:
     """``counts[pk] += n`` over the free-lattice walks whose first step
     crosses with sign +1 (the empty walk included) that the search visits:
     under a mirror-symmetric rule the straights and the first arc's axis
-    jobs alone, whose mirror images ``_both_signs`` adds.  The axis jobs
-    run in this process or, for ``workers`` > 1, one per task on a pool of
-    at most that many processes; ``meanwhile`` is then called in this
-    process while the pool searches, before the jobs' counts are
-    collected."""
-    # only checks the budget, before any pool starts
+    jobs alone, whose mirror images ``_both_signs`` adds.  Every job whose
+    one-arc walk the search would search below is split into its three
+    sub-jobs.  The jobs run in this process or, for ``workers`` > 1, on
+    at most that many processes, this one included, that draw them off
+    one queue (``jobqueue.run``); ``meanwhile`` is then called in this
+    process while the others search, before it draws jobs itself."""
+    # only checks the budget, before any process is forked
     run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule, signs=())
     lens = rule.as_tuple()
+    hv = _HV[orient]
+    rows = _step_rows(lens, False)
     points = n_max // rule.len_straight + 1
-    straight = _straight(_step_rows(lens, False)[(_HV[orient], 1)])[3]
+    straight = _straight(rows[(hv, 1)])[3]
     for k in range(points):  # the empty walk and the walks of straights
         counts[k * straight] = counts.get(k * straight, 0) + 1
-    jobs = _axis_jobs(points, rule.mirror_symmetric)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    arcs = [step[2] for step in _arcs(rows[(hv, 1)])]
+    jobs = _axis_jobs(points, arcs[:1] if rule.mirror_symmetric else arcs,
+                      rule.len_straight, _folds(n_max, lens, frozenset())[2])
 
-        # leaving the block joins the pool; when ``meanwhile`` raises, the
-        # jobs no worker has started are cancelled first
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            parts = pool.map(_free_job, [(n_max, lens, orient, [job])
-                                         for job in jobs])
-            if meanwhile is not None:
-                try:
-                    meanwhile()
-                except BaseException:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-            parts = list(parts)
+    def search(queue: Iterable) -> dict:
+        part: dict = {}
+        _axis_walks(n_max, lens, rows, (hv, 1), _pack_mid(0, 0, hv), 0,
+                    queue, part)
+        return part
+
+    if workers > 1:
+        from . import jobqueue
+
+        parts = jobqueue.run(search, jobs, workers, meanwhile)
     else:
-        parts = [_free_job((n_max, lens, orient, jobs))]
+        parts = [search(jobs)]
     for part in parts:
         for pk, n in part.items():
             counts[pk] = counts.get(pk, 0) + n
@@ -883,18 +908,20 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
                                  orient: str = "H", workers: int = 1, *,
                                  meanwhile: Callable[[], None] | None = None
                                  ) -> dict:
-    """``free_walk_aggregate`` with its axis jobs mapped over a pool of at
-    most ``workers`` processes, for any rule; one worker gets the cached
-    aggregate.  The parent checks the budget before the pool starts, sums
-    the jobs' counts and adds the mirror, so the result equals the
-    sequential one, keys in the same order.  ``series_report`` and
-    ``honeycomb_crosscheck`` weigh it with ``weighted_length_sums``.
+    """``free_walk_aggregate`` with its axis jobs and sub-jobs searched by
+    at most ``workers`` processes, this one included, for any rule; one
+    worker gets the cached aggregate.  This process checks the budget
+    before it forks, sums the processes' counts and adds the mirror, so
+    the result equals the sequential one, keys in the same order.
+    ``series_report`` and ``honeycomb_crosscheck`` weigh it with
+    ``weighted_length_sums``.
 
-    ``meanwhile``, if given, is the parent's own work: it is called once
-    the jobs are on the pool, while the pool searches, and before their
-    counts are collected; with one worker, after the cached aggregate.
-    Its exception cancels the jobs not yet started and propagates once the
-    pool is joined."""
+    ``meanwhile``, if given, is this process's own work: it is called
+    once the children are forked, while they search, and before this
+    process draws jobs itself; with one worker, after the cached
+    aggregate.  Its exception, like any other, kills and reaps every
+    child before it propagates, and a child that fails makes this raise
+    ``RuntimeError``: no process outlives the call."""
     if workers <= 1:
         agg = free_walk_aggregate(n_max, rule, orient)
         if meanwhile is not None:

@@ -330,18 +330,31 @@ def test_threads_flag_matches_sequential(capsys):
 
 
 def test_parallel_budget_is_refused_before_the_pool(monkeypatch, capsys):
-    import concurrent.futures
+    def no_fork():
+        raise AssertionError("a process was forked")
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "honeycomb", "--n-max", "41"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "above the cap 40" in captured.err
+
+
+def test_threads_above_one_need_fork(monkeypatch, capsys):
+    # a platform without os.fork refuses --threads 2 as a configuration
+    # error and runs --threads 1 as before
+    _, want = run_cli(capsys, "--threads", "1", "series", "--n-max", "5")
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "series", "--n-max", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--threads 2" in captured.err
+    assert run_cli(capsys, "--threads", "1", "series", "--n-max", "5") == (0, want)
 
 
 @pytest.mark.parametrize("value", ["-1", "x"])

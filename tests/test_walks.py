@@ -1,12 +1,14 @@
 import math
-import multiprocessing
 import os
+import signal
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewsaw import walks
 from skewsaw.geometry import MidEdge, ParallelogramDomain
 from skewsaw.series import series_report
 from skewsaw.walks import (
@@ -487,37 +489,82 @@ def test_honeycomb_rule_lengths():
     assert by_len == {0: 1, 1: 2, 2: 6}
 
 
+def has_child() -> bool:
+    """Whether this process has a child, running or not yet reaped; it
+    reaps none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def test_prefix_parallel_matches_sequential():
     # equal counts with keys in one sorted order, so float re-weights sum
-    # in the same order on both paths; every rule runs the pool, the unit
-    # rule its mirrored jobs
+    # in the same order on both paths; every rule runs the job queue on two
+    # and three processes, the unit rule its mirrored jobs, at n = 12 with
+    # its k <= 8 jobs split into sub-jobs
     for n_max, rule, orient in [(6, LengthRule(2, 1, 1), "H"),
                                 (9, LengthRule(1, 2, 1), "V"),
                                 (12, HONEYCOMB_RULE, "V"),
-                                (9, UNIT_RULE, "V")]:
+                                (9, UNIT_RULE, "V"),
+                                (12, UNIT_RULE, "H")]:
         seq = free_walk_aggregate(n_max, rule, orient)
-        par = free_walk_aggregate_parallel(n_max, rule, orient, workers=2)
-        assert list(par.items()) == list(seq.items())
         assert list(seq) == sorted(seq)
+        for workers in (2, 3):
+            par = free_walk_aggregate_parallel(n_max, rule, orient, workers)
+            assert list(par.items()) == list(seq.items())
+    assert not has_child()
 
 
 def test_parallel_aggregate_calls_meanwhile_in_the_parent():
     seen = []
 
     def meanwhile():
-        seen.append((os.getpid(), len(multiprocessing.active_children())))
+        seen.append((os.getpid(), has_child()))
 
     seq = free_walk_aggregate(12, HONEYCOMB_RULE, "V")
     assert free_walk_aggregate_parallel(12, HONEYCOMB_RULE, "V", 1,
                                         meanwhile=meanwhile) == seq
-    # two workers: the pool is up while the parent's work runs, joined after
+    # two workers: a child searches while the parent's work runs, and is
+    # reaped after
     par = free_walk_aggregate_parallel(12, HONEYCOMB_RULE, "V", 2,
                                        meanwhile=meanwhile)
     assert list(par.items()) == list(seq.items())
-    assert seen[0] == (os.getpid(), 0)
-    assert seen[1][0] == os.getpid() and seen[1][1] >= 1
-    assert len(seen) == 2
-    assert multiprocessing.active_children() == []
+    assert seen == [(os.getpid(), False), (os.getpid(), True)]
+    assert not has_child()
+
+
+def test_a_job_that_raises_in_a_child_makes_the_parent_raise(monkeypatch, capfd):
+    parent, search = os.getpid(), walks._axis_walks
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("job failed")
+        search(*args)
+
+    monkeypatch.setattr(walks, "_axis_walks", fails_in_a_child)
+    with pytest.raises(RuntimeError, match="ended with status 1"):
+        free_walk_aggregate_parallel(9, UNIT_RULE, "V", workers=2)
+    assert not has_child()
+    # the child's traceback reaches stderr
+    assert "RuntimeError: job failed" in capfd.readouterr().err
+
+
+def test_a_raising_meanwhile_does_not_wait_for_the_search():
+    # the children are killed, not joined: the failure returns long before
+    # the search would end
+    def fail():
+        raise RuntimeError("parent work failed")
+
+    t0 = time.perf_counter()
+    free_walk_aggregate_parallel(15, UNIT_RULE, "H", 2)
+    search = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="parent work failed"):
+        free_walk_aggregate_parallel(15, UNIT_RULE, "H", 2, meanwhile=fail)
+    assert time.perf_counter() - t0 < search / 4
+    assert not has_child()
 
 
 @given(st.integers(0, 3), st.sampled_from(["H", "V"]))
@@ -628,32 +675,25 @@ def test_mirror_fold_is_wrong_when_the_arcs_differ_in_length(orient, monkeypatch
 
 
 @pytest.mark.parametrize("rule,n_max,jobs", [
-    (UNIT_RULE, 9, 10), (HONEYCOMB_RULE, 4, 6), (HONEYCOMB_RULE, 0, 2),
+    (UNIT_RULE, 9, 22), (HONEYCOMB_RULE, 4, 8), (HONEYCOMB_RULE, 0, 2),
 ], ids=["unit-9", "honeycomb-4", "honeycomb-0"])
 def test_pool_is_capped_at_its_job_count(monkeypatch, rule, n_max, jobs):
-    # the fork start method starts every worker at the first submit, so a
-    # huge worker count would start that many processes for a few jobs
-    import concurrent.futures
+    # a huge worker count forks one child per job but the parent's; the
+    # counter refuses any fork past that, so a broken cap starts no more
+    forks = []
+    fork = os.fork
 
-    sizes = []
+    def counted():
+        if len(forks) == jobs - 1:
+            raise AssertionError("forked a child per job and one more")
+        forks.append(None)
+        return fork()
 
-    class InProcess:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(os, "fork", counted)
     par = free_walk_aggregate_parallel(n_max, rule, "V", workers=3000)
-    assert sizes == [jobs]
+    assert len(forks) == jobs - 1
     assert list(par.items()) == list(free_walk_aggregate(n_max, rule, "V").items())
+    assert not has_child()
 
 
 # every (T, L) of at most 12 rhombi, and 4x2
@@ -712,8 +752,8 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     for arc in range(2):
         counts: dict = {}
         _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), rows,
-                    (_HV["V"], domain.origin_sign), cm, empty, [(0, arc)],
-                    counts, _dead_ends(domain, domain.origin))
+                    (_HV["V"], domain.origin_sign), cm, empty,
+                    [(0, arc, None)], counts, _dead_ends(domain, domain.origin))
         subtrees.append(Counter(counts))
     straight = Counter(_full_domain_counts(domain)[0])
     for sub in subtrees:
@@ -1027,32 +1067,29 @@ def test_oracle_equivalence_domain_histogram(T, L, side, signs, rule):
 
 
 def test_pool_shutdown_cancels_pending_jobs_when_meanwhile_raises(monkeypatch):
-    import concurrent.futures
+    # every child is killed and reaped before the parent's exception
+    # propagates
+    forked, killed = [], []
+    fork, kill = os.fork, os.kill
 
-    calls = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    class Recording:
-        def __init__(self, max_workers):
-            calls.append(("start", max_workers))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            calls.append("exit")
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            calls.append(("shutdown", wait, cancel_futures))
+    def recording_kill(pid, sig):
+        killed.append((pid, sig))
+        kill(pid, sig)
 
     def fail():
         raise RuntimeError("parent work failed")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", recording_kill)
     with pytest.raises(RuntimeError, match="parent work failed"):
-        free_walk_aggregate_parallel(6, HONEYCOMB_RULE, "V", workers=2,
+        free_walk_aggregate_parallel(12, HONEYCOMB_RULE, "V", workers=3,
                                      meanwhile=fail)
-    assert calls == [("start", 2), ("shutdown", True, True), "exit"]
+    assert len(forked) == 2
+    assert killed == [(pid, signal.SIGKILL) for pid in forked]
+    assert not has_child()
