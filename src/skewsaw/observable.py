@@ -74,10 +74,11 @@ def _domain_packed(T: int, L: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=128)
-def _domain_groups(T: int, L: int) -> dict:
-    """The full histogram as {head: (profiles, counts)} per head (end,
-    dtheta, dpmt), read off the packed half with the mirror folded in:
-    each head lists each of its profiles once, heads in another order
+def _domain_groups(T: int, L: int) -> tuple[list, dict]:
+    """The full histogram in the interned form (profiles, {head: (indices,
+    counts)}) per head (end, dtheta, dpmt), read off the packed half with
+    the mirror folded in: each head lists each of its profiles once, by
+    its index in the shape's distinct profiles, heads in another order
     than the sorted histogram's."""
     return _group_packed(*_domain_packed(T, L), lambda head: head)
 
@@ -88,13 +89,14 @@ def domain_walk_aggregate(T: int, L: int) -> dict:
     with keys in sorted order.
 
     Read entry by entry on demand off ``_domain_groups`` (no second
-    search), the very lists ``observable`` and ``alpha_winding_split``
-    weigh, for the readers of tuple keys.  The empty walk appears as
-    ((origin), 0, 0, zero-profile).
+    search), the very form ``observable`` and ``alpha_winding_split``
+    weigh, each index replaced by its profile, for the readers of tuple
+    keys.  The empty walk appears as ((origin), 0, 0, zero-profile).
     """
-    return dict(sorted(((*head, profile), n)
-                       for head, (profiles, ns) in _domain_groups(T, L).items()
-                       for profile, n in zip(profiles, ns)))
+    profiles, heads = _domain_groups(T, L)
+    return dict(sorted(((*head, profiles[i]), n)
+                       for head, (indices, ns) in heads.items()
+                       for i, n in zip(indices, ns)))
 
 
 def observable(domain: ParallelogramDomain, sigma: float,
@@ -201,9 +203,10 @@ _SIDES = ("alpha", "beta", "delta", "epsilon")
 @lru_cache(maxsize=128)
 def _side_marginal(T: int, L: int):
     """counts[(side, profile)] over the walks that end on a side of the
-    domain, the empty walk excluded, as {(side,): (profiles, counts)} for
-    ``_weigh``: ``domain_walk_aggregate`` with the turns summed out and
-    each end replaced by its side, in value.
+    domain, the empty walk excluded, in the interned form (profiles,
+    {(side,): (indices, counts)}) for ``_weigh``: ``domain_walk_aggregate``
+    with the turns summed out and each end replaced by its side, in value.
+    ``profiles`` holds only the distinct profiles of walks to a side.
 
     Read straight off the packed half by ``_group_packed``, which folds
     each entry into its mirror image's side (delta and epsilon swap, alpha

@@ -17,9 +17,10 @@ over exact integer state,
   final state is a theta-arc / (pi-theta)-arc / straight / double-theta
   / double-(pi-theta), and winding as integer multiples of theta and
   pi - theta: a weight set is applied afterwards.  Every histogram is
-  weighed by ``_weigh`` from per-head lists of profiles and counts: the
-  packed domain half grouped by ``_group_packed``, and the free and
-  loop-patch tuple histograms by ``_group``.
+  weighed by ``_weigh`` from one interned form (profiles, heads): its
+  distinct profiles, and per head the indices of its profiles in that
+  list and their counts.  ``_group_packed`` builds it from the packed
+  domain half, ``_group`` from the free and loop-patch tuple histograms.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts it without searching below it.  So is a walk that
@@ -71,7 +72,7 @@ its half, the straights and the first arc's jobs, and applies the mirror
 where the half is read: ``_both_signs`` adds each free key with an arc at
 its mirror image too, and in ``_group_packed`` each (head, profile) entry
 sums its count from the half and from its mirror image.  The full
-histogram of tuple keys is read off the grouped lists by head.
+histogram of tuple keys is read off the interned form by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
 ``enumerate_walks`` visits ``Walk`` objects through a plain search.
 """
@@ -204,14 +205,15 @@ def _unpack_head(above: int) -> tuple[tuple[int, int, int], int, int]:
 
 
 def _group_packed(keys: Sequence[int], counts: Sequence[int],
-                  label: Callable[[tuple], object]) -> dict:
-    """{label: (profiles, counts)}: counts[(label(head), profile)] over the
-    full histogram of a mirror-halved domain search, read off the half it
-    keeps: sorted packed domain keys and their counts.  The heads (end,
-    dtheta, dpmt) labelled None are left out; the others come in first-met
-    order, each with the list of its profiles and the list of their
-    counts.  A profile is decoded once, as one tuple shared by every label
-    that lists it.
+                  label: Callable[[tuple], object]) -> tuple[list, dict]:
+    """(profiles, {label: (indices, counts)}): counts[(label(head),
+    profile)] over the full histogram of a mirror-halved domain search,
+    read off the half it keeps: sorted packed domain keys and their
+    counts.  The heads (end, dtheta, dpmt) labelled None are left out; the
+    others come in first-met order, each with the indices of its profiles
+    in ``profiles`` and the list of their counts.  ``profiles`` holds each
+    distinct profile of the labelled heads once, decoded to a tuple, in
+    first-met order.
 
     Sorted keys hold each head's walks in one run, so each head and its
     mirror image are labelled once, and the runs of heads left out are
@@ -234,7 +236,8 @@ def _group_packed(keys: Sequence[int], counts: Sequence[int],
             image = label(_unpack_head(_mirror_above(above)))
             runs.setdefault((name, image), []).append((lo, hi))
         lo = hi
-    profiles: dict = {}
+    index: dict = {}  # packed profile -> its index in the profiles
+    intern = index.setdefault
     heads: dict = {}
     for name, image in runs:
         if name in heads:
@@ -251,11 +254,9 @@ def _group_packed(keys: Sequence[int], counts: Sequence[int],
                         pk = _mirror_profile(pk)
                         there[pk] = there.get(pk, 0) + n
         for head, tally in tallies.items():
-            for pk in tally:
-                if pk not in profiles:
-                    profiles[pk] = _unpack_profile(pk)
-            heads[head] = ([profiles[pk] for pk in tally], list(tally.values()))
-    return heads
+            heads[head] = ([intern(pk, len(index)) for pk in tally],
+                           list(tally.values()))
+    return list(map(_unpack_profile, index)), heads
 
 
 _HV = {"H": 0, "V": 1}
@@ -660,30 +661,37 @@ def profile_weight(profile, tables) -> float:
             * t4[profile[3]] * t5[profile[4]])
 
 
-def _weigh(heads: dict, w: WeightSet) -> dict:
-    """{head: 0.0 + n * weight + ...} over per-head lists {head: (profiles,
-    counts)}, in order, each weight ``profile_weight`` from power tables up
-    to ``_SLOT_MAX``.  A plain loop keeps that order on every Python;
-    ``sum`` compensates float sums from 3.12."""
+def _weigh(grouped: tuple[list, dict], w: WeightSet) -> dict:
+    """{head: 0.0 + n * weight + ...} over the interned form (profiles,
+    {head: (indices, counts)}), in order.  Each distinct profile is
+    weighed once, by ``profile_weight`` from power tables up to
+    ``_SLOT_MAX``, and each entry reads its profile's weight by index.  A
+    plain loop keeps the entry order on every Python; ``sum`` compensates
+    float sums from 3.12."""
+    profiles, heads = grouped
     tables = _power_tables(w)
+    weights = [profile_weight(profile, tables) for profile in profiles]
     sums = {}
-    for head, (profiles, counts) in heads.items():
+    for head, (indices, counts) in heads.items():
         total = 0.0
-        for profile, n in zip(profiles, counts):
-            total += n * profile_weight(profile, tables)
+        for i, n in zip(indices, counts):
+            total += n * weights[i]
         sums[head] = total
     return sums
 
 
-def _group(items: Iterable[tuple[tuple, int]]) -> dict:
-    """{head: (profiles, counts)} for ``_weigh`` from ((head, profile), n)
-    pairs, heads and each head's profiles in first-met order."""
+def _group(items: Iterable[tuple[tuple, int]]) -> tuple[list, dict]:
+    """The interned form (profiles, {head: (indices, counts)}) for
+    ``_weigh`` from ((head, profile), n) pairs: the distinct profiles,
+    heads and each head's entries in first-met order."""
+    index: dict = {}  # profile -> its index in the profiles
+    intern = index.setdefault
     heads: dict = {}
     for (head, profile), n in items:
-        profiles, counts = heads.setdefault(head, ([], []))
-        profiles.append(profile)
+        indices, counts = heads.setdefault(head, ([], []))
+        indices.append(intern(profile, len(index)))
         counts.append(n)
-    return heads
+    return list(index), heads
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +870,14 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
             counts[pk] = counts.get(pk, 0) + n
 
 
-def _both_signs(counts: dict, rule: LengthRule) -> dict:
+class _FreeHistogram(dict):
+    """counts[(rlen, profile)] of a free aggregate, which keeps its
+    interned form once ``free_length_groups`` has built it."""
+
+    grouped: tuple[list, dict] | None = None
+
+
+def _both_signs(counts: dict, rule: LengthRule) -> _FreeHistogram:
     """counts[(rlen, profile)] over all free-lattice walks, sorted, from the
     counts of ``_free_counts``.
 
@@ -886,7 +901,7 @@ def _both_signs(counts: dict, rule: LengthRule) -> dict:
         c1, c2, c3, c4, c5 = profile = _unpack_profile(pk)
         rlen = lt * (c1 + 2 * c4) + lp * (c2 + 2 * c5) + ls * c3
         out.append(((rlen, profile), 2 * n if pk else n))
-    return dict(sorted(out))
+    return _FreeHistogram(sorted(out))
 
 
 @lru_cache(maxsize=32)
@@ -913,8 +928,7 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     worker gets the cached aggregate.  This process checks the budget
     before it forks, sums the processes' counts and adds the mirror, so
     the result equals the sequential one, keys in the same order.
-    ``series_report`` and ``honeycomb_crosscheck`` weigh it with
-    ``weighted_length_sums``.
+    ``free_length_groups`` groups it for ``weighted_length_sums``.
 
     ``meanwhile``, if given, is this process's own work: it is called
     once the children are forked, while they search, and before this
@@ -932,12 +946,29 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
     return _both_signs(counts, rule)
 
 
-def weighted_length_sums(hist: dict, w: WeightSet, n_max: int) -> list[float]:
+def free_length_groups(n_max: int, rule: LengthRule = UNIT_RULE,
+                       orient: str = "H", workers: int = 1, *,
+                       meanwhile: Callable[[], None] | None = None
+                       ) -> tuple[list, dict]:
+    """``free_walk_aggregate_parallel``'s histogram, with its arguments,
+    in the interned form of ``_group`` that ``weighted_length_sums``
+    reads, heads the lengths.  The form is built once per aggregate and
+    kept on it, so the cached one-worker aggregate is grouped once."""
+    hist = free_walk_aggregate_parallel(n_max, rule, orient, workers,
+                                        meanwhile=meanwhile)
+    if hist.grouped is None:
+        hist.grouped = _group(hist.items())
+    return hist.grouped
+
+
+def weighted_length_sums(grouped: tuple[list, dict], w: WeightSet,
+                         n_max: int) -> list[float]:
     """Sum of walk weights per exact length 0..n_max on the free lattice,
-    from its histogram counts[(rlen, profile)].  Lengths the histogram
-    has but n_max does not are left out; a length above the budget the
-    histogram was enumerated to reads 0.0, as if no walk had it."""
-    sums = _weigh(_group(hist.items()), w)
+    from its histogram counts[(rlen, profile)] in the interned form of
+    ``_group`` (``free_length_groups``).  Lengths the histogram has but
+    n_max does not are left out; a length above the budget the histogram
+    was enumerated to reads 0.0, as if no walk had it."""
+    sums = _weigh(grouped, w)
     return [sums.get(rlen, 0.0) for rlen in range(n_max + 1)]
 
 

@@ -354,6 +354,26 @@ def test_identities_build_no_tuple_histogram(monkeypatch):
         assert abs(obs.real_part_diagnostic(T, L, theta)) < 1e-10
 
 
+def test_reweight_weighs_each_distinct_profile_once(monkeypatch):
+    # on 4x2 the observable's 34,754 (head, profile) entries hold 6,621
+    # distinct profiles, and the strip sums' side marginal 5,140
+    walks = sys.modules["skewsaw.walks"]
+    calls = []
+    weigh = walks.profile_weight
+
+    def counted(profile, tables):
+        calls.append(profile)
+        return weigh(profile, tables)
+
+    monkeypatch.setattr(walks, "profile_weight", counted)
+    theta = 1.2
+    observable(ParallelogramDomain(4, 2, theta), 5 / 8)
+    assert len(calls) == len(set(calls)) == 6621
+    calls.clear()
+    strip_sums(4, 2, critical_weights(theta).x_c, theta)
+    assert len(calls) == len(set(calls)) == 5140
+
+
 def test_tuple_histogram_reuses_the_search(monkeypatch):
     from skewsaw.observable import _domain_packed, domain_walk_aggregate
 

@@ -774,8 +774,9 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
 
 # ---------------------------------------------------------------------------
 # The re-weights against a fold over the histogram's keys: every histogram
-# is weighed by ``walks._weigh``, the free and the loop-patch ones grouped
-# by ``_group``, the packed domain half by ``_group_packed``.
+# is weighed by ``walks._weigh`` from its interned form, the free and the
+# loop-patch ones grouped by ``_group``, the packed domain half by
+# ``_group_packed``.
 
 def _fold(hist, w):
     """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
@@ -819,7 +820,7 @@ def _weight_sets():
 
 def _free_case(n_max, rule, orient):
     def check():
-        from skewsaw.walks import weighted_length_sums
+        from skewsaw.walks import free_length_groups, weighted_length_sums
 
         hist = free_walk_aggregate(n_max, rule, orient)
         # the walks of straights alone, one per sign, reach the budget
@@ -828,7 +829,8 @@ def _free_case(n_max, rule, orient):
         for w in _weight_sets():
             ref = _fold(hist, w)
             # length by length, bit for bit, not within a tolerance
-            assert (weighted_length_sums(hist, w, n_max)
+            groups = free_length_groups(n_max, rule, orient)
+            assert (weighted_length_sums(groups, w, n_max)
                     == [ref.get((rlen,), 0.0) for rlen in range(n_max + 1)])
     return check
 
@@ -868,14 +870,14 @@ def test_grouped_reweight_equals_the_per_key_fold(case):
 
 
 def test_free_reweight_sees_a_changed_count():
-    from skewsaw.walks import weighted_length_sums
+    from skewsaw.walks import _group, free_length_groups, weighted_length_sums
 
     w = critical_weights(1.2)
-    sums = weighted_length_sums(free_walk_aggregate(9), w, 9)
+    sums = weighted_length_sums(free_length_groups(9), w, 9)
     changed = dict(free_walk_aggregate(9))
     key = list(changed)[len(changed) // 2]
     changed[key] += 1
-    other = weighted_length_sums(changed, w, 9)
+    other = weighted_length_sums(_group(changed.items()), w, 9)
     rlen = key[0]
     assert other[rlen] != sums[rlen]
     del other[rlen], sums[rlen]
@@ -887,11 +889,22 @@ def test_free_reweight_sees_a_changed_count():
 def test_free_reweight_reads_a_longer_histogram_to_a_shorter_budget(rule):
     # the walks of length <= 9 are the same in both histograms, each
     # length's profiles in the same order, so the sums agree bit for bit
-    from skewsaw.walks import weighted_length_sums
+    from skewsaw.walks import free_length_groups, weighted_length_sums
 
     for w in _weight_sets()[:2]:
-        assert (weighted_length_sums(free_walk_aggregate(12, rule), w, 9)
-                == weighted_length_sums(free_walk_aggregate(9, rule), w, 9))
+        assert (weighted_length_sums(free_length_groups(12, rule), w, 9)
+                == weighted_length_sums(free_length_groups(9, rule), w, 9))
+
+
+def test_free_histogram_is_grouped_once_per_aggregate():
+    from skewsaw.walks import free_length_groups
+
+    groups = free_length_groups(9)
+    assert free_length_groups(9) is groups
+    # an aggregate cached anew is grouped anew, to the same form
+    free_walk_aggregate.cache_clear()
+    assert free_length_groups(9) is not groups
+    assert free_length_groups(9) == groups
 
 
 def test_patch_reweight_sees_a_changed_count(monkeypatch):
@@ -914,11 +927,12 @@ def test_patch_reweight_sees_a_changed_count(monkeypatch):
 
 
 def _ungroup(grouped):
-    """The histogram {(*head, profile): n} of per-head lists, in their
-    order."""
-    return {(*head, profile): n
-            for head, (profiles, ns) in grouped.items()
-            for profile, n in zip(profiles, ns)}
+    """The histogram {(*head, profile): n} of the interned form (profiles,
+    {head: (indices, counts)}), in the order of its per-head lists."""
+    profiles, heads = grouped
+    return {(*head, profiles[i]): n
+            for head, (indices, ns) in heads.items()
+            for i, n in zip(indices, ns)}
 
 
 BUDGET_20_SHAPES = [(T, L) for T in range(1, 21) for L in range(20)
@@ -938,9 +952,13 @@ def test_every_side_marginal_reweights_as_the_per_key_fold():
             # the half with its mirror folded in lists each (head,
             # profile) of the full histogram once, with its count ...
             hist = _ungroup(grouped)
-            entries = sum(len(ns) for _, ns in grouped.values())
+            entries = sum(len(ns) for _, ns in grouped[1].values())
             assert entries == len(hist), (T, L)
             assert hist == full(T, L), (T, L)
+            # ... and interns each of its distinct profiles once
+            profiles = grouped[0]
+            assert len(set(profiles)) == len(profiles), (T, L)
+            assert set(profiles) == {key[-1] for key in hist}, (T, L)
             # the T straights across a one-row domain pass every rhombus
             assert L or max(max(key[-1]) for key in hist) == T, T
             # ... and weighs as the fold over its entries, bit for bit
@@ -973,9 +991,9 @@ def test_grouped_reweight_sees_a_changed_count():
     w = critical_weights(1.2)
     sums, resums = _weigh(grouped, w), _weigh(other, w)
     for head in moved:
-        assert sum(other[head][1]) == sum(grouped[head][1]) + 1
+        assert sum(other[1][head][1]) == sum(grouped[1][head][1]) + 1
         assert resums[head] != sums[head]
-        del other[head], grouped[head], resums[head], sums[head]
+        del other[1][head], grouped[1][head], resums[head], sums[head]
     assert other == grouped
     assert resums == sums
 
