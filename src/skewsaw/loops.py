@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .geometry import PASSAGE, STATE_PAIRS, STATE_SLOT, MidEdge, Rhombus
 from .observable import _rhombus_contour
-from .walks import _group, _weigh
+from .walks import Histogram, _group, _weigh
 from .weights import WeightSet, loop_parameter, on_weights
 
 
@@ -390,7 +390,8 @@ def yang_baxter_residual(alpha: float, s: float) -> YangBaxterReport:
 @lru_cache(maxsize=32)
 def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
     """counts[(z, winding, state-profile, n_loops)] over all
-    configurations that are loops plus one strand from the origin.
+    configurations that are loops plus one strand from the origin, as a
+    ``Histogram`` grouped under heads (z, winding, n_loops).
 
     The profile counts cells by weight class (u1, u2, v, w1, w2), which
     is enough to weight any family at this uniform angle.  Windings are
@@ -421,7 +422,9 @@ def _patch_aggregate(theta: float, cols: int, rows: int, j0: int):
                 profile[slot] += 1
         key = (z, key_wind, tuple(profile), len(loops))
         counts[key] = counts.get(key, 0) + 1
-    return counts, a
+    grouped = _group((((z, wind, nloops), profile), cnt)
+                     for (z, wind, profile, nloops), cnt in counts.items())
+    return Histogram(counts, grouped), a
 
 
 def _chain_turns(shape, states, chain) -> tuple[int, int]:
@@ -450,14 +453,13 @@ def on_observable(theta: float, s: float, cols: int = 2, rows: int = 2,
     Sums over configurations made of disjoint loops plus one strand from
     the origin a = V(0, j0 + rows//2) to z; each contributes
     weight * n^#loops * exp(-i (s+1) winding).  F_a(a) collects the
-    loop-only configurations avoiding a.
+    loop-only configurations avoiding a.  The cached patch histogram is
+    weighed from the interned form it carries, grouped once per angle.
     """
     w, n = on_weights(theta, s)
     sigma = s + 1.0
     counts, a = _patch_aggregate(theta, cols, rows, j0)
-    heads = _group((((z, wind, nloops), profile), cnt)
-                   for (z, wind, profile, nloops), cnt in counts.items())
-    amps = _weigh(heads, w)
+    amps = _weigh(counts.grouped, w)
     pmt = math.pi - theta
     values: dict = {}
     for (z, (k1, k2), nloops), amp in amps.items():

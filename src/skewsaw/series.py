@@ -19,7 +19,7 @@ from .walks import (
     UNIT_RULE,
     Walk,
     enumerate_walks,
-    free_length_groups,
+    free_walk_aggregate_parallel,
     weighted_length_sums,
 )
 from .weights import critical_weights
@@ -83,7 +83,7 @@ def series_report(theta, rule: LengthRule = UNIT_RULE, n_max: int = 10,
     """
     w = critical_weights(theta)
     sums = weighted_length_sums(
-        free_length_groups(n_max, rule, workers=workers), w, n_max)
+        free_walk_aggregate_parallel(n_max, rule, workers=workers), w)
     c = [sums[n] / w.u1 ** n for n in range(n_max + 1)]
     roots = tuple(c[n] ** (1.0 / n) if c[n] > 0 else 0.0
                   for n in range(1, n_max + 1))
@@ -210,9 +210,9 @@ def honeycomb_crosscheck(n_max: int, workers: int = 1) -> HoneycombComparison:
         enumerate_walks(MidEdge(0, 0, "V"), image_budget, HONEYCOMB_RULE,
                         visitor=visit)
 
-    groups = free_length_groups(n_max, HONEYCOMB_RULE, "V", workers,
-                                meanwhile=parent_work)
-    sums = weighted_length_sums(groups, w, n_max)
+    hist = free_walk_aggregate_parallel(n_max, HONEYCOMB_RULE, "V", workers,
+                                        meanwhile=parent_work)
+    sums = weighted_length_sums(hist, w)
     expected = [w.u1 ** n * oracle[n] for n in range(n_max + 1)]
     return HoneycombComparison(
         n_max=n_max,

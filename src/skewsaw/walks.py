@@ -20,7 +20,9 @@ over exact integer state,
   weighed by ``_weigh`` from one interned form (profiles, heads): its
   distinct profiles, and per head the indices of its profiles in that
   list and their counts.  ``_group_packed`` builds it from the packed
-  domain half, ``_group`` from the free and loop-patch tuple histograms.
+  domain half.  A free aggregate and a loop patch are each a
+  ``Histogram``, a dict of tuple keys that carries the form ``_group``
+  built with it, and a free one the length budget it was enumerated to.
 
 A walk whose length leaves no room for the shortest step is childless:
 the search counts it without searching below it.  So is a walk that
@@ -71,8 +73,8 @@ alone; any other rule runs the jobs of both arcs.  Either search keeps
 its half, the straights and the first arc's jobs, and applies the mirror
 where the half is read: ``_both_signs`` adds each free key with an arc at
 its mirror image too, and in ``_group_packed`` each (head, profile) entry
-sums its count from the half and from its mirror image.  The full
-histogram of tuple keys is read off the interned form by head.
+sums its count from the half and from its mirror image.  A domain's
+histogram of tuple keys is read off its interned form by head.
 ``run_walk_enumeration`` still searches every walk, and is the oracle.
 ``enumerate_walks`` visits ``Walk`` objects through a plain search.
 """
@@ -870,16 +872,23 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
             counts[pk] = counts.get(pk, 0) + n
 
 
-class _FreeHistogram(dict):
-    """counts[(rlen, profile)] of a free aggregate, which keeps its
-    interned form once ``free_length_groups`` has built it."""
+class Histogram(dict):
+    """counts[key] of an aggregate, a tuple key per (head, profile), with
+    two attributes its producer sets once: ``grouped``, its interned form
+    (profiles, {head: (indices, counts)}) for ``_weigh``, and ``n_max``,
+    the length budget of a free aggregate (None for a loop patch, which
+    is enumerated completely)."""
 
-    grouped: tuple[list, dict] | None = None
+    def __init__(self, counts, grouped: tuple[list, dict],
+                 n_max: int | None = None):
+        super().__init__(counts)
+        self.grouped = grouped
+        self.n_max = n_max
 
 
-def _both_signs(counts: dict, rule: LengthRule) -> _FreeHistogram:
+def _both_signs(counts: dict, rule: LengthRule, n_max: int) -> Histogram:
     """counts[(rlen, profile)] over all free-lattice walks, sorted, from the
-    counts of ``_free_counts``.
+    counts of ``_free_counts`` to budget ``n_max``, grouped by length.
 
     Under a mirror-symmetric rule each count with an arc also counts at its
     mirror image; the straights are their own images.  Then the rotation by
@@ -901,14 +910,15 @@ def _both_signs(counts: dict, rule: LengthRule) -> _FreeHistogram:
         c1, c2, c3, c4, c5 = profile = _unpack_profile(pk)
         rlen = lt * (c1 + 2 * c4) + lp * (c2 + 2 * c5) + ls * c3
         out.append(((rlen, profile), 2 * n if pk else n))
-    return _FreeHistogram(sorted(out))
+    out.sort()
+    return Histogram(out, _group(out), n_max)
 
 
 @lru_cache(maxsize=32)
 def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
-                        orient: str = "H") -> dict:
+                        orient: str = "H") -> Histogram:
     """counts[(rlen, profile)] over all free-lattice walks, both signs,
-    with keys in sorted order.
+    with keys in sorted order, as a ``Histogram`` to budget ``n_max``.
 
     The search visits the sign +1 walks only (the pi rotation gives the
     others) and, under a mirror-symmetric rule, about half of those (the
@@ -916,19 +926,19 @@ def free_walk_aggregate(n_max: int, rule: LengthRule = UNIT_RULE,
     """
     counts: dict = {}
     _free_counts(n_max, rule, orient, counts)
-    return _both_signs(counts, rule)
+    return _both_signs(counts, rule, n_max)
 
 
 def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
                                  orient: str = "H", workers: int = 1, *,
                                  meanwhile: Callable[[], None] | None = None
-                                 ) -> dict:
+                                 ) -> Histogram:
     """``free_walk_aggregate`` with its axis jobs and sub-jobs searched by
     at most ``workers`` processes, this one included, for any rule; one
     worker gets the cached aggregate.  This process checks the budget
     before it forks, sums the processes' counts and adds the mirror, so
-    the result equals the sequential one, keys in the same order.
-    ``free_length_groups`` groups it for ``weighted_length_sums``.
+    the result equals the sequential one, keys in the same order, and
+    carries its own interned form for ``weighted_length_sums``.
 
     ``meanwhile``, if given, is this process's own work: it is called
     once the children are forked, while they search, and before this
@@ -943,33 +953,15 @@ def free_walk_aggregate_parallel(n_max: int, rule: LengthRule = UNIT_RULE,
         return agg
     counts: dict = {}
     _free_counts(n_max, rule, orient, counts, workers, meanwhile)
-    return _both_signs(counts, rule)
+    return _both_signs(counts, rule, n_max)
 
 
-def free_length_groups(n_max: int, rule: LengthRule = UNIT_RULE,
-                       orient: str = "H", workers: int = 1, *,
-                       meanwhile: Callable[[], None] | None = None
-                       ) -> tuple[list, dict]:
-    """``free_walk_aggregate_parallel``'s histogram, with its arguments,
-    in the interned form of ``_group`` that ``weighted_length_sums``
-    reads, heads the lengths.  The form is built once per aggregate and
-    kept on it, so the cached one-worker aggregate is grouped once."""
-    hist = free_walk_aggregate_parallel(n_max, rule, orient, workers,
-                                        meanwhile=meanwhile)
-    if hist.grouped is None:
-        hist.grouped = _group(hist.items())
-    return hist.grouped
-
-
-def weighted_length_sums(grouped: tuple[list, dict], w: WeightSet,
-                         n_max: int) -> list[float]:
-    """Sum of walk weights per exact length 0..n_max on the free lattice,
-    from its histogram counts[(rlen, profile)] in the interned form of
-    ``_group`` (``free_length_groups``).  Lengths the histogram has but
-    n_max does not are left out; a length above the budget the histogram
-    was enumerated to reads 0.0, as if no walk had it."""
-    sums = _weigh(grouped, w)
-    return [sums.get(rlen, 0.0) for rlen in range(n_max + 1)]
+def weighted_length_sums(hist: Histogram, w: WeightSet) -> list[float]:
+    """Sum of walk weights per exact length 0..hist.n_max on the free
+    lattice, from a free aggregate's interned form, heads the lengths; a
+    length no walk has reads 0.0."""
+    sums = _weigh(hist.grouped, w)
+    return [sums.get(rlen, 0.0) for rlen in range(hist.n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

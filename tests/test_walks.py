@@ -635,7 +635,7 @@ def _mirrored_and_full(orient, n_max, rule):
     visited = sum(half.values())
     n_full = run_walk_enumeration(MidEdge(0, 0, orient), n_max, rule,
                                   signs=(1,)).walks
-    return (_both_signs(half, rule), visited,
+    return (_both_signs(half, rule, n_max), visited,
             _subtree_hist(orient, n_max, rule, (-1, 1)), n_full)
 
 
@@ -774,9 +774,9 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
 
 # ---------------------------------------------------------------------------
 # The re-weights against a fold over the histogram's keys: every histogram
-# is weighed by ``walks._weigh`` from its interned form, the free and the
-# loop-patch ones grouped by ``_group``, the packed domain half by
-# ``_group_packed``.
+# is weighed by ``walks._weigh`` from its interned form.  A free aggregate
+# and a loop patch are ``walks.Histogram``s, built with the form ``_group``
+# makes; the packed domain half is grouped by ``_group_packed``.
 
 def _fold(hist, w):
     """{key[:-1]: sum of n * weight(key[-1])}, added key by key from 0.0,
@@ -820,7 +820,7 @@ def _weight_sets():
 
 def _free_case(n_max, rule, orient):
     def check():
-        from skewsaw.walks import free_length_groups, weighted_length_sums
+        from skewsaw.walks import weighted_length_sums
 
         hist = free_walk_aggregate(n_max, rule, orient)
         # the walks of straights alone, one per sign, reach the budget
@@ -829,9 +829,9 @@ def _free_case(n_max, rule, orient):
         for w in _weight_sets():
             ref = _fold(hist, w)
             # length by length, bit for bit, not within a tolerance
-            groups = free_length_groups(n_max, rule, orient)
-            assert (weighted_length_sums(groups, w, n_max)
-                    == [ref.get((rlen,), 0.0) for rlen in range(n_max + 1)])
+            sums = weighted_length_sums(hist, w)
+            assert len(sums) == hist.n_max + 1
+            assert sums == [ref.get((rlen,), 0.0) for rlen in range(n_max + 1)]
     return check
 
 
@@ -870,14 +870,15 @@ def test_grouped_reweight_equals_the_per_key_fold(case):
 
 
 def test_free_reweight_sees_a_changed_count():
-    from skewsaw.walks import _group, free_length_groups, weighted_length_sums
+    from skewsaw.walks import Histogram, _group, weighted_length_sums
 
     w = critical_weights(1.2)
-    sums = weighted_length_sums(free_length_groups(9), w, 9)
+    sums = weighted_length_sums(free_walk_aggregate(9), w)
     changed = dict(free_walk_aggregate(9))
     key = list(changed)[len(changed) // 2]
     changed[key] += 1
-    other = weighted_length_sums(_group(changed.items()), w, 9)
+    other = weighted_length_sums(
+        Histogram(changed, _group(changed.items()), 9), w)
     rlen = key[0]
     assert other[rlen] != sums[rlen]
     del other[rlen], sums[rlen]
@@ -889,26 +890,54 @@ def test_free_reweight_sees_a_changed_count():
 def test_free_reweight_reads_a_longer_histogram_to_a_shorter_budget(rule):
     # the walks of length <= 9 are the same in both histograms, each
     # length's profiles in the same order, so the sums agree bit for bit
-    from skewsaw.walks import free_length_groups, weighted_length_sums
+    from skewsaw.walks import weighted_length_sums
 
+    agg12, agg9 = free_walk_aggregate(12, rule), free_walk_aggregate(9, rule)
     for w in _weight_sets()[:2]:
-        assert (weighted_length_sums(free_length_groups(12, rule), w, 9)
-                == weighted_length_sums(free_length_groups(9, rule), w, 9))
+        assert (weighted_length_sums(agg12, w)[:10]
+                == weighted_length_sums(agg9, w))
+
+
+def test_free_reweight_reads_its_budget_off_the_histogram():
+    # every passage of the (2, 2, 2) rule is two long, so no walk has
+    # length 9, yet the sums run to the budget the search was given
+    from skewsaw.walks import weighted_length_sums
+
+    hist = free_walk_aggregate(9, LengthRule(2, 2, 2))
+    assert hist.n_max == 9
+    assert max(hist.grouped[1]) == 8
+    sums = weighted_length_sums(hist, critical_weights(1.2))
+    assert len(sums) == 10
+    assert sums[9] == 0.0
+    assert sums[8] > 0.0
 
 
 def test_free_histogram_is_grouped_once_per_aggregate():
-    from skewsaw.walks import free_length_groups
-
-    groups = free_length_groups(9)
-    assert free_length_groups(9) is groups
+    grouped = free_walk_aggregate(9).grouped
+    assert free_walk_aggregate(9).grouped is grouped
     # an aggregate cached anew is grouped anew, to the same form
     free_walk_aggregate.cache_clear()
-    assert free_length_groups(9) is not groups
-    assert free_length_groups(9) == groups
+    assert free_walk_aggregate(9).grouped is not grouped
+    assert free_walk_aggregate(9).grouped == grouped
+
+
+def test_patch_histogram_is_grouped_once_per_angle(monkeypatch):
+    # the observable at three loop parameters weighs one grouped patch
+    import skewsaw.loops as loops
+
+    calls = []
+    group = loops._group
+    monkeypatch.setattr(loops, "_group",
+                        lambda items: calls.append(None) or group(items))
+    loops._patch_aggregate.cache_clear()
+    for s in (-3 / 8, 1 / 2, 3 / 4):
+        loops.on_observable(1.2, s, 2, 3, 0)
+    assert len(calls) == 1
 
 
 def test_patch_reweight_sees_a_changed_count(monkeypatch):
     import skewsaw.loops as loops
+    from skewsaw.walks import Histogram, _group
 
     theta, s = 1.2, 1 / 2
     values = loops.on_observable(theta, s, 2, 3, 0)
@@ -916,8 +945,10 @@ def test_patch_reweight_sees_a_changed_count(monkeypatch):
     changed = dict(counts)
     key = list(changed)[len(changed) // 2]
     changed[key] += 1
+    grouped = _group((((z, wind, nloops), profile), n)
+                     for (z, wind, profile, nloops), n in changed.items())
     monkeypatch.setattr(loops, "_patch_aggregate",
-                        lambda *args: (changed, origin))
+                        lambda *args: (Histogram(changed, grouped), origin))
     other = loops.on_observable(theta, s, 2, 3, 0)
     z = key[0]
     assert list(other) == list(values)
