@@ -24,10 +24,17 @@ c by a per-sublattice offset derived once from ``_neighbours``.  It keeps
 no set of used edges: a vertex-self-avoiding walk has used one edge at
 its current vertex, the one it came in by, except at the far endpoint of
 the start edge, where the start edge is used as well.  A walk that has
-reached the last length is counted from its entry class and not pushed.
-Only the walks leaving from one endpoint of the start edge are searched:
-the rotation by pi about the edge's midpoint maps them onto those
-leaving from the other endpoint, class by class, so each count doubles.
+reached the last length is counted from its entry class and not pushed,
+and so are the walks one vertex short of it, with their last vertices,
+in one pass over children and grandchildren.  Only a quarter of the
+walks is searched.  The rotation by pi about the start edge's midpoint
+maps the walks leaving from one endpoint onto those leaving from the
+other, class by class, so each count doubles.  The reflection through
+the start edge's own line fixes both endpoints and the start class and
+swaps the other two classes; it maps the walks whose first step takes
+one of those two classes onto the walks whose first step takes the
+other, so each vertex a searched walk reaches is counted with the end
+classes of its mirror image as well.
 """
 
 from __future__ import annotations
@@ -86,12 +93,18 @@ def count_midedge_saws(n_max: int, start_class: int = 1,
     steps = _class_steps(width)
     a0 = _pack(("A", n_max + 1, n_max + 1), width)
     far = a0 + steps[0][start_class]
-    # ends[c]: end classes a vertex entered by class c may stop on; at the
-    # far endpoint the start edge is used too (its other end is visited,
-    # so the search never continues through it)
-    ends = [sum(e not in (c, forbidden_end_class) for e in range(3))
-            for c in range(3)]
-    far_cut = int(start_class != forbidden_end_class)
+    # The reflection through the start edge's line: sigma[e] is the class
+    # it maps class e onto.  It fixes the start class and swaps the others.
+    first, second = (e for e in range(3) if e != start_class)
+    sigma = {start_class: start_class, first: second, second: first}
+    # plain[c]: end classes a vertex entered by class c may stop on; the
+    # mirror image of that vertex is entered by sigma[c], so ends[c] counts
+    # both.  At the far endpoint the start edge is used too, by both (its
+    # other end is visited, so the search never continues through it).
+    plain = [sum(e not in (c, forbidden_end_class) for e in range(3))
+             for c in range(3)]
+    ends = [plain[c] + plain[sigma[c]] for c in range(3)]
+    far_cut = 2 * (start_class != forbidden_end_class)
     # rows[s][c]: (offset, row there, ends there) for the two classes that
     # leave a sublattice-s vertex entered by class c
     rows = [[[], [], []], [[], [], []]]
@@ -104,13 +117,24 @@ def count_midedge_saws(n_max: int, start_class: int = 1,
 
     def rec(v, row, depth):
         nd = depth + 1
-        if depth == last:  # childless: count the children's ends
-            total = 0
-            for off, _, n in row:
+        if depth == last - 1:  # count the children and grandchildren
+            total = grand = 0
+            for off, nrow, n in row:
                 nv = v + off
-                if not visited[nv]:
-                    total += n - far_cut if nv == far else n
+                if visited[nv]:
+                    continue
+                total += n - far_cut if nv == far else n
+                # a grandchild is never v or nv: the rows skip the
+                # class a vertex was entered by
+                for off2, _, n2 in nrow:
+                    gv = nv + off2
+                    if not visited[gv]:
+                        grand += n2 - far_cut if gv == far else n2
             counts[nd] += total
+            counts[nd + 1] += grand
+            return
+        if depth == last:  # only when n_max == 2, at the root
+            counts[nd] += sum(n for _, _, n in row)
             return
         for off, nrow, n in row:
             nv = v + off
@@ -121,10 +145,13 @@ def count_midedge_saws(n_max: int, start_class: int = 1,
             rec(nv, nrow, nd)
             visited[nv] = 0
 
-    counts[1] = ends[start_class]
+    # The walk that has not stepped is its own mirror image.
+    counts[1] = plain[start_class]
     visited[a0] = 1
     if n_max > 1:
-        rec(a0, rows[0][start_class], 1)
+        # only the first steps along class `first`; sigma maps them onto
+        # the rest
+        rec(a0, rows[0][start_class][:1], 1)
     # The rotation by pi about the start edge's midpoint swaps its two
     # endpoints and maps every edge class onto itself, so the walks that
     # leave from the far endpoint are as many, length by length and with

@@ -90,6 +90,17 @@ def test_golden_honeycomb_oracle_counts():
     assert sum(HONEYCOMB_19) == 754_825
 
 
+# count_midedge_saws(22) at the defaults, recorded from the oracle that
+# searched both first steps from one endpoint; past the naive reference's
+# n = 16, so it pins the mirrored end tables where nothing else reaches
+HONEYCOMB_22 = HONEYCOMB_19 + [665984, 1251894, 2348256]
+
+
+def test_golden_honeycomb_oracle_counts_to_22():
+    assert count_midedge_saws(22) == HONEYCOMB_22
+    assert sum(HONEYCOMB_22) == 5_020_959
+
+
 @pytest.mark.parametrize("T,L", [(2, 2), (4, 2), (1, 5), (3, 3)])
 def test_domain_histogram_keys_are_sorted(T, L):
     keys = list(domain_walk_aggregate(T, L))
