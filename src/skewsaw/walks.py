@@ -25,24 +25,22 @@ over exact integer state,
   built with it, and a free one the length budget it was enumerated to.
 
 A walk whose length leaves no room for the shortest step is childless:
-the search counts it without searching below it.  So is a walk that
-reaches a mid-edge on a domain's boundary (the start aside), since its
-next step would leave the domain, and a start's first steps pass only
-the rhombi inside.  So the search reads a domain off its geometry
-alone: ``contains_rhombus``, ``mid_edges`` and ``side_of``, origin and T.
-A walk whose children are all childless, a leaf parent, is counted but
-not searched either: its leaves follow from its key, its length, its
-row of steps and the state of the rhombus ahead, so the search tallies
-leaf parents under those four and counts their leaves in bulk after the
-last job.  A walk whose children are all leaf parents, a grandparent,
-is tallied too, under the states of the three rhombi beyond the exits
-of the rhombus ahead as well, and its children and grandchildren are
-counted in bulk.  Neither tally takes a walk whose tally reads one of
-the start's two rhombi (a step onto the start is refused by name), and
-only a search without dead ends, a free one, tallies grandparents.  The
-domain aggregates, at a budget of twice the rhombus count, have no leaf
-parent on any shape of at most 24 rhombi: their walks meet the boundary
-first.
+the search counts it without searching below it.  So is a walk whose
+rhombus ahead refuses every step.  A domain search starts with the
+blocked ring (``_blocked``), each rhombus outside that shares a mid-edge
+with the domain in state ``_BLOCKED``, which admits no step.  So by that
+one rule a walk on the boundary is childless and no first step leaves:
+the search reads a domain off its starting occupancy, and the axis jobs
+off its origin and T.  A walk whose children are all childless, a leaf
+parent, is counted but not searched either: its leaves follow from its
+key, its length, its row of steps and the state of the rhombus ahead,
+so the search tallies leaf parents under those four and counts their
+leaves in bulk after the last job.  A walk whose children are all leaf
+parents, a grandparent, is tallied too, under the states of the three
+rhombi beyond the exits of the rhombus ahead as well, and its children
+and grandchildren are counted in bulk.  Neither tally takes a walk whose
+tally reads one of the start's two rhombi (a step onto the start is
+refused by name).
 
 The search counts walks into a ``counts`` dict under one packed int key,
 each step adding one precomputed increment, and keeps nothing else: the
@@ -112,6 +110,9 @@ _PROMOTE = {
     for code, pairs in enumerate(STATE_PAIRS) if len(pairs) == 2
     for p, q in (pairs, pairs[::-1])
 }
+# the state code of a rhombus outside a domain, past the plaquette states:
+# no step passes it
+_BLOCKED = len(PlaquetteState)
 
 
 @dataclass(frozen=True)
@@ -281,7 +282,9 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     units above the profile for domain keys.  A free rhombus admits the
     three first-visit steps; a single arc admits at most the arc around
     the opposite corner, whose dkey moves the first arc's count to the
-    double state; any other state admits none.  rid, 0 to 3, names the
+    double state; any other state admits none, as does ``_BLOCKED``, the
+    code past the plaquette states of a rhombus outside a domain.  rid, 0
+    to 3, names the
     row in ``_searcher``'s tallies.  exits holds, per first-visit step,
     the offset from the packed current mid-edge shifted right by one to
     the packed rhombus ahead of the step's exit, ((hv + dmid) >> 1) plus
@@ -310,6 +313,7 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
                     steps.append((dmid, double, slen, dkey + _INC[double]
                                   - _INC[prev] - _INC[state], nrow))
             by_prev.append(tuple(steps))
+        by_prev.append(())  # _BLOCKED
         row[:] = [drho, tuple(by_prev), rid]
     for (hv, _), row in rows.items():
         row.append(tuple(((hv + dmid) >> 1) + nrow[0]
@@ -317,12 +321,12 @@ def _step_rows(lens: tuple[int, int, int], domain_keys: bool) -> dict:
     return rows
 
 
-def _dead_ends(domain: ParallelogramDomain, start: MidEdge) -> frozenset:
-    """Packed mid-edges on the domain's boundary, but ``start``.  A walk
-    reaches one through the rhombus inside, so its next step would leave
-    the domain: such a walk is childless."""
-    return frozenset(_pack_mid(m.i, m.j, _HV[m.orient]) for m in domain.mid_edges()
-                     if m != start and domain.side_of(m) != "interior")
+def _blocked(domain: ParallelogramDomain) -> dict:
+    """The starting occupancy of a search in ``domain``, the blocked ring:
+    each packed rhombus outside that shares a mid-edge with it, in state
+    ``_BLOCKED``, which no step passes."""
+    return {_pack_rho(r.i, r.j): _BLOCKED for m in domain.mid_edges()
+            for r in m.rhombi() if not domain.contains_rhombus(r)}
 
 
 @dataclass
@@ -353,29 +357,28 @@ def _step_cap_check(max_length: int, rule: LengthRule, step_cap: int,
     return max_steps
 
 
-def _folds(max_length: int, lens: tuple[int, int, int],
-           dead: frozenset) -> tuple[int, int, int]:
+def _folds(max_length: int, lens: tuple[int, int, int]) -> tuple[int, int, int]:
     """(leaf_len, fold, fold2) of a search: a walk longer than leaf_len has
     no step left in the budget, one of length fold or more has no
-    grandchild, and one of length fold2 or more no great-grandchild; a
-    search with dead ends tallies no grandparent."""
+    grandchild, and one of length fold2 or more no great-grandchild."""
     leaf_len = max_length - min(lens)
     fold = leaf_len - min(lens) + 1
-    return leaf_len, fold, fold if dead else fold - min(lens)
+    return leaf_len, fold, fold - min(lens)
 
 
 def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
-              start: int, occ: dict, counts: dict,
-              dead: frozenset = frozenset()) -> tuple[Callable, Callable]:
+              start: int, occ: dict, counts: dict) -> tuple[Callable, Callable]:
     """The backtracking search as (rec, finish).
 
-    rec(cm, row, rlen, key) tries each step of ``row`` (a row of ``rows``,
-    the ``_step_rows`` of the search) out of packed mid-edge ``cm``,
-    reached at length ``rlen`` with key ``key``, and every walk below it;
-    it adds one to ``counts`` at the key of each walk it finds, but for
-    the walks it tallies.  ``occ`` (the packed rhombi's state codes) holds
-    the walk so far and is restored on return.  A walk that reaches a
-    packed mid-edge in ``dead`` is counted and has no children.  finish(),
+    rec(cm, rho, prev, steps, rlen, key) tries each of ``steps`` (a
+    by_prev entry of a row of ``rows``, the search's ``_step_rows``) out of
+    packed mid-edge ``cm`` through packed rhombus ``rho`` in state
+    ``prev``, at length ``rlen`` and key ``key``, and every walk below; it
+    adds one to ``counts`` at the key of each walk it finds, but for the
+    walks it tallies.  ``occ`` (the packed rhombi's state codes) holds the
+    walk so far, and is restored on return.  rec reads the state of the
+    rhombus ahead of each walk once; a walk whose every step it refuses,
+    blocked on a domain's boundary or used up, is childless.  finish(),
     called once after the last rec, counts the tallied walks.  Neither
     returns anything: ``counts`` is the search's one record.
 
@@ -385,7 +388,7 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     row and the state of the rhombus ahead.  So rec counts such a parent
     and adds one to a tally under (key, length offset, row id, state
     ahead) instead of searching it, and finish adds m leaves per step that
-    fits for an entry seen m times.  A parent in ``dead`` has no leaves.
+    fits for an entry seen m times.
 
     A walk longer than ``max_length - 3 * min(lens)`` has only leaf
     parents and leaves as children, and its subtree depends on the states
@@ -397,8 +400,7 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     (key, length offset, row id, state ahead, three states beyond), and
     finish adds each entry's children that fit, m times, and tallies
     those with room for a leaf as leaf parents, before it counts the
-    leaves.  Only a search without dead ends tallies grandparents, since a
-    child in ``dead`` would have no leaves.
+    leaves; a child with a blocked rhombus beyond it has none.
 
     No visited set is kept.  Both rhombi of a mid-edge the walk has
     crossed have been passed, so the one a step onto it would pass is
@@ -412,7 +414,7 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     if max_steps > _SLOT_MAX:
         raise ValueError(f"a walk of {max_steps} steps can overflow the "
                          f"profile slots (at most {_SLOT_MAX} steps)")
-    leaf_len, fold, fold2 = _folds(max_length, lens, dead)
+    leaf_len, fold, fold2 = _folds(max_length, lens)
     by_id = {row[2]: row[1] for row in rows.values()}
     guard = {(start >> 1) + rows[(start & 1, sign)][0] for sign in (1, -1)}
     leaves: defaultdict = defaultdict(int)
@@ -420,11 +422,8 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
     occ_get = occ.get
     count_get = counts.get
 
-    def rec(cm, row, rlen, key):
-        drho, by_prev, _, _ = row
-        rho = (cm >> 1) + drho
-        prev = occ_get(rho, 0)
-        for dmid, state, slen, dkey, nrow in by_prev[prev]:
+    def rec(cm, rho, prev, steps, rlen, key):
+        for dmid, state, slen, dkey, nrow in steps:
             nlen = rlen + slen
             if nlen > max_length:
                 continue
@@ -433,16 +432,18 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
                 continue
             nkey = key + dkey
             counts[nkey] = count_get(nkey, 0) + 1
+            if nlen > leaf_len:
+                continue  # childless: no step fits
+            here = nm >> 1
+            ahead = here + nrow[0]
+            aprev = occ_get(ahead, 0)
+            nsteps = nrow[1][aprev]
+            if not nsteps:
+                continue  # childless: the rhombus ahead refuses every step
             if nlen >= fold2:
-                if nlen > leaf_len or nm in dead:
-                    continue  # childless
-                here = nm >> 1
-                ahead = here + nrow[0]
                 if nlen >= fold:
                     if ahead not in guard:  # a leaf parent
-                        entry = (nkey, nlen - fold, nrow[2],
-                                 occ_get(ahead, 0))
-                        leaves[entry] += 1
+                        leaves[(nkey, nlen - fold, nrow[2], aprev)] += 1
                         continue
                 else:
                     b0, b1, b2 = nrow[3]
@@ -451,15 +452,12 @@ def _searcher(max_length: int, lens: tuple[int, int, int], rows: dict,
                     b2 += here
                     if not (ahead in guard or b0 in guard or b1 in guard
                             or b2 in guard):  # a grandparent of leaves
-                        entry = (nkey, nlen - fold2, nrow[2],
-                                 occ_get(ahead, 0), occ_get(b0, 0),
-                                 occ_get(b1, 0), occ_get(b2, 0))
+                        entry = (nkey, nlen - fold2, nrow[2], aprev,
+                                 occ_get(b0, 0), occ_get(b1, 0), occ_get(b2, 0))
                         grand[entry] += 1
                         continue
-            elif nm in dead:
-                continue  # childless
             occ[rho] = state
-            rec(nm, nrow, nlen, nkey)
+            rec(nm, ahead, aprev, nsteps, nlen, nkey)
         occ[rho] = prev
 
     def finish():
@@ -515,18 +513,20 @@ def run_walk_enumeration(
     shv = _HV[start.orient]
     smid = _pack_mid(start.i, start.j, shv)
     if domain is None:
-        key0, dead = 0, frozenset()
+        key0, occ = 0, {}
     else:
-        key0, dead = _pack_domain_key(smid, 0, 0, 0), _dead_ends(domain, start)
-    rec, finish = _searcher(max_length, lens, rows, smid, {}, counts, dead)
+        key0, occ = _pack_domain_key(smid, 0, 0, 0), _blocked(domain)
+    rec, finish = _searcher(max_length, lens, rows, smid, occ, counts)
 
     counts[key0] = counts.get(key0, 0) + 1  # the empty walk
     # the first steps, ordered like geometry.step_candidates: by rhombus
-    # (each sign passes one, a domain's only inside it), then by exit
-    # mid-edge, as a row's steps are
+    # (each sign passes one; a start's rhombus outside a domain is blocked
+    # and admits none), then by exit mid-edge, as a row's steps are
     for rhombus, sign in sorted(zip(start.rhombi(), (1, -1))):
-        if sign in signs and (domain is None or domain.contains_rhombus(rhombus)):
-            rec(smid, rows[(shv, sign)], 0, key0)
+        if sign in signs:
+            rho = _pack_rho(rhombus.i, rhombus.j)
+            prev = occ.get(rho, 0)
+            rec(smid, rho, prev, rows[(shv, sign)][1][prev], 0, key0)
     finish()
     return EnumerationStats(walks=sum(counts.values()) - before)
 
@@ -578,24 +578,21 @@ def _arcs(row: list) -> list[tuple]:
 def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
                 crossing: tuple[int, int], cm: int, key: int,
                 jobs: Iterable[tuple[int, int, int | None]], counts: dict,
-                dead: frozenset = frozenset()) -> None:
+                occ: dict) -> None:
     """``counts[key] += 1`` over the walks of the axis jobs ``jobs``
-    (``_axis_jobs``), met in increasing k.  The axis is the line of
-    straights out of packed mid-edge ``cm`` (empty-walk key ``key``, first
-    steps ``rows[crossing]``); the job (k, arc, None) covers the walks that
-    take k straights along it and then leave it by arc number ``arc`` of
-    the row.  The rhombus ahead of a job's axis point is free, so a job's
-    row lists its arc for a free rhombus alone.  So is the rhombus beyond
-    the arc, off the axis: the sub-job (k, arc, sub) covers the walks of
-    the job that go on by step number ``sub`` out of it, and sub-job 0
-    also the walk that ends with the arc."""
-    occ: dict = {}
-    rec, finish = _searcher(max_length, lens, rows, cm, occ, counts, dead)
-    drho, by_prev, _, _ = row = rows[crossing]
-    arcs = _arcs(row)
-    whole = [[drho, ((arc,),), None, None] for arc in arcs]
-    beyond = [[[nrow[0], ((step,),), None, None] for step in nrow[1][0]]
-              for *_, nrow in arcs]
+    (``_axis_jobs``), met in increasing k, from starting occupancy ``occ``
+    (a domain's ``_blocked`` ring).  The axis is the line of straights out
+    of packed mid-edge ``cm`` (empty-walk key ``key``, first steps
+    ``rows[crossing]``); the job (k, arc, None) covers the walks that take
+    k straights along it and then leave it by arc number ``arc`` of the
+    row, through the free rhombus ahead.  The sub-job (k, arc, sub) covers
+    the walks of the job that go on by step number ``sub`` out of the
+    rhombus beyond the arc, which it takes to be free, as it is off a free
+    axis but not always in a domain; sub-job 0 also the walk that ends
+    with the arc."""
+    rec, finish = _searcher(max_length, lens, rows, cm, occ, counts)
+    row = rows[crossing]
+    drho, arcs = row[0], _arcs(row)
     dmid, state, slen, dkey, _ = _straight(row)
     rlen = laid = 0
     for k, arc, sub in jobs:
@@ -605,15 +602,17 @@ def _axis_walks(max_length: int, lens: tuple[int, int, int], rows: dict,
             key += dkey
             rlen += slen
             laid += 1
-        if sub is None:
-            rec(cm, whole[arc], rlen, key)
-            continue
-        amid, astate, alen, akey, _ = arcs[arc]
         rho = (cm >> 1) + drho
+        if sub is None:
+            rec(cm, rho, 0, arcs[arc:arc + 1], rlen, key)
+            continue
+        amid, astate, alen, akey, anrow = arcs[arc]
         occ[rho] = astate
         if sub == 0:
             counts[key + akey] = counts.get(key + akey, 0) + 1
-        rec(cm + amid, beyond[arc][sub], rlen + alen, key + akey)
+        am = cm + amid
+        rec(am, (am >> 1) + anrow[0], 0, anrow[1][0][sub:sub + 1],
+            rlen + alen, key + akey)
         occ[rho] = 0
     finish()
 
@@ -638,8 +637,7 @@ def domain_counts(domain: ParallelogramDomain, counts: dict) -> None:
     # each rhombus is passed at most twice; the axis jobs' search refuses
     # a budget beyond the profile slots before anything is counted
     _axis_walks(2 * domain.n_rhombi, lens, rows, crossing, cm, key,
-                _axis_jobs(domain.T, (1,)), counts,
-                _dead_ends(domain, domain.origin))
+                _axis_jobs(domain.T, (1,)), counts, _blocked(domain))
     straight = _straight(rows[crossing])[3]
     for k in range(domain.T + 1):  # the empty walk and the walks of straights
         counts[key + k * straight] = counts.get(key + k * straight, 0) + 1
@@ -853,12 +851,12 @@ def _free_counts(n_max: int, rule: LengthRule, orient: str, counts: dict,
         counts[k * straight] = counts.get(k * straight, 0) + 1
     arcs = [step[2] for step in _arcs(rows[(hv, 1)])]
     jobs = _axis_jobs(points, arcs[:1] if rule.mirror_symmetric else arcs,
-                      rule.len_straight, _folds(n_max, lens, frozenset())[2])
+                      rule.len_straight, _folds(n_max, lens)[2])
 
     def search(queue: Iterable) -> dict:
         part: dict = {}
         _axis_walks(n_max, lens, rows, (hv, 1), _pack_mid(0, 0, hv), 0,
-                    queue, part)
+                    queue, part, {})
         return part
 
     if workers > 1:

@@ -736,7 +736,7 @@ def test_mirrored_domain_search_equals_the_full_search(T, L):
 @pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (1, 3), (4, 2)])
 def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     from skewsaw.walks import (_HV, _PROFILE_BITS, _PROFILE_MASK, _axis_walks,
-                               _dead_ends, _mirror_above, _mirror_profile,
+                               _blocked, _mirror_above, _mirror_profile,
                                _pack_domain_key, _pack_mid, _step_rows)
 
     def mirror(key):
@@ -753,7 +753,7 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
         counts: dict = {}
         _axis_walks(2 * domain.n_rhombi, UNIT_RULE.as_tuple(), rows,
                     (_HV["V"], domain.origin_sign), cm, empty,
-                    [(0, arc, None)], counts, _dead_ends(domain, domain.origin))
+                    [(0, arc, None)], counts, _blocked(domain))
         subtrees.append(Counter(counts))
     straight = Counter(_full_domain_counts(domain)[0])
     for sub in subtrees:
@@ -770,6 +770,39 @@ def test_packed_mirror_pairs_the_first_step_subtrees(T, L):
     assert mirrored(subtrees[0]) == subtrees[1]
     assert mirrored(subtrees[2]) == subtrees[2]
     assert subtrees[0] != subtrees[1]
+
+
+@pytest.mark.parametrize("T,L", [(1, 0), (2, 1), (3, 1), (4, 2)])
+def test_the_blocked_ring_is_the_rhombi_across_the_boundary(T, L):
+    from skewsaw.walks import (_BLOCKED, _HV, _axis_walks, _blocked,
+                               _pack_domain_key, _pack_mid, _pack_rho,
+                               _step_rows)
+
+    domain = ParallelogramDomain(T, L, math.pi / 2)
+    rows = ([(-1, j) for j in range(-L, L + 1)]      # across alpha
+            + [(T, j) for j in range(-L, L + 1)]     # across beta
+            + [(i, -L - 1) for i in range(T)]        # across delta
+            + [(i, L + 1) for i in range(T)])        # across epsilon
+    ring = {_pack_rho(i, j) for i, j in rows}
+    assert len(ring) == 2 * (2 * L + 1) + 2 * T
+    blocked = _blocked(domain)
+    assert blocked == dict.fromkeys(ring, _BLOCKED)
+    assert not any(_pack_rho(r.i, r.j) in blocked for r in domain.rhombi())
+
+    # the bottom arc's first job, from the full ring and from the ring
+    # without the rhombus below R(0, -L): its walks then leave the domain
+    # there, so the budget leaves room for only two steps outside
+    cm = _pack_mid(0, 0, _HV["V"])
+    searched = []
+    for occ in (blocked, {**blocked, _pack_rho(0, -L - 1): 0}):
+        counts: dict = {}
+        _axis_walks(L + 3, UNIT_RULE.as_tuple(),
+                    _step_rows(UNIT_RULE.as_tuple(), True),
+                    (_HV["V"], domain.origin_sign), cm,
+                    _pack_domain_key(cm, 0, 0, 0), [(0, 0, None)], counts, occ)
+        searched.append(counts)
+    assert searched[0] != searched[1]
+    assert sum(searched[0].values()) < sum(searched[1].values())
 
 
 # ---------------------------------------------------------------------------
